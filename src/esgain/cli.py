@@ -236,7 +236,6 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
         res = average(scheme_graded_field(s, n_avg), n_avg, convention="w-zero-mean")
         g = res.g_exprs(s.m + s.n)[0]
         gf = compile_expr(g)
-        p_fix = s.p
 
         def avg_rhs(t, y):
             return np.asarray([s.eps ** (s.m + s.n) * gf([y[0]])])
@@ -246,12 +245,11 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
         z_traj = integrate(ideal_flow(s), [x0[0]], horizon, dt)
         metrics = compare(traj, y_traj, z_traj, res, s.eps)
         payload["metrics"] = dataclasses.asdict(metrics)
-        del p_fix
     _emit_json(payload, cfg, os.path.join(out_dir, "simulate.json"), verbose)
     return EXIT_OK
 
 
-def _cmd_perfmap(cfg: RunConfig, out_dir: str, threads: int, verbose: bool) -> int:
+def _cmd_perfmap(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     blk = cfg.sim
     h_text = _require(cfg.scheme, "h", "scheme")
     try:
@@ -266,8 +264,7 @@ def _cmd_perfmap(cfg: RunConfig, out_dir: str, threads: int, verbose: bool) -> i
         h, np.geomspace(a_rng[0], a_rng[1], na),
         np.geomspace(p_rng[0], p_rng[1], npts),
         horizon_periods=int(blk.get("horizon_periods", 300)),
-        x0=float(blk.get("x0", 1.0)), x_star=float(blk.get("x_star", 0.0)),
-        threads=threads)
+        x0=float(blk.get("x0", 1.0)), x_star=float(blk.get("x_star", 0.0)))
     path = os.path.join(out_dir, "perfmap.csv")
     pm.write_csv(path)
     _emit_json({"cells": int(pm.feasible.size),
@@ -342,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["tune", "simulate", "perfmap", "average", "verify"])
     ap.add_argument("--config", required=True, help="JSON config file")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--threads", type=int, default=0, help="0 = auto")
     ap.add_argument("--verbose", action="store_true")
     return ap
 
@@ -357,7 +353,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.out, args.verbose)
         if args.command == "perfmap":
-            return _cmd_perfmap(cfg, args.out, args.threads, args.verbose)
+            return _cmd_perfmap(cfg, args.out, args.verbose)
         if args.command == "average":
             return _cmd_average(cfg, args.out, args.verbose)
         return _cmd_verify(cfg, args.out, args.verbose)

@@ -127,6 +127,8 @@ def solve_monomial(p1: float, q1: float, k1: float,
 # ---------------------------------------------------------------------------
 # engine-based remainder tables (basic scheme, m = n = 1 grading)
 
+_SUP_BLOCK_ELEMS = 1 << 21  # doubles in one sample-by-p block of RemainderTables._sup
+
 class RemainderTables:
     """First-neglected engine terms as polynomials in the fine-tuning factor
     p, tabulated on a state grid so sup norms can be queried for any gains.
@@ -134,7 +136,13 @@ class RemainderTables:
     The solvers that use these tables model only the dominant descent term;
     the tail of the averaged dynamics is dominated by the first neglected
     (degree-4) term at the small amplitudes the tolerances force, and the
-    safety factor absorbs the rest."""
+    safety factor absorbs the rest.
+
+    A sup query evaluates the polynomial at every tabulated sample for every
+    queried p. Queries with more p values than fit in one block are
+    evaluated block-wise over the p values, so the temporary sample-by-p
+    array never exceeds `_SUP_BLOCK_ELEMS` doubles (16 MB) whatever the
+    grid size. Each result is the same float as the one-shot evaluation."""
 
     G_DEGREE = 4  # first neglected averaged degree beyond the modeled one
     U_DEGREE = 2  # first transform degree beyond the modeled leading term
@@ -170,8 +178,17 @@ class RemainderTables:
     def _sup(self, coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         powers = np.stack([p ** k for k in range(self._degree)])  # (k, ...)
-        vals = np.tensordot(coeffs, powers, axes=(1, 0))          # (ns, ...)
-        return np.max(np.abs(vals), axis=0)
+        cols = max(1, _SUP_BLOCK_ELEMS // coeffs.shape[0])
+        if p.size <= cols:  # one block; a scalar p keeps its matrix-vector product
+            vals = np.tensordot(coeffs, powers, axes=(1, 0))      # (ns, ...)
+            return np.max(np.abs(vals), axis=0)
+        flat = powers.reshape(self._degree, -1)
+        out = np.empty(flat.shape[1])
+        for c0 in range(0, flat.shape[1], cols):
+            vals = np.tensordot(coeffs, flat[:, c0:c0 + cols], axes=(1, 0))
+            np.abs(vals, out=vals)
+            np.max(vals, axis=0, out=out[c0:c0 + cols])
+        return out.reshape(p.shape)
 
     def g_remainder(self, eps, p) -> np.ndarray:
         return self.safety * np.asarray(eps, float) ** self.G_DEGREE * self._sup(self._g_coeffs, p)
@@ -234,6 +251,8 @@ def _bisect_up(feasible, lo: float, hi_cap: float) -> float:
     lo_b, hi_b = hi, top
     for _ in range(200):
         mid = 0.5 * (lo_b + hi_b)
+        if mid == lo_b or mid == hi_b:
+            break  # adjacent floats: every further halving leaves [lo_b, hi_b] as is
         if feasible(mid):
             lo_b = mid
         else:

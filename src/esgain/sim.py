@@ -178,7 +178,7 @@ class PerfMap:
 def performance_map(h, a_grid, p_grid, horizon_periods: int = 1000,
                     x0: float = 1.0, x_star: float = 0.0,
                     steps_per_period: int = 200,
-                    kind: str = "basic1d", threads: int = 0) -> PerfMap:
+                    kind: str = "basic1d") -> PerfMap:
     """Sweep the (a, p) gain plane for the single-gain scheme
     xdot = -eta h(x + a sin t) sin t with eta = p * a^3 (p is the
     fine-tuning factor when the loop gain sits one grading order above the
@@ -188,8 +188,7 @@ def performance_map(h, a_grid, p_grid, horizon_periods: int = 1000,
     record speed = 1 / (time for the period-averaged deviation |x_av - x*|
     to halve), error = sup |x - x*| over the final 20% of the horizon, and
     feasibility = the state stayed finite and bounded. All cells advance in
-    lockstep through one vectorized integrator, so the output is
-    deterministic regardless of the thread setting.
+    lockstep through one vectorized integrator.
     """
     if kind != "basic1d":
         raise SimError("performance map is defined for the single-gain scheme")

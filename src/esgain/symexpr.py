@@ -35,54 +35,80 @@ class EvalOverflowError(ExprError):
 
 
 class Expr:
-    __slots__ = ()
+    """Base of the node types.
+
+    Nodes are immutable, so each one computes its structural hash, its
+    largest variable index and its rendering once and keeps them in slots.
+    The slots are not dataclass fields: `==`, `repr`, `fields()` and pickles
+    see only the structure."""
+    __slots__ = ("_hash", "_max_var", "_text_x", "_text_xi")
 
     def __str__(self) -> str:
         return to_string(self)
 
+    def __getstate__(self):
+        return self.__dict__  # the fields only; caches are rebuilt on demand
 
-@dataclass(frozen=True)
+
+def _node(cls):
+    """Frozen dataclass whose structural hash is computed once per node."""
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Prod(Expr):
     factors: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Cos(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Exp(Expr):
     arg: Expr
 
@@ -261,53 +287,66 @@ def nth_derivative(e: Expr, order: int, axis: int = 0) -> Expr:
 
 def max_var_index(e: Expr) -> int:
     """Largest variable index used, or -1 for a constant expression."""
+    try:
+        return e._max_var
+    except AttributeError:
+        pass
     if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Const):
-        return -1
-    if isinstance(e, Sum):
-        return max((max_var_index(t) for t in e.terms), default=-1)
-    if isinstance(e, Prod):
-        return max((max_var_index(f) for f in e.factors), default=-1)
-    if isinstance(e, (Neg, Sin, Cos, Exp)):
-        return max_var_index(e.arg)
-    if isinstance(e, Pow):
-        return max_var_index(e.base)
-    raise TypeError(type(e).__name__)
+        v = e.index
+    elif isinstance(e, Const):
+        v = -1
+    elif isinstance(e, Sum):
+        v = max((max_var_index(t) for t in e.terms), default=-1)
+    elif isinstance(e, Prod):
+        v = max((max_var_index(f) for f in e.factors), default=-1)
+    elif isinstance(e, (Neg, Sin, Cos, Exp)):
+        v = max_var_index(e.arg)
+    elif isinstance(e, Pow):
+        v = max_var_index(e.base)
+    else:
+        raise TypeError(type(e).__name__)
+    object.__setattr__(e, "_max_var", v)
+    return v
 
 
 # ---------------------------------------------------------------------------
 # printing (fully parenthesized, same grammar; parse(print(e)) == e)
 
 def to_string(e: Expr) -> str:
-    multi = max_var_index(e) >= 1
+    """Variables print as "x" when the root uses only index 0, else as
+    "x1", "x2", ...; a shared subtree keeps one rendering per mode."""
+    return _render(e, max_var_index(e) >= 1)
 
-    def name(i: int) -> str:
-        return f"x{i + 1}" if multi else "x"
 
-    def render(u: Expr) -> str:
-        if isinstance(u, Const):
-            r = repr(u.value)
-            return f"({r})" if u.value < 0 else r
-        if isinstance(u, Var):
-            return name(u.index)
-        if isinstance(u, Sum):
-            return "(" + " + ".join(render(t) for t in u.terms) + ")"
-        if isinstance(u, Prod):
-            return "(" + " * ".join(render(f) for f in u.factors) + ")"
-        if isinstance(u, Neg):
-            return "(-" + render(u.arg) + ")"
-        if isinstance(u, Pow):
-            return render(u.base) + "^" + str(u.exponent)
-        if isinstance(u, Sin):
-            return "sin(" + render(u.arg) + ")"
-        if isinstance(u, Cos):
-            return "cos(" + render(u.arg) + ")"
-        if isinstance(u, Exp):
-            return "exp(" + render(u.arg) + ")"
+def _render(u: Expr, multi: bool) -> str:
+    slot = "_text_xi" if multi else "_text_x"
+    try:
+        return getattr(u, slot)
+    except AttributeError:
+        pass
+    if isinstance(u, Const):
+        r = repr(u.value)
+        text = f"({r})" if u.value < 0 else r
+    elif isinstance(u, Var):
+        text = f"x{u.index + 1}" if multi else "x"
+    elif isinstance(u, Sum):
+        text = "(" + " + ".join(_render(t, multi) for t in u.terms) + ")"
+    elif isinstance(u, Prod):
+        text = "(" + " * ".join(_render(f, multi) for f in u.factors) + ")"
+    elif isinstance(u, Neg):
+        text = "(-" + _render(u.arg, multi) + ")"
+    elif isinstance(u, Pow):
+        text = _render(u.base, multi) + "^" + str(u.exponent)
+    elif isinstance(u, Sin):
+        text = "sin(" + _render(u.arg, multi) + ")"
+    elif isinstance(u, Cos):
+        text = "cos(" + _render(u.arg, multi) + ")"
+    elif isinstance(u, Exp):
+        text = "exp(" + _render(u.arg, multi) + ")"
+    else:
         raise TypeError(type(u).__name__)
-
-    return render(e)
+    object.__setattr__(u, slot, text)
+    return text
 
 
 # ---------------------------------------------------------------------------

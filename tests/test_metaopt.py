@@ -1,12 +1,15 @@
 """Tests for the gain meta-optimization solvers and tuners."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esgain.averaging import average
 from esgain.contraction import BoundsLedger
-from esgain.metaopt import (InfeasibleError, MetaOptError, MetaOptProblem,
+from esgain.metaopt import (_SUP_BLOCK_ELEMS, InfeasibleError, MetaOptError,
+                            MetaOptProblem, RemainderTables, _bisect_up,
                             _constraints_for, consistency_report,
                             solve_monomial, solve_numeric,
                             solve_strategy3_closed_form, tune_filtered,
@@ -189,6 +192,88 @@ class TestSolveNumeric:
             MetaOptProblem(worked_ledger, strategy=1)  # missing total tolerance
         with pytest.raises(MetaOptError):
             MetaOptProblem(worked_ledger, strategy=2, delta1=0.01)  # missing delta2
+
+
+def bisect_up_reference(feasible, lo, hi_cap):
+    """`_bisect_up` as first written: always 200 halvings."""
+    hi = lo
+    step = lo * 0.5
+    while hi + step <= hi_cap and feasible(hi + step):
+        hi += step
+        step *= 2.0
+    top = min(hi + step, hi_cap)
+    if feasible(top):
+        return top
+    lo_b, hi_b = hi, top
+    for _ in range(200):
+        mid = 0.5 * (lo_b + hi_b)
+        if feasible(mid):
+            lo_b = mid
+        else:
+            hi_b = mid
+    return lo_b
+
+
+class TestBisectUp:
+    @settings(max_examples=400, derandomize=True)
+    @given(lo=st.floats(1e-6, 1e3), cap_factor=st.floats(1.0, 1e6),
+           frac=st.floats(0.0, 1.2), strict=st.booleans())
+    def test_early_exit_matches_full_halving(self, lo, cap_factor, frac, strict):
+        hi_cap = lo * cap_factor
+        t = lo + frac * (hi_cap - lo)
+        pred = (lambda x: x < t) if strict else (lambda x: x <= t)
+        calls = []
+
+        def feasible(x):
+            calls.append(x)
+            return pred(x)
+
+        got = _bisect_up(feasible, lo, hi_cap)
+        assert got == bisect_up_reference(pred, lo, hi_cap)
+        assert len(calls) < 200  # stops once the bracket is two adjacent floats
+
+    @pytest.mark.parametrize("lo,hi_cap", [(1e-4, 10.0), (0.3, 0.30000000000001),
+                                           (2.0, 1e6)])
+    @pytest.mark.parametrize("where", ["lo", "lo+1ulp", "mid", "cap-1ulp", "cap", "beyond"])
+    def test_threshold_at_adjacent_floats_and_cap(self, lo, hi_cap, where):
+        t = {"lo": lo, "lo+1ulp": np.nextafter(lo, np.inf),
+             "mid": 0.5 * (lo + hi_cap), "cap-1ulp": np.nextafter(hi_cap, -np.inf),
+             "cap": hi_cap, "beyond": 2.0 * hi_cap}[where]
+        t = float(t)
+        got = _bisect_up(lambda x: x <= t, lo, hi_cap)
+        assert got == bisect_up_reference(lambda x: x <= t, lo, hi_cap)
+        assert got == min(t, hi_cap)  # the largest feasible float
+
+
+class TestRemainderTablesMemory:
+    """`RemainderTables._sup` on the solver's 200 x 200 gain grid: block-wise
+    evaluation keeps memory bounded and changes no bit of the result."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, worked_ledger, worked_h):
+        return RemainderTables(worked_ledger, worked_h)
+
+    @pytest.mark.parametrize("name", ["_g_coeffs", "_u_coeffs"])
+    def test_blocked_sup_equals_one_shot(self, tables, name):
+        coeffs = getattr(tables, name)
+        grid = np.geomspace(1e-4, 10.0, 200)
+        p = grid[None, :] / grid[:, None]   # e / a over the solver's grid
+        assert p.size > _SUP_BLOCK_ELEMS // coeffs.shape[0]  # more than one block
+        powers = np.stack([p ** k for k in range(5)])
+        vals = np.tensordot(coeffs, powers, axes=(1, 0))  # 1 GB for the u table
+        ref = np.max(np.abs(vals, out=vals), axis=0)
+        del vals
+        assert np.array_equal(tables._sup(coeffs, p), ref)
+
+    def test_strategy1_solve_peak_below_64mb(self, worked_ledger, worked_h):
+        prob = MetaOptProblem(worked_ledger, strategy=1, delta=0.05, grid_points=200)
+        tracemalloc.start()
+        try:
+            solve_numeric(prob, h=worked_h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestFrequencyTuner:

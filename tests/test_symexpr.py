@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -6,9 +9,10 @@ import pytest
 
 from conftest import WORKED_H_TEXT, random_expr
 from esgain.symexpr import (Const, Domain1D, Domain2D, EvalOverflowError,
-                            ParseError, Var, differentiate, eval_expr,
-                            exp_of, nth_derivative, parse_expr, powi,
-                            scan_supnorm, to_string)
+                            Expr, ParseError, Var, add, differentiate,
+                            eval_expr, exp_of, max_var_index, mul,
+                            nth_derivative, parse_expr, powi, scan_supnorm,
+                            sin_of, to_string)
 
 
 class TestParse:
@@ -133,4 +137,76 @@ class TestRandomCorpus:
         for _ in range(self.N_EXPRS):
             dim = rng.choice([1, 2])
             e = random_expr(rng, dim=dim, depth=5)
-            assert parse_expr(to_string(e), dim=dim) == e
+            text = to_string(e)
+            assert parse_expr(text, dim=dim) == e
+            # a second, cached print and a print of an uncached copy agree
+            assert to_string(e) == text == to_string(copy.deepcopy(e))
+
+
+class _Fresh:
+    """Hashes an expression by walking its fields, bypassing node caches."""
+
+    def __init__(self, e):
+        self.e = e
+
+    def __hash__(self):
+        return fresh_hash(self.e)
+
+
+def fresh_hash(e) -> int:
+    """The frozen-dataclass hash, hash(tuple of field values), computed
+    from scratch at every level of the tree."""
+    vals = []
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        if isinstance(v, Expr):
+            v = _Fresh(v)
+        elif isinstance(v, tuple):
+            v = tuple(_Fresh(c) for c in v)
+        vals.append(v)
+    return hash(tuple(vals))
+
+
+class TestNodeCaches:
+    """Nodes cache their hash, largest variable index and printed forms
+    outside their dataclass fields; the caches must not be observable."""
+
+    def test_cached_hash_equals_fresh_structural_hash(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            e = random_expr(rng, dim=rng.choice([1, 2]), depth=5)
+            first = hash(e)
+            assert first == fresh_hash(e)
+            assert hash(e) == first
+            assert hash(copy.deepcopy(e)) == first
+
+    def test_shared_subtree_prints_per_root_naming(self):
+        sub = mul(sin_of(Var(0)), powi(Var(0), 2))
+        one = add(sub, Const(1.0))
+        two = add(sub, Var(1))
+        assert to_string(one) == "((sin(x) * x^2) + 1.0)"
+        assert to_string(two) == "((sin(x1) * x1^2) + x2)"
+        assert to_string(sub) == "(sin(x) * x^2)"
+        assert to_string(one) == "((sin(x) * x^2) + 1.0)"
+        # the same with the 2-D root printed first
+        sub = mul(sin_of(Var(0)), powi(Var(0), 2))
+        two = add(sub, Var(1))
+        assert str(two) == "((sin(x1) * x1^2) + x2)"
+        assert str(sub) == "(sin(x) * x^2)"
+        assert max_var_index(two) == 1 and max_var_index(sub) == 0
+
+    def test_caches_invisible_to_eq_repr_fields_and_pickle(self):
+        e = parse_expr("sin(x1)*x2^2 + exp(-x1) - 3", dim=2)
+        twin = parse_expr("sin(x1)*x2^2 + exp(-x1) - 3", dim=2)
+        before = repr(e)
+        state = pickle.dumps(twin)
+        hash(e), str(e), max_var_index(e)  # fill the caches of e only
+        assert e == twin and twin == e
+        assert repr(e) == before == repr(twin)
+        assert [f.name for f in dataclasses.fields(e)] == ["terms"]
+        assert pickle.dumps(e) == state  # caches are not part of the state
+        clone = pickle.loads(pickle.dumps(e))
+        assert clone == e and hash(clone) == hash(e) and str(clone) == str(e)
+        assert vars(clone) == vars(twin) == {"terms": twin.terms}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e._hash = 0
