@@ -28,8 +28,8 @@ from .metaopt import (InfeasibleError, MetaOptProblem, consistency_report,
                       tune_filtered, tune_frequency)
 from .schemes import SchemeInstance, reference_averaged, scheme_graded_field, scheme_rhs
 from .sim import SimulationOverflowError, compare, integrate, performance_map
-from .symexpr import (Domain1D, ParseError, compile_expr, differentiate,
-                      parse_expr, to_string)
+from .symexpr import (Domain1D, EvalOverflowError, ParseError, compile_expr,
+                      differentiate, parse_expr, to_string)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,6 +88,25 @@ def _require(block: dict, key, what: str):
     if key not in block:
         raise ConfigError(f"missing config field: {what}.{key}")
     return block[key]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _count(block: dict, key, default: int, what: str) -> int:
+    v = block.get(key, default)
+    if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+        raise ConfigError(f"{what}.{key} must be an integer >= 1")
+    return v
+
+
+def _positive_range(block: dict, key, default: list, what: str) -> tuple:
+    v = block.get(key, default)
+    if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+            and 0 < v[0] < v[1]):
+        raise ConfigError(f"{what}.{key} must be [lo, hi] with 0 < lo < hi")
+    return float(v[0]), float(v[1])
 
 
 def _scheme_from_config(cfg: RunConfig) -> SchemeInstance:
@@ -219,8 +238,14 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     dt = float(sim_blk.get("dt", period / 200.0))
     horizon = float(sim_blk.get("horizon_periods", 300)) * period
     x0 = sim_blk.get("x0", [1.0] * s.dim)
-    if isinstance(x0, (int, float)):
-        x0 = [float(x0)]
+    if _is_number(x0):
+        x0 = [x0]
+    # filtered1d and plant1d may give the slow state alone; the rest is derived
+    fits = (1, s.dim) if s.kind in ("filtered1d", "plant1d") else (s.dim,)
+    if not (isinstance(x0, list) and len(x0) in fits and all(map(_is_number, x0))):
+        raise ConfigError(f"sim.x0 for {s.kind} must be a list of "
+                          + " or ".join(map(str, fits)) + " numbers")
+    x0 = [float(v) for v in x0]
     if s.kind == "filtered1d" and len(x0) == 1:
         hf = compile_expr(s.h)
         x0 = [x0[0], float(hf([np.asarray(x0[0])])), 0.0]
@@ -256,14 +281,14 @@ def _cmd_perfmap(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
         h = parse_expr(h_text, dim=1)
     except ParseError as exc:
         raise ConfigError(f"scheme.h does not parse: {exc}") from exc
-    a_rng = blk.get("a_range", [0.02, 1.0])
-    p_rng = blk.get("p_range", [0.1, 10.0])
-    na = int(blk.get("a_points", 20))
-    npts = int(blk.get("p_points", 20))
+    a_rng = _positive_range(blk, "a_range", [0.02, 1.0], "sim")
+    p_rng = _positive_range(blk, "p_range", [0.1, 10.0], "sim")
+    na = _count(blk, "a_points", 20, "sim")
+    npts = _count(blk, "p_points", 20, "sim")
     pm = performance_map(
         h, np.geomspace(a_rng[0], a_rng[1], na),
         np.geomspace(p_rng[0], p_rng[1], npts),
-        horizon_periods=int(blk.get("horizon_periods", 300)),
+        horizon_periods=_count(blk, "horizon_periods", 300, "sim"),
         x0=float(blk.get("x0", 1.0)), x_star=float(blk.get("x_star", 0.0)))
     path = os.path.join(out_dir, "perfmap.csv")
     pm.write_csv(path)
@@ -361,9 +386,7 @@ def main(argv=None) -> int:
         return _error_json(EXIT_CONFIG, "config", str(exc))
     except InfeasibleError as exc:
         return _error_json(EXIT_INFEASIBLE, "infeasible", str(exc))
-    except SimulationOverflowError as exc:
-        return _error_json(EXIT_OVERFLOW, "overflow", str(exc))
-    except OverflowError as exc:
+    except (SimulationOverflowError, EvalOverflowError, OverflowError) as exc:
         return _error_json(EXIT_OVERFLOW, "overflow", str(exc))
 
 

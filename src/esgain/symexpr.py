@@ -12,6 +12,7 @@ are not part of the textual grammar.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -482,34 +483,61 @@ def parse_expr(text: str, dim: int = 1) -> Expr:
 _NAMESPACE = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
-def _codegen(e: Expr) -> str:
+def _pow_chain(k: int, first: str, name: str, fresh) -> str:
+    """Source of base^k as a product by square-and-multiply:
+    b^(2j) = (b^j)^2 and b^(2j+1) = b^(2j) * b. The leftmost operand,
+    evaluated first, is `first`; every later use of the base is `name`."""
+    if k == 1:
+        return first
+    if k % 2:
+        return f"{_pow_chain(k - 1, first, name, fresh)}*{name}"
+    if k == 2:
+        return f"{first}*{name}"
+    t = fresh()
+    return f"({t}:={_pow_chain(k // 2, first, name, fresh)})*{t}"
+
+
+def _codegen(e: Expr, fresh) -> str:
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
         return f"p[{e.index}]"
     if isinstance(e, Sum):
-        return "(" + "+".join(_codegen(t) for t in e.terms) + ")"
+        return "(" + "+".join(_codegen(t, fresh) for t in e.terms) + ")"
     if isinstance(e, Prod):
-        return "(" + "*".join(_codegen(f) for f in e.factors) + ")"
+        return "(" + "*".join(_codegen(f, fresh) for f in e.factors) + ")"
     if isinstance(e, Neg):
-        return "(-" + _codegen(e.arg) + ")"
+        return "(-" + _codegen(e.arg, fresh) + ")"
     if isinstance(e, Pow):
-        return "(" + _codegen(e.base) + f")**{e.exponent}"
+        # numpy's power takes libm's slow path on negative bases; products
+        # do not. A compound base is bound to a temporary and evaluated once.
+        base = _codegen(e.base, fresh)
+        if isinstance(e.base, (Var, Const)):
+            return "(" + _pow_chain(e.exponent, base, base, fresh) + ")"
+        name = fresh()
+        return "(" + _pow_chain(e.exponent, f"({name}:={base})", name, fresh) + ")"
     if isinstance(e, Sin):
-        return "sin(" + _codegen(e.arg) + ")"
+        return "sin(" + _codegen(e.arg, fresh) + ")"
     if isinstance(e, Cos):
-        return "cos(" + _codegen(e.arg) + ")"
+        return "cos(" + _codegen(e.arg, fresh) + ")"
     if isinstance(e, Exp):
-        return "exp(" + _codegen(e.arg) + ")"
+        return "exp(" + _codegen(e.arg, fresh) + ")"
     raise TypeError(type(e).__name__)
+
+
+def codegen(e: Expr) -> str:
+    """Python source of the lambda that `compile_expr` compiles. Integer
+    powers become multiplication chains. Temporaries are named `_t0`, `_t1`,
+    ... from a counter local to the call, so the source is deterministic."""
+    counter = itertools.count()
+    return "lambda p: " + _codegen(e, lambda: f"_t{next(counter)}")
 
 
 @lru_cache(maxsize=None)
 def compile_expr(e: Expr):
     """Compile to a callable f(p) where p is an indexable point (scalars or
     numpy arrays per axis). Safe on both; results are numpy scalars/arrays."""
-    src = "lambda p: " + _codegen(e)
-    return eval(src, dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
+    return eval(codegen(e), dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
 
 
 def eval_expr(e: Expr, point) -> float:

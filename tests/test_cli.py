@@ -124,6 +124,23 @@ class TestSimulate:
         assert err["error"] == "overflow"
 
 
+class TestOverflow:
+    def test_huge_optimum_exits_four(self, tmp_path, capsys):
+        # the objective overflows at the declared optimum while the ledger
+        # is built; that is a numeric overflow, not a crash
+        cfg = write_config(tmp_path / "huge.json", {
+            "scheme": {"kind": "basic1d", "h": "0.5*x^2 + 0.1*x^4",
+                       "gains": {"a": 0.2, "eta": 0.01}},
+            "ledger": {"domain": [-1.0, 1.0], "x_star": 1e200},
+            "tuning": {"strategy": 3, "delta1": 0.01, "delta2": 0.01},
+        })
+        code = main(["tune", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "overflow"
+
+
 class TestVerify:
     def test_empty_scheme_config_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "empty.json", {})
@@ -174,6 +191,38 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("sim", [
+        {"a_points": 0},
+        {"p_points": 0},
+        {"a_range": [0.5, 0.1]},
+        {"p_range": [-1.0, 2.0]},
+    ], ids=["a_points_zero", "p_points_zero", "a_range_decreasing",
+            "p_range_not_positive"])
+    def test_malformed_perfmap_block_exits_two(self, tmp_path, capsys, sim):
+        cfg = write_config(tmp_path / "pm.json", {
+            "scheme": {"h": WORKED_H_TEXT},
+            "sim": dict({"a_points": 2, "p_points": 2, "horizon_periods": 5}, **sim),
+        })
+        code = main(["perfmap", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config"
+        assert not (tmp_path / "o" / "perfmap.csv").exists()
+
+    def test_x0_of_wrong_length_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sim.json", {
+            "scheme": {"kind": "basic1d", "h": WORKED_H_TEXT,
+                       "gains": {"a": 0.2, "eta": 0.2}},
+            "sim": {"horizon_periods": 2, "x0": [0.5, 0.1, 0.2]},
+        })
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config"
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
 
     def test_non_finite_number_rejected(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"

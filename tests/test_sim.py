@@ -228,6 +228,32 @@ class TestPerformanceMap:
         first_bad = good.index(False)
         assert all(not g for g in good[first_bad:])
 
+    def test_map_agrees_with_scalar_integration(self):
+        # the map's vectorized RK4 and the scalar integrate(scheme_rhs(...))
+        # path must tell the same story cell by cell, escapes included
+        h = parse_expr("-cos(x) + 0.15*x^3 + 0.04*x^4")
+        a_grid, p_grid = np.array([0.3, 1.0, 1.6]), np.array([1.0, 20.0])
+        periods, steps_per_period = 20, 200
+        pm = performance_map(h, a_grid, p_grid, horizon_periods=periods,
+                             steps_per_period=steps_per_period)
+        assert not pm.feasible.all()
+        dt = 2.0 * math.pi / steps_per_period
+        n_steps = periods * steps_per_period
+        tail = int(0.8 * n_steps)
+        for i, a in enumerate(a_grid):
+            for j in range(p_grid.size):
+                s = SchemeInstance("basic1d", h, a, eta=p_grid[j] * a ** 3)
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        xs = integrate(scheme_rhs(s), [1.0], n_steps * dt, dt).states[:, 0]
+                    feasible = bool(np.max(np.abs(xs)) <= 1e6)
+                except SimulationOverflowError:
+                    feasible = False
+                assert feasible == pm.feasible[i, j], (a, p_grid[j])
+                if feasible:
+                    err = float(np.max(np.abs(xs[tail + 1:])))
+                    assert err == pytest.approx(pm.error[i, j], rel=1e-9, abs=0.0)
+
     def test_grid_validation(self):
         with pytest.raises(SimError):
             PerfMap(np.array([1.0, 0.5]), np.array([1.0]),

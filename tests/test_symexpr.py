@@ -9,7 +9,8 @@ import pytest
 
 from conftest import WORKED_H_TEXT, random_expr
 from esgain.symexpr import (Const, Domain1D, Domain2D, EvalOverflowError,
-                            Expr, ParseError, Var, add, differentiate,
+                            Expr, ParseError, Pow, Var, add, codegen,
+                            compile_expr, differentiate, eval_array,
                             eval_expr, exp_of, max_var_index, mul,
                             nth_derivative, parse_expr, powi, scan_supnorm,
                             sin_of, to_string)
@@ -75,6 +76,68 @@ class TestEval:
         tower = exp_of(exp_of(exp_of(powi(Var(0), 3))))
         with pytest.raises(EvalOverflowError):
             eval_expr(tower, [10.0])
+
+    def test_power_overflow_reported(self):
+        with pytest.raises(EvalOverflowError):
+            eval_expr(parse_expr("x^3"), (1e200,))
+
+
+class TestPowerCodegen:
+    """Integer powers compile to multiplication chains (square-and-multiply),
+    not to `**`: numpy's power is slow on negative bases."""
+
+    def test_chain_agrees_with_pow_within_ulps(self):
+        # a chain of k-1 roundings is off by at most about k-1 ulps from the
+        # exact power, and libm's pow by at most one
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(300):
+            base = random_expr(rng, dim=1, depth=3)
+            if isinstance(base, Const):
+                continue
+            fb = compile_expr(base)
+            for k in range(2, 13):
+                fk = compile_expr(Pow(base, k))
+                for _ in range(3):
+                    x = rng.uniform(-1.5, 1.5)
+                    b = float(fb([x]))
+                    try:
+                        want = b ** k
+                    except OverflowError:
+                        continue
+                    if want == 0.0 or not math.isfinite(want):
+                        continue
+                    got = float(fk([x]))
+                    assert abs(got - want) <= k * math.ulp(want), (to_string(base), k, x)
+                    checked += 1
+        assert checked > 5000
+
+    def test_array_evaluation_bitwise_equals_scalar(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            e = random_expr(rng, dim=1, depth=5)
+            xs = np.array([rng.uniform(-1.5, 1.5) for _ in range(16)])
+            with np.errstate(all="ignore"):
+                arr = eval_array(e, [xs])
+                one = np.array([float(compile_expr(e)([float(x)])) for x in xs])
+            assert np.array_equal(arr, one, equal_nan=True), to_string(e)
+
+    def test_no_pow_operator_in_source(self):
+        for k in range(2, 13):
+            src = codegen(powi(Var(0), k))
+            assert "**" not in src
+            # square-and-multiply: one squaring per bit after the first,
+            # one multiply per set bit after the first
+            assert src.count("*") == (k.bit_length() - 1) + (k.bit_count() - 1)
+            assert compile_expr(powi(Var(0), k))([3.0]) == 3.0 ** k
+
+    def test_compound_base_evaluated_once(self):
+        e = parse_expr("(exp(x) - 1 - x)^3 + 2*(exp(x) - 1 - x)^6", dim=1)
+        src = codegen(e)
+        assert src.count("exp(") == 2  # once per power, not once per factor
+        assert src == codegen(parse_expr("(exp(x) - 1 - x)^3 + 2*(exp(x) - 1 - x)^6"))
+        y = math.exp(0.7) - 1 - 0.7
+        assert eval_expr(e, [0.7]) == pytest.approx(y ** 3 + 2 * y ** 6, rel=1e-14)
 
 
 class TestSupNorm:
