@@ -94,6 +94,13 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _number(block: dict, key, default: float, what: str) -> float:
+    v = block.get(key, default)
+    if not _is_number(v):
+        raise ConfigError(f"{what}.{key} must be a number")
+    return float(v)
+
+
 def _count(block: dict, key, default: int, what: str) -> int:
     v = block.get(key, default)
     if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
@@ -235,8 +242,15 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     s = _scheme_from_config(cfg)
     sim_blk = cfg.sim
     period = 2.0 * math.pi / (s.omega or 1.0) if s.kind == "plant1d" else 2.0 * math.pi
-    dt = float(sim_blk.get("dt", period / 200.0))
-    horizon = float(sim_blk.get("horizon_periods", 300)) * period
+    dt = _number(sim_blk, "dt", period / 200.0, "sim")
+    periods = _number(sim_blk, "horizon_periods", 300, "sim")
+    if dt <= 0.0:
+        raise ConfigError("sim.dt must be positive")
+    if periods <= 0.0:
+        raise ConfigError("sim.horizon_periods must be positive")
+    horizon = periods * period
+    if horizon < dt:
+        raise ConfigError("sim.horizon_periods must cover at least one step of sim.dt")
     x0 = sim_blk.get("x0", [1.0] * s.dim)
     if _is_number(x0):
         x0 = [x0]
@@ -289,7 +303,7 @@ def _cmd_perfmap(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
         h, np.geomspace(a_rng[0], a_rng[1], na),
         np.geomspace(p_rng[0], p_rng[1], npts),
         horizon_periods=_count(blk, "horizon_periods", 300, "sim"),
-        x0=float(blk.get("x0", 1.0)), x_star=float(blk.get("x_star", 0.0)))
+        x0=_number(blk, "x0", 1.0, "sim"), x_star=_number(blk, "x_star", 0.0, "sim"))
     path = os.path.join(out_dir, "perfmap.csv")
     pm.write_csv(path)
     _emit_json({"cells": int(pm.feasible.size),

@@ -128,6 +128,7 @@ def solve_monomial(p1: float, q1: float, k1: float,
 # engine-based remainder tables (basic scheme, m = n = 1 grading)
 
 _SUP_BLOCK_ELEMS = 1 << 21  # doubles in one sample-by-p block of RemainderTables._sup
+_SUP_TILE = 8  # p columns per BLAS tile; blocks are whole tiles
 
 class RemainderTables:
     """First-neglected engine terms as polynomials in the fine-tuning factor
@@ -139,10 +140,14 @@ class RemainderTables:
     safety factor absorbs the rest.
 
     A sup query evaluates the polynomial at every tabulated sample for every
-    queried p. Queries with more p values than fit in one block are
-    evaluated block-wise over the p values, so the temporary sample-by-p
-    array never exceeds `_SUP_BLOCK_ELEMS` doubles (16 MB) whatever the
-    grid size. Each result is the same float as the one-shot evaluation."""
+    distinct queried p: a geometric gain grid repeats eta / a, and its
+    200 x 200 cells hold 2 428 distinct p. The distinct values are evaluated
+    block-wise, so the temporary sample-by-p array never exceeds
+    `_SUP_BLOCK_ELEMS` doubles (16 MB) whatever the grid size. Blocks are
+    padded to whole `_SUP_TILE`-column tiles, because OpenBLAS computes the
+    columns of a partial tile with another kernel whose last bits differ; so
+    the result for a p does not depend on the other values in its query. A
+    scalar p is a matrix-vector product."""
 
     G_DEGREE = 4  # first neglected averaged degree beyond the modeled one
     U_DEGREE = 2  # first transform degree beyond the modeled leading term
@@ -177,18 +182,19 @@ class RemainderTables:
 
     def _sup(self, coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        powers = np.stack([p ** k for k in range(self._degree)])  # (k, ...)
-        cols = max(1, _SUP_BLOCK_ELEMS // coeffs.shape[0])
-        if p.size <= cols:  # one block; a scalar p keeps its matrix-vector product
-            vals = np.tensordot(coeffs, powers, axes=(1, 0))      # (ns, ...)
-            return np.max(np.abs(vals), axis=0)
-        flat = powers.reshape(self._degree, -1)
-        out = np.empty(flat.shape[1])
-        for c0 in range(0, flat.shape[1], cols):
-            vals = np.tensordot(coeffs, flat[:, c0:c0 + cols], axes=(1, 0))
+        if p.ndim == 0:
+            powers = np.stack([p ** k for k in range(self._degree)])
+            return np.max(np.abs(np.tensordot(coeffs, powers, axes=(1, 0))))
+        distinct, inverse = np.unique(p.ravel(), return_inverse=True)
+        distinct = np.pad(distinct, (0, -distinct.size % _SUP_TILE), mode="edge")
+        powers = np.stack([distinct ** k for k in range(self._degree)])  # (k, n)
+        cols = max(1, _SUP_BLOCK_ELEMS // coeffs.shape[0] // _SUP_TILE) * _SUP_TILE
+        out = np.empty(distinct.size)
+        for c0 in range(0, distinct.size, cols):
+            vals = np.tensordot(coeffs, powers[:, c0:c0 + cols], axes=(1, 0))
             np.abs(vals, out=vals)
             np.max(vals, axis=0, out=out[c0:c0 + cols])
-        return out.reshape(p.shape)
+        return out[inverse].reshape(p.shape)
 
     def g_remainder(self, eps, p) -> np.ndarray:
         return self.safety * np.asarray(eps, float) ** self.G_DEGREE * self._sup(self._g_coeffs, p)

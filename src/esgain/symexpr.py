@@ -39,10 +39,10 @@ class Expr:
     """Base of the node types.
 
     Nodes are immutable, so each one computes its structural hash, its
-    largest variable index and its rendering once and keeps them in slots.
-    The slots are not dataclass fields: `==`, `repr`, `fields()` and pickles
-    see only the structure."""
-    __slots__ = ("_hash", "_max_var", "_text_x", "_text_xi")
+    largest variable index, its rendering and its derivatives once and keeps
+    them in slots. The slots are not dataclass fields: `==`, `repr`,
+    `fields()` and pickles see only the structure."""
+    __slots__ = ("_hash", "_max_var", "_text_x", "_text_xi", "_deriv")
 
     def __str__(self) -> str:
         return to_string(self)
@@ -248,7 +248,20 @@ def exp_of(e: Expr) -> Expr:
 # differentiation
 
 def differentiate(e: Expr, axis: int = 0) -> Expr:
-    """Exact symbolic derivative with respect to state variable `axis`."""
+    """Exact symbolic derivative with respect to state variable `axis`.
+    Memoised per node and axis, so a shared subtree is differentiated once."""
+    try:
+        cache = e._deriv
+    except AttributeError:
+        cache = {}
+        object.__setattr__(e, "_deriv", cache)
+    d = cache.get(axis)
+    if d is None:
+        d = cache[axis] = _derivative(e, axis)
+    return d
+
+
+def _derivative(e: Expr, axis: int) -> Expr:
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
@@ -509,6 +522,11 @@ def _codegen(e: Expr, fresh) -> str:
     if isinstance(e, Neg):
         return "(-" + _codegen(e.arg, fresh) + ")"
     if isinstance(e, Pow):
+        # a node built directly, not through powi: fold and reject as it does
+        if e.exponent < 0:
+            raise ExprError("negative exponents are outside the grammar")
+        if e.exponent == 0:
+            return repr(ONE.value)
         # numpy's power takes libm's slow path on negative bases; products
         # do not. A compound base is bound to a temporary and evaluated once.
         base = _codegen(e.base, fresh)

@@ -197,8 +197,10 @@ class TestConfigHandling:
         {"p_points": 0},
         {"a_range": [0.5, 0.1]},
         {"p_range": [-1.0, 2.0]},
+        {"x0": "abc"},
+        {"x_star": "abc"},
     ], ids=["a_points_zero", "p_points_zero", "a_range_decreasing",
-            "p_range_not_positive"])
+            "p_range_not_positive", "x0_not_a_number", "x_star_not_a_number"])
     def test_malformed_perfmap_block_exits_two(self, tmp_path, capsys, sim):
         cfg = write_config(tmp_path / "pm.json", {
             "scheme": {"h": WORKED_H_TEXT},
@@ -216,6 +218,28 @@ class TestConfigHandling:
             "scheme": {"kind": "basic1d", "h": WORKED_H_TEXT,
                        "gains": {"a": 0.2, "eta": 0.2}},
             "sim": {"horizon_periods": 2, "x0": [0.5, 0.1, 0.2]},
+        })
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config"
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("sim", [
+        {"dt": 0.0},
+        {"dt": -0.01},
+        {"dt": "fast"},
+        {"horizon_periods": -2},
+        {"horizon_periods": "long"},
+        {"horizon_periods": 0.001},
+    ], ids=["dt_zero", "dt_negative", "dt_not_a_number", "horizon_negative",
+            "horizon_not_a_number", "horizon_below_one_step"])
+    def test_malformed_simulate_timing_exits_two(self, tmp_path, capsys, sim):
+        cfg = write_config(tmp_path / "sim.json", {
+            "scheme": {"kind": "basic1d", "h": WORKED_H_TEXT,
+                       "gains": {"a": 0.2, "eta": 0.2}},
+            "sim": dict({"horizon_periods": 2, "x0": [0.5]}, **sim),
         })
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from esgain.averaging import average
 from esgain.contraction import BoundsLedger
-from esgain.metaopt import (_SUP_BLOCK_ELEMS, InfeasibleError, MetaOptError,
+from esgain.metaopt import (_SUP_BLOCK_ELEMS, _SUP_TILE, InfeasibleError, MetaOptError,
                             MetaOptProblem, RemainderTables, _bisect_up,
                             _constraints_for, consistency_report,
                             solve_monomial, solve_numeric,
@@ -245,9 +245,20 @@ class TestBisectUp:
         assert got == min(t, hi_cap)  # the largest feasible float
 
 
+def sup_by_column(coeffs, p):
+    """sup over the samples for each entry of p on its own, without
+    deduplication: each p is evaluated as a whole tile of copies of itself."""
+    out = np.empty(p.size)
+    for j, v in enumerate(p.ravel()):
+        powers = np.stack([np.full(_SUP_TILE, v) ** k for k in range(5)])
+        out[j] = np.max(np.abs(np.tensordot(coeffs, powers, axes=(1, 0))[:, 0]))
+    return out.reshape(p.shape)
+
+
 class TestRemainderTablesMemory:
     """`RemainderTables._sup` on the solver's 200 x 200 gain grid: block-wise
-    evaluation keeps memory bounded and changes no bit of the result."""
+    evaluation of the distinct p keeps memory bounded and changes no bit of
+    the result."""
 
     @pytest.fixture(scope="class")
     def tables(self, worked_ledger, worked_h):
@@ -264,6 +275,34 @@ class TestRemainderTablesMemory:
         ref = np.max(np.abs(vals, out=vals), axis=0)
         del vals
         assert np.array_equal(tables._sup(coeffs, p), ref)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.sampled_from([0, 1, 2]),
+           offset=st.integers(-200, 200), extra=st.integers(1, 300),
+           rows=st.sampled_from([1, 2, 3]))
+    def test_deduplicated_sup_equals_sup_by_column(self, tables, seed, blocks,
+                                                    offset, extra, rows):
+        # distinct counts cluster around 0, 1 and 2 blocks of the u table;
+        # every distinct p repeats at least once when extra >= its count
+        coeffs = tables._u_coeffs
+        block = _SUP_BLOCK_ELEMS // coeffs.shape[0]
+        n_distinct = max(1, blocks * block + offset)
+        rng = np.random.default_rng(seed)
+        pool = np.unique(np.exp(rng.uniform(-3.0, 3.0, n_distinct)))  # p near 1
+        size = -(-(pool.size + extra) // rows) * rows
+        p = np.concatenate([pool, rng.choice(pool, size - pool.size)])
+        p = rng.permutation(p).reshape((rows, -1) if rows > 1 else (-1,))
+        got = tables._sup(coeffs, p)
+        assert got.shape == p.shape
+        assert np.array_equal(got, sup_by_column(coeffs, p))
+
+    def test_scalar_p_is_zero_dimensional(self, tables):
+        for name in ("_g_coeffs", "_u_coeffs"):
+            coeffs = getattr(tables, name)
+            got = tables._sup(coeffs, 0.7)
+            assert np.ndim(got) == 0
+            powers = np.array([0.7 ** k for k in range(5)])
+            assert got == np.max(np.abs(np.tensordot(coeffs, powers, axes=(1, 0))))
 
     def test_strategy1_solve_peak_below_64mb(self, worked_ledger, worked_h):
         prob = MetaOptProblem(worked_ledger, strategy=1, delta=0.05, grid_points=200)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import WORKED_H_TEXT, random_expr
 from esgain.symexpr import (Const, Domain1D, Domain2D, EvalOverflowError,
-                            Expr, ParseError, Pow, Var, add, codegen,
+                            Expr, ExprError, ParseError, Pow, Var, add, codegen,
                             compile_expr, differentiate, eval_array,
                             eval_expr, exp_of, max_var_index, mul,
                             nth_derivative, parse_expr, powi, scan_supnorm,
@@ -140,6 +140,25 @@ class TestPowerCodegen:
         assert eval_expr(e, [0.7]) == pytest.approx(y ** 3 + 2 * y ** 6, rel=1e-14)
 
 
+    def test_zero_exponent_compiles_to_one(self):
+        # a Pow built directly, not through powi, folds as powi folds it
+        for base in (Var(0), parse_expr("sin(x) + x^2")):
+            e = Pow(base, 0)
+            assert codegen(e) == codegen(powi(base, 0)) == "lambda p: 1.0"
+            assert eval_expr(e, [0.3]) == 1.0
+            xs = np.array([-1.0, 0.0, 2.5])
+            assert np.array_equal(eval_array(e, [xs]), np.ones(3))
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_exponent_rejected(self, k):
+        with pytest.raises(ExprError):
+            powi(Var(0), k)
+        with pytest.raises(ExprError):
+            codegen(Pow(Var(0), k))
+        with pytest.raises(ExprError):
+            compile_expr(Pow(add(Var(0), Const(1.0)), k))
+
+
 class TestSupNorm:
     def test_worked_objective_norms(self, worked_h):
         dom = Domain1D(-1.0, 1.0)
@@ -264,6 +283,7 @@ class TestNodeCaches:
         before = repr(e)
         state = pickle.dumps(twin)
         hash(e), str(e), max_var_index(e)  # fill the caches of e only
+        d0, d1 = differentiate(e, 0), differentiate(e, 1)
         assert e == twin and twin == e
         assert repr(e) == before == repr(twin)
         assert [f.name for f in dataclasses.fields(e)] == ["terms"]
@@ -271,5 +291,24 @@ class TestNodeCaches:
         clone = pickle.loads(pickle.dumps(e))
         assert clone == e and hash(clone) == hash(e) and str(clone) == str(e)
         assert vars(clone) == vars(twin) == {"terms": twin.terms}
+        clone = copy.deepcopy(e)
+        assert clone.__reduce_ex__(4)[2] == {"terms": twin.terms}
+        assert not any(hasattr(node, "_deriv") for node in (clone, *clone.terms))
+        assert differentiate(clone, 0) == d0 and differentiate(clone, 1) == d1
         with pytest.raises(dataclasses.FrozenInstanceError):
             e._hash = 0
+
+    def test_cached_derivative_equals_uncached(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            dim = rng.choice([1, 2])
+            e = random_expr(rng, dim=dim, depth=5)
+            root = add(mul(e, sin_of(e)), powi(e, 2))  # e is shared three times
+            axes = list(range(dim))
+            rng.shuffle(axes)
+            for axis in axes:
+                differentiate(e, axis)  # warm the shared subtree first
+                d = differentiate(root, axis)
+                assert d == differentiate(copy.deepcopy(root), axis)
+                assert d == differentiate(parse_expr(to_string(root), dim=dim), axis)
+                assert differentiate(root, axis) is d  # the second call is a hit
