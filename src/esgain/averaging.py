@@ -26,7 +26,7 @@ from .fourieralg import (
     TrigPoly,
     exp_operator_apply,
 )
-from .symexpr import Const, Expr, add, compile_expr, differentiate, is_zero, mul
+from .symexpr import Const, add, differentiate, is_zero, mul
 
 CONVENTIONS = ("u-zero-mean", "w-zero-mean", "match-at-t0")
 
@@ -58,15 +58,13 @@ class AveragingResult:
     def g_exprs(self, degree: int) -> tuple:
         return self.g[degree - 1]
 
-    def eval_g(self, y, eps: float) -> np.ndarray:
-        y = [float(v) for v in y]
-        out = np.zeros(self.dim)
-        for i, comps in enumerate(self.g, start=1):
-            scale = eps ** i
-            for c, e in enumerate(comps):
-                if not is_zero(e):
-                    out[c] += scale * float(compile_expr(e)(y))
-        return out
+    @property
+    def g_field(self) -> GradedField:
+        """The averaged dynamics sum_i eps^i g_i as a time-constant field."""
+        one = TrigPoly.constant(1.0)
+        return GradedField.build(self.dim, self.order,
+                                 [SeparableTerm(comps, one, i)
+                                  for i, comps in enumerate(self.g, start=1)])
 
 
 def _mean_field(f: GradedField) -> GradedField:
@@ -151,26 +149,16 @@ def average(f: GradedField, n: int, convention: str = "u-zero-mean",
 
 def transform_point(result: AveragingResult, y, t: float, eps: float) -> np.ndarray:
     """x = y + sum_i eps^i u_i(y, t)."""
-    x = np.asarray([float(v) for v in y], dtype=float).copy()
-    for i, ui in enumerate(result.u, start=1):
-        x += ui.eval(y, t, 1.0) * eps ** i
-    return x
+    return transform_points(result, [y], [t], eps)[0]
 
 
 def transform_points(result: AveragingResult, ys: np.ndarray, ts: np.ndarray,
                      eps: float) -> np.ndarray:
     """Vectorized transform over matched arrays of states (n, dim) and times (n,)."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    ts = np.asarray(ts, dtype=float)
     out = ys.copy()
-    axes = [ys[:, d] for d in range(result.dim)]
-    for i, ui in enumerate(result.u, start=1):
-        scale = eps ** i
-        for term in ui.terms:
-            tv = term.time.eval(ts) * scale
-            for c in range(result.dim):
-                if not is_zero(term.space[c]):
-                    out[:, c] += tv * compile_expr(term.space[c])(axes)
+    for ui in result.u:
+        ui.eval(ys, ts, eps, out)
     return out
 
 
@@ -180,18 +168,6 @@ class ResidualReport:
     sup_residuals: tuple
     exponent: float
     sample_count: int
-
-
-def _u_jacobian_exprs(result: AveragingResult) -> list:
-    rows = []
-    for ui in result.u:
-        per_term = []
-        for term in ui.terms:
-            jac = tuple(tuple(differentiate(term.space[c], d) for d in range(result.dim))
-                        for c in range(result.dim))
-            per_term.append((term, jac))
-        rows.append(per_term)
-    return rows
 
 
 def autonomy_residual(f: GradedField, result: AveragingResult, eps_list,
@@ -210,41 +186,31 @@ def autonomy_residual(f: GradedField, result: AveragingResult, eps_list,
         k = np.arange(samples, dtype=float)
         # golden-ratio lattice: uniform, deterministic, no axis alignment
         phis = [0.6180339887498949, 0.7548776662466927, 0.5698402909980532]
-        samples = [(tuple(-0.9 + 1.8 * ((k[i] * phis[d]) % 1.0) for d in range(dim)),
-                    2.0 * math.pi * ((k[i] * phis[dim]) % 1.0))
-                   for i in range(samples)]
+        ys = np.stack([-0.9 + 1.8 * ((k * phis[d]) % 1.0) for d in range(dim)], axis=1)
+        ts = 2.0 * math.pi * ((k * phis[dim]) % 1.0)
     else:
         samples = list(samples)
-    jac_tables = _u_jacobian_exprs(result)
+        ys = np.array([[float(v) for v in y] for y, _ in samples]).reshape(-1, dim)
+        ts = np.array([float(t) for _, t in samples])
+    u = GradedField.build(dim, result.order, [term for ui in result.u for term in ui.terms])
+    du_dt = u.ddt()
+    # column d of dU/dy: the fields d u_c / d y_d
+    jac_cols = [GradedField.build(dim, result.order, [
+        SeparableTerm(tuple(differentiate(e, d) for e in term.space), term.time, term.eps_degree)
+        for term in u.terms]) for d in range(dim)]
+    g = result.g_field
     sups = []
     for eps in eps_list:
-        worst = 0.0
-        for (y, t) in samples:
-            y = [float(v) for v in y]
-            u_val = np.zeros(dim)
-            du_dt = np.zeros(dim)
-            jac = np.eye(dim)
-            for i, per_term in enumerate(jac_tables, start=1):
-                scale = eps ** i
-                for term, djac in per_term:
-                    tv = float(term.time.eval(t))
-                    dtv = float(term.time.ddt().eval(t))
-                    for c in range(dim):
-                        if not is_zero(term.space[c]):
-                            sv = float(compile_expr(term.space[c])(y))
-                            u_val[c] += scale * tv * sv
-                            du_dt[c] += scale * dtv * sv
-                        for d in range(dim):
-                            if not is_zero(djac[c][d]):
-                                jac[c, d] += scale * tv * float(compile_expr(djac[c][d])(y))
-            if np.linalg.cond(jac) > cond_threshold:
-                raise ResidualPreconditionError(
-                    f"transform Jacobian ill-conditioned at y={y}, t={t}, eps={eps}")
-            x = np.asarray(y) + u_val
-            fv = f.eval(x, t, eps)
-            r = np.linalg.solve(jac, fv - du_dt) - result.eval_g(y, eps)
-            worst = max(worst, float(np.max(np.abs(r))))
-        sups.append(worst)
+        jac = np.stack([col.eval(ys, ts, eps) for col in jac_cols], axis=2) + np.eye(dim)
+        bad = np.flatnonzero(np.linalg.cond(jac) > cond_threshold)
+        if bad.size:
+            i = bad[0]
+            raise ResidualPreconditionError(
+                f"transform Jacobian ill-conditioned at y={ys[i].tolist()}, "
+                f"t={float(ts[i])}, eps={eps}")
+        rhs = f.eval(ys + u.eval(ys, ts, eps), ts, eps) - du_dt.eval(ys, ts, eps)
+        r = np.linalg.solve(jac, rhs[..., None])[..., 0] - g.eval(ys, ts, eps)
+        sups.append(float(np.max(np.abs(r))))
     eps_arr = np.asarray(list(eps_list), dtype=float)
     sup_arr = np.asarray(sups)
     if np.all(sup_arr == 0.0):
@@ -256,4 +222,4 @@ def autonomy_residual(f: GradedField, result: AveragingResult, eps_list,
         else:
             exponent = float(np.polyfit(np.log(eps_arr[good]), np.log(sup_arr[good]), 1)[0])
     return ResidualReport(tuple(float(e) for e in eps_list), tuple(sups),
-                          exponent, len(list(samples)))
+                          exponent, len(ts))

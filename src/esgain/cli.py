@@ -36,6 +36,10 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_OVERFLOW = 4
 
+# RK4 steps in one simulate trajectory; integrate stores every state, so the
+# cap bounds the memory a config can ask for
+_MAX_STEPS = 10_000_000
+
 
 class ConfigError(Exception):
     pass
@@ -251,6 +255,8 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     horizon = periods * period
     if horizon < dt:
         raise ConfigError("sim.horizon_periods must cover at least one step of sim.dt")
+    if round(horizon / dt) > _MAX_STEPS:
+        raise ConfigError(f"sim.horizon_periods / sim.dt exceeds {_MAX_STEPS} steps")
     x0 = sim_blk.get("x0", [1.0] * s.dim)
     if _is_number(x0):
         x0 = [x0]

@@ -325,16 +325,20 @@ class GradedField:
             self.dim, self.max_order,
             [SeparableTerm(t.space, t.time.ddt(), t.eps_degree) for t in self.terms])
 
-    def eval(self, y, t: float, eps: float) -> np.ndarray:
-        """Numeric value sum_terms eps^deg * space(y) * time(t)."""
-        y = [float(v) for v in y]
-        out = np.zeros(self.dim)
+    def eval(self, y, t, eps: float, base=None) -> np.ndarray:
+        """Numeric value sum_terms eps^deg * space(y) * time(t), at one point
+        (y of shape (dim,), scalar t; returns (dim,)) or for a batch (y of
+        shape (n, dim), t of shape (n,) or scalar; returns (n, dim)). The sum
+        is added in place into `base` if one is given, else into zeros."""
+        ys = np.atleast_2d(np.asarray(y, dtype=float))
+        out = np.zeros(ys.shape) if base is None else np.atleast_2d(base)
+        axes = [ys[:, d] for d in range(self.dim)]
         for term in self.terms:
-            w = (eps ** term.eps_degree) * term.time.eval(t)
+            tv = eps ** term.eps_degree * term.time.eval(t)
             for c in range(self.dim):
                 if not is_zero(term.space[c]):
-                    out[c] += w * float(compile_expr(term.space[c])(y))
-        return out
+                    out[:, c] += tv * compile_expr(term.space[c])(axes)
+        return out[0] if np.ndim(y) == 1 else out
 
     def debug_lines(self) -> list[str]:
         lines = []
@@ -425,30 +429,27 @@ def exp_operator_apply(w: GradedField, target, trunc_order: int) -> GradedField:
     degree by at least one, the series terminates under truncation.
     """
     if isinstance(target, str) and target == "identity":
-        out = GradedField.zero(w.dim, trunc_order)
-        term = GradedField.build(w.dim, trunc_order, w.terms)
-        fact = 1.0
-        q = 1
-        while not term.is_zero:
-            out = out.add(term.scale(1.0 / fact))
-            q += 1
-            fact *= q
-            term = directional_derivative(w, term, trunc_order)
-            if q > trunc_order + 2:
-                break
-        return out
+        return _exp_series(
+            GradedField.zero(w.dim, trunc_order),
+            GradedField.build(w.dim, trunc_order, w.terms),
+            lambda v: directional_derivative(w, v, trunc_order), trunc_order)
     f: GradedField = target
     if w.dim != f.dim:
         raise DimensionMismatchError("field dims differ")
-    out = GradedField.build(f.dim, trunc_order, f.terms)
-    term = shifted_bracket(w, f, trunc_order)
+    return _exp_series(
+        GradedField.build(f.dim, trunc_order, f.terms),
+        shifted_bracket(w, f, trunc_order),
+        lambda v: lie_bracket(w, v, trunc_order), trunc_order)
+
+
+def _exp_series(out: GradedField, term: GradedField, op, trunc_order: int) -> GradedField:
+    """out + term + op(term) / 2! + op^2(term) / 3! + ..., at most
+    trunc_order + 2 terms; each op raises the eps degree by at least one."""
     fact = 1.0
-    q = 1
-    while not term.is_zero:
-        out = out.add(term.scale(1.0 / fact))
-        q += 1
-        fact *= q
-        term = lie_bracket(w, term, trunc_order)
-        if q > trunc_order + 2:
+    for q in range(2, trunc_order + 4):
+        if term.is_zero:
             break
+        out = out.add(term.scale(1.0 / fact))
+        fact *= q
+        term = op(term)
     return out

@@ -17,7 +17,6 @@ import numpy as np
 from .averaging import AveragingResult, average
 from .contraction import BoundsLedger, ErrorBudget
 from .schemes import SchemeInstance, scheme_graded_field
-from .symexpr import compile_expr, is_zero
 
 
 class MetaOptError(Exception):
@@ -159,6 +158,7 @@ class RemainderTables:
         lo, hi = ledger.domain.intervals[0]
         ys = np.linspace(lo, hi, y_samples)
         ts = np.linspace(0.0, 2.0 * math.pi, t_samples, endpoint=False)
+        mesh_y, mesh_t = np.meshgrid(ys, ts, indexing="ij")  # rows of the u table
         g_cols = []
         u_cols = []
         for p in nodes:
@@ -166,15 +166,10 @@ class RemainderTables:
                                taylor_order=self.G_DEGREE)
             res = average(scheme_graded_field(s, self.G_DEGREE), self.G_DEGREE,
                           convention="w-zero-mean")
-            g6 = res.g_exprs(self.G_DEGREE)[0]
-            g_cols.append(np.broadcast_to(compile_expr(g6)([ys]), ys.shape).copy()
-                          if not is_zero(g6) else np.zeros_like(ys))
-            u2 = res.u[self.U_DEGREE - 1]
-            vals = np.zeros((y_samples, t_samples))
-            for term in u2.terms:
-                sv = np.broadcast_to(compile_expr(term.space[0])([ys]), ys.shape)
-                vals += np.outer(sv, term.time.eval(ts))
-            u_cols.append(vals.ravel())
+            g_part = res.g_field.degree_part(self.G_DEGREE)
+            g_cols.append(g_part.eval(ys[:, None], 0.0, 1.0)[:, 0])
+            u_cols.append(res.u[self.U_DEGREE - 1].eval(
+                mesh_y.reshape(-1, 1), mesh_t.ravel(), 1.0)[:, 0])
         vander = np.vander(nodes, increasing=True)
         self._g_coeffs = np.linalg.solve(vander, np.asarray(g_cols)).T   # (ny, k)
         self._u_coeffs = np.linalg.solve(vander, np.asarray(u_cols)).T   # (ny*nt, k)
@@ -517,14 +512,9 @@ def consistency_report(sol: MetaOptSolution, result: AveragingResult,
         lo, hi = domain.intervals[0]
     ys = np.linspace(lo, hi, 401)
     eps = sol.gains["a"] ** (1.0 / sol.provenance.get("n", 1))
-    sups = []
-    for i, comps in enumerate(result.g, start=1):
-        vals = np.zeros_like(ys)
-        for c, e_expr in enumerate(comps):
-            if not is_zero(e_expr):
-                vals = np.maximum(vals, np.abs(np.broadcast_to(
-                    compile_expr(e_expr)([ys]), ys.shape)))
-        sups.append(float(np.max(vals)) * eps ** i)
+    g = result.g_field
+    sups = [float(np.max(np.abs(g.degree_part(i).eval(ys[:, None], 0.0, eps))))
+            for i in range(1, result.order + 1)]
     nonzero = [(i + 1, s) for i, s in enumerate(sups) if s > 0.0]
     if len(nonzero) >= 2:
         ratio = nonzero[1][1] / nonzero[0][1]

@@ -281,7 +281,7 @@ def _derivative(e: Expr, axis: int) -> Expr:
         return add(*pieces) if pieces else ZERO
     if isinstance(e, Pow):
         db = differentiate(e.base, axis)
-        if is_zero(db):
+        if is_zero(db) or e.exponent == 0:  # a directly built Pow(b, 0) is 1
             return ZERO
         return mul(Const(float(e.exponent)), powi(e.base, e.exponent - 1), db)
     if isinstance(e, Sin):
@@ -634,6 +634,25 @@ def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]
     return xm, f(xm)
 
 
+def _scan_1d(fn, interval, samples: int, score) -> tuple[float, float]:
+    """Best point of score(fn(x)) on an interval: dense uniform sampling, then
+    golden-section refinement within one grid step of the best sample. The
+    refined point is kept if its score is at least the best sample's.
+    Returns (x, score)."""
+    lo, hi = interval
+    xs = np.linspace(lo, hi, samples)
+    vals = score(np.broadcast_to(fn([xs]), xs.shape))
+    if not np.all(np.isfinite(vals)):
+        raise EvalOverflowError("non-finite sample during scan")
+    i = int(np.argmax(vals))
+    spacing = (hi - lo) / (samples - 1)
+    x_ref, v_ref = _golden_max(lambda x: score(float(fn([x]))),
+                               max(lo, xs[i] - spacing), min(hi, xs[i] + spacing))
+    if v_ref >= vals[i]:
+        return float(x_ref), float(v_ref)
+    return float(xs[i]), float(vals[i])
+
+
 def scan_supnorm(e: Expr, dom: Domain, samples_per_axis: int | None = None) -> SupNormEstimate:
     """Approximate sup |e| on the domain: dense uniform sampling followed by
     local golden-section refinement around the best sample. The result is a
@@ -641,19 +660,11 @@ def scan_supnorm(e: Expr, dom: Domain, samples_per_axis: int | None = None) -> S
     if samples_per_axis is None:
         samples_per_axis = 20001 if dom.dim == 1 else 501
     fn = compile_expr(e)
-    grids = [np.linspace(lo, hi, samples_per_axis) for lo, hi in dom.intervals]
     if dom.dim == 1:
-        vals = np.abs(np.broadcast_to(fn([grids[0]]), grids[0].shape))
-        if not np.all(np.isfinite(vals)):
-            raise EvalOverflowError("non-finite sample during sup-norm scan")
-        i = int(np.argmax(vals))
-        spacing = (dom.intervals[0][1] - dom.intervals[0][0]) / (samples_per_axis - 1)
-        lo = max(dom.intervals[0][0], grids[0][i] - spacing)
-        hi = min(dom.intervals[0][1], grids[0][i] + spacing)
-        x_ref, v_ref = _golden_max(lambda x: abs(float(fn([x]))), lo, hi)
-        if v_ref >= vals[i]:
-            return SupNormEstimate(float(v_ref), spacing, (float(x_ref),))
-        return SupNormEstimate(float(vals[i]), spacing, (float(grids[0][i]),))
+        (lo, hi), = dom.intervals
+        x, v = _scan_1d(fn, (lo, hi), samples_per_axis, abs)
+        return SupNormEstimate(v, (hi - lo) / (samples_per_axis - 1), (x,))
+    grids = [np.linspace(lo, hi, samples_per_axis) for lo, hi in dom.intervals]
     xx, yy = np.meshgrid(grids[0], grids[1], indexing="ij")
     vals = np.abs(np.broadcast_to(fn([xx, yy]), xx.shape))
     if not np.all(np.isfinite(vals)):
@@ -679,21 +690,8 @@ def scan_supnorm(e: Expr, dom: Domain, samples_per_axis: int | None = None) -> S
 
 
 def scan_argmin(e: Expr, dom: Domain, samples_per_axis: int | None = None) -> tuple:
-    """Location of the minimum of e on the domain (dense scan + refinement)."""
-    if samples_per_axis is None:
-        samples_per_axis = 20001 if dom.dim == 1 else 501
-    fn = compile_expr(e)
-    if dom.dim == 1:
-        xs = np.linspace(*dom.intervals[0], samples_per_axis)
-        vals = np.broadcast_to(fn([xs]), xs.shape)
-        i = int(np.argmin(vals))
-        spacing = (dom.intervals[0][1] - dom.intervals[0][0]) / (samples_per_axis - 1)
-        lo = max(dom.intervals[0][0], xs[i] - spacing)
-        hi = min(dom.intervals[0][1], xs[i] + spacing)
-        xm, vm = _golden_max(lambda x: -float(fn([x])), lo, hi)
-        return (float(xm) if -vm <= vals[i] else float(xs[i]),)
-    grids = [np.linspace(lo, hi, samples_per_axis) for lo, hi in dom.intervals]
-    xx, yy = np.meshgrid(grids[0], grids[1], indexing="ij")
-    vals = np.broadcast_to(fn([xx, yy]), xx.shape)
-    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    return (float(grids[0][i]), float(grids[1][j]))
+    """Location of the minimum of e on a 1-D domain (dense scan + refinement)."""
+    if dom.dim != 1:
+        raise ExprError("scan_argmin scans 1-D domains")
+    samples = 20001 if samples_per_axis is None else samples_per_axis
+    return (_scan_1d(compile_expr(e), dom.intervals[0], samples, lambda v: -v)[0],)

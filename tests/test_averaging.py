@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from esgain.averaging import (AveragingError, average, autonomy_residual,
-                              transform_point, transform_points)
+from esgain.averaging import (AveragingError, ResidualPreconditionError, average,
+                              autonomy_residual, transform_point, transform_points)
 from esgain.fourieralg import GradedField, TrigPoly, unit_term
 from esgain.schemes import SchemeInstance, reference_averaged, scheme_graded_field
 from esgain.symexpr import Var, compile_expr, eval_expr, is_zero, sin_of
@@ -146,7 +146,7 @@ class TestTransform:
         batch = transform_points(res, ys, ts, 0.15)
         for i in range(7):
             single = transform_point(res, [ys[i, 0]], ts[i], 0.15)
-            assert batch[i, 0] == pytest.approx(single[0], abs=1e-14)
+            assert batch[i, 0] == single[0]
 
 
 class TestResidual:
@@ -173,3 +173,22 @@ class TestResidual:
         rep = autonomy_residual(z, res, [0.1, 0.05], samples=10)
         assert rep.sup_residuals == (0.0, 0.0)
         assert rep.exponent == math.inf
+
+    def test_planar_exponent_tracks_order(self):
+        # dim 2: the stacked Jacobian solve mixes both components
+        from esgain.symexpr import parse_expr
+        h = parse_expr("sin(x1) + 0.5*x2^2", dim=2)
+        s = SchemeInstance("planar", h, a=0.2, eta=0.25, taylor_order=4)
+        f = scheme_graded_field(s, 4)
+        res = average(f, 3, convention="w-zero-mean")
+        rep = autonomy_residual(f, res, [0.2, 0.1, 0.05], samples=40)
+        assert rep.sample_count == 40
+        assert abs(rep.exponent - (res.order + 1)) <= 0.5
+
+    def test_ill_conditioned_jacobian_names_first_sample(self, worked_h):
+        s = basic_scheme(worked_h, eta=0.8)
+        f = scheme_graded_field(s, 2)
+        res = average(f, 1)
+        # every Jacobian has condition number >= 1; sample 0 is (y, t) = (-0.9, 0)
+        with pytest.raises(ResidualPreconditionError, match=r"y=\[-0\.9\], t=0\.0, eps=0\.2"):
+            autonomy_residual(f, res, [0.2, 0.1], samples=5, cond_threshold=0.5)

@@ -233,8 +233,9 @@ class TestConfigHandling:
         {"horizon_periods": -2},
         {"horizon_periods": "long"},
         {"horizon_periods": 0.001},
+        {"dt": 1e-12},
     ], ids=["dt_zero", "dt_negative", "dt_not_a_number", "horizon_negative",
-            "horizon_not_a_number", "horizon_below_one_step"])
+            "horizon_not_a_number", "horizon_below_one_step", "too_many_steps"])
     def test_malformed_simulate_timing_exits_two(self, tmp_path, capsys, sim):
         cfg = write_config(tmp_path / "sim.json", {
             "scheme": {"kind": "basic1d", "h": WORKED_H_TEXT,

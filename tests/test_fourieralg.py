@@ -4,13 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_expr
+from conftest import WORKED_H_TEXT, random_expr
 from esgain.fourieralg import (DimensionMismatchError, GradedField,
                                HarmonicOverflowError, SeparableTerm, TrigPoly,
                                exp_operator_apply, lie_bracket,
                                shifted_bracket, trig_mean_and_antiderivative,
                                trig_mul, unit_term)
-from esgain.symexpr import Const, Var, cos_of, differentiate, eval_expr, mul, sin_of
+from esgain.schemes import SchemeInstance, scheme_graded_field
+from esgain.symexpr import (Const, Var, cos_of, differentiate, eval_expr, mul, parse_expr,
+                            sin_of)
 
 
 def tp_sin(k=1, amp=1.0):
@@ -221,6 +223,34 @@ class TestGradedField:
         f = field_1d(unit_term(1, 0, cos_of(Var(0)), tp_sin(), 1))
         out = exp_operator_apply(w, f, 6)
         assert all(isinstance(t.time, TrigPoly) for t in out.terms)
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("basic1d", {}),
+        ("planar", {}),
+        ("filtered1d", {"mu": 0.09, "gamma": 3.8}),
+        ("plant1d", {"omega": 0.5}),
+    ])
+    def test_batch_eval_equals_pointwise(self, kind, extra):
+        dim2 = kind == "planar"
+        h = parse_expr("sin(x1) + 0.5*x2^2" if dim2 else WORKED_H_TEXT, dim=2 if dim2 else 1)
+        s = SchemeInstance(kind, h, a=0.3, eta=0.2, **extra)
+        f = scheme_graded_field(s, 3)
+        rng = np.random.default_rng(5)
+        ys = rng.uniform(-0.9, 0.9, (23, f.dim))
+        ts = rng.uniform(0.0, 2 * math.pi, 23)
+        batch = f.eval(ys, ts, 0.4)
+        assert batch.shape == (23, f.dim)
+        assert np.array_equal(batch, np.stack([f.eval(y, t, 0.4) for y, t in zip(ys, ts)]))
+        # a scalar time is shared by the whole batch
+        assert np.array_equal(f.eval(ys, 1.1, 0.4),
+                              np.stack([f.eval(y, 1.1, 0.4) for y in ys]))
+        # with a base array the sum is added into it in place, term by term
+        base = np.zeros_like(ys)
+        assert f.eval(ys, ts, 0.4, base) is base
+        assert np.array_equal(base, batch)
+        base = ys.copy()
+        f.eval(ys, ts, 0.4, base)
+        assert np.allclose(base, ys + batch, rtol=1e-14, atol=1e-14)
 
     def test_degree_must_be_positive(self):
         with pytest.raises(Exception):

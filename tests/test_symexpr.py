@@ -141,13 +141,15 @@ class TestPowerCodegen:
 
 
     def test_zero_exponent_compiles_to_one(self):
-        # a Pow built directly, not through powi, folds as powi folds it
+        # a Pow built directly, not through powi, folds and differentiates as
+        # powi's folded constant does
         for base in (Var(0), parse_expr("sin(x) + x^2")):
             e = Pow(base, 0)
             assert codegen(e) == codegen(powi(base, 0)) == "lambda p: 1.0"
             assert eval_expr(e, [0.3]) == 1.0
             xs = np.array([-1.0, 0.0, 2.5])
             assert np.array_equal(eval_array(e, [xs]), np.ones(3))
+            assert differentiate(e) == differentiate(powi(base, 0)) == Const(0.0)
 
     @pytest.mark.parametrize("k", [-1, -3])
     def test_negative_exponent_rejected(self, k):
