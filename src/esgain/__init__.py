@@ -22,10 +22,11 @@ from .metaopt import (ConsistencyReport, FrequencyTuning, InfeasibleError,
                       solve_strategy3_closed_form, tune_filtered,
                       tune_frequency)
 from .schemes import (DitherSpec, SchemeInstance, ideal_flow,
-                      reference_averaged, scheme_graded_field, scheme_rhs)
+                      reference_averaged, scheme_field, scheme_graded_field,
+                      scheme_rhs)
 from .sim import (ErrorMetrics, PerfMap, SimulationOverflowError, Trajectory,
                   compare, convergence_time, integrate, performance_map)
-from .symexpr import (Domain, Domain1D, Domain2D, EvalOverflowError,
+from .symexpr import (Domain, Domain1D, Domain2D, EvalOverflowError, Field,
                       ParseError, SupNormEstimate, compile_expr,
                       differentiate, eval_expr, parse_expr, scan_supnorm,
                       to_string)

@@ -170,6 +170,13 @@ class ResidualReport:
     sample_count: int
 
 
+# multipliers of the residual's sample lattice, one per state axis and one
+# for time; past the first three come fractional parts of sqrt(q) for primes
+# q, without 5, whose root is affine in the golden ratio
+_LATTICE = (0.6180339887498949, 0.7548776662466927, 0.5698402909980532)
+_PRIMES = (2, 3, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
 def autonomy_residual(f: GradedField, result: AveragingResult, eps_list,
                       samples, cond_threshold: float = 1e6) -> ResidualReport:
     """Evaluate r = (dU/dy)^-1 (f(U(y,t),t) - dU/dt) - sum eps^i g_i(y) over
@@ -185,7 +192,7 @@ def autonomy_residual(f: GradedField, result: AveragingResult, eps_list,
     if isinstance(samples, int):
         k = np.arange(samples, dtype=float)
         # golden-ratio lattice: uniform, deterministic, no axis alignment
-        phis = [0.6180339887498949, 0.7548776662466927, 0.5698402909980532]
+        phis = _LATTICE + tuple(math.sqrt(q) % 1.0 for q in _PRIMES[:max(0, dim - 2)])
         ys = np.stack([-0.9 + 1.8 * ((k * phis[d]) % 1.0) for d in range(dim)], axis=1)
         ts = 2.0 * math.pi * ((k * phis[dim]) % 1.0)
     else:

@@ -26,7 +26,8 @@ from .contraction import build_ledger
 from .metaopt import (InfeasibleError, MetaOptProblem, consistency_report,
                       solve_numeric, solve_strategy3_closed_form,
                       tune_filtered, tune_frequency)
-from .schemes import SchemeInstance, reference_averaged, scheme_graded_field, scheme_rhs
+from .schemes import (SchemeInstance, averaged_field, reference_averaged, scheme_field,
+                      scheme_graded_field)
 from .sim import SimulationOverflowError, compare, integrate, performance_map
 from .symexpr import (Domain1D, EvalOverflowError, ParseError, compile_expr,
                       differentiate, parse_expr, to_string)
@@ -271,7 +272,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
         x0 = [x0[0], float(hf([np.asarray(x0[0])])), 0.0]
     if s.kind == "plant1d" and len(x0) == 1:
         x0 = [x0[0], x0[0]]
-    traj = integrate(scheme_rhs(s), x0, horizon, dt,
+    traj = integrate(scheme_field(s), x0, horizon, dt,
                      metadata={"scheme": s.kind, "gains": s.gains})
     traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
     payload: dict = {"final_state": list(traj.states[-1]),
@@ -279,15 +280,8 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     if sim_blk.get("metrics", True) and s.kind == "basic1d":
         n_avg = int(sim_blk.get("avg_order", 2))
         res = average(scheme_graded_field(s, n_avg), n_avg, convention="w-zero-mean")
-        g = res.g_exprs(s.m + s.n)[0]
-        gf = compile_expr(g)
-
-        def avg_rhs(t, y):
-            return np.asarray([s.eps ** (s.m + s.n) * gf([y[0]])])
-
-        from .schemes import ideal_flow
-        y_traj = integrate(avg_rhs, [x0[0]], horizon, dt)
-        z_traj = integrate(ideal_flow(s), [x0[0]], horizon, dt)
+        y_traj = integrate(averaged_field(s, res.g_exprs(s.m + s.n)), [x0[0]], horizon, dt)
+        z_traj = integrate(scheme_field(s, "ideal"), [x0[0]], horizon, dt)
         metrics = compare(traj, y_traj, z_traj, res, s.eps)
         payload["metrics"] = dataclasses.asdict(metrics)
     _emit_json(payload, cfg, os.path.join(out_dir, "simulate.json"), verbose)

@@ -503,17 +503,15 @@ def consistency_report(sol: MetaOptSolution, result: AveragingResult,
     descent term over the search domain?"""
     p_val = sol.gains.get("p", sol.gains["eta"] / sol.gains["a"])
     near = p_band[0] <= p_val <= p_band[1]
-    if domain is None:
-        ivs = sol.provenance.get("domain")
-        if ivs is None:
-            raise MetaOptError("no domain available for the consistency scan")
-        lo, hi = ivs[0]
-    else:
-        lo, hi = domain.intervals[0]
-    ys = np.linspace(lo, hi, 401)
+    ivs = sol.provenance.get("domain") if domain is None else domain.intervals
+    if ivs is None:
+        raise MetaOptError("no domain available for the consistency scan")
+    # a grid over every axis; an axis past the domain's last uses its last interval
+    axes = [np.linspace(*ivs[min(d, len(ivs) - 1)], 401) for d in range(result.dim)]
+    ys = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, result.dim)
     eps = sol.gains["a"] ** (1.0 / sol.provenance.get("n", 1))
     g = result.g_field
-    sups = [float(np.max(np.abs(g.degree_part(i).eval(ys[:, None], 0.0, eps))))
+    sups = [float(np.max(np.abs(g.degree_part(i).eval(ys, 0.0, eps))))
             for i in range(1, result.order + 1)]
     nonzero = [(i + 1, s) for i, s in enumerate(sups) if s > 0.0]
     if len(nonzero) >= 2:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourieralg import GradedField, SeparableTerm, TrigPoly, trig_power, unit_term
-from .symexpr import Const, Expr, Var, add, compile_expr, differentiate, max_var_index, mul, neg, nth_derivative
+from .symexpr import (Const, Expr, Field, Var, add, compile_expr, differentiate, expr_source,
+                      max_var_index, mul, nth_derivative)
 from .contraction import lie_along
 
 KINDS = ("basic1d", "plant1d", "filtered1d", "planar")
@@ -47,10 +48,12 @@ class DitherChannel:
             return TrigPoly.sine(self.harmonic)
         return TrigPoly.cosine(self.harmonic)
 
-    def eval(self, t):
+    def source(self, arg: str) -> str:
+        """Python source of the channel, sin(k * arg) or cos(k * arg), at the
+        time source `arg`; multiplying by a harmonic of 1 is exact and is
+        left out."""
         k = self.harmonic
-        return np.sin(k * np.asarray(t, float)) if self.waveform == "sin" \
-            else np.cos(k * np.asarray(t, float))
+        return f"{self.waveform}({arg})" if k == 1 else f"{self.waveform}({float(k)!r}*({arg}))"
 
 
 @dataclass(frozen=True)
@@ -140,62 +143,77 @@ class SchemeInstance:
 
 # ---------------------------------------------------------------------------
 # simulatable right-hand sides (original, unscaled time)
+#
+# Every right-hand side is a generated `Field`. Its sources run the
+# operations of the closed forms in their order, e.g. -eta h(x + a u) u is
+# ((-eta)*h(x0 + a*u))*u, so a float state, an array state and the
+# function itself agree bit for bit.
 
-def scheme_rhs(s: SchemeInstance):
-    """Exact right-hand side f(t, x) -> xdot; broadcasts over trailing axes."""
-    hf = compile_expr(s.h)
+def _h_lines(h: Expr, args) -> list:
+    """Bindings that evaluate v = h(args), each argument once."""
+    names = [f"_v{i}" for i in range(len(args))]
+    return [*zip(names, args), ("v", expr_source(h, names))]
+
+
+def dithered_field(h: Expr, a, eta, channel: DitherChannel = DitherChannel("sin"),
+                   omega=None) -> Field:
+    """xdot = -eta h(x + a u) u with dither u = channel(omega t); `a` and
+    `eta` may be arrays with one element per cell."""
+    return Field(["(neg_eta*v)*u"], _h_lines(h, ["x0 + a*u"]),
+                 [("u", channel.source("t" if omega is None else "w*t"))],
+                 a=a, neg_eta=-eta, **({} if omega is None else {"w": omega}))
+
+
+def scheme_field(s: SchemeInstance, system: str = "full") -> Field:
+    """The scheme's right-hand side f(t, x): "full" is the exact loop,
+    "slow" the reduced system of plant1d (the fast state frozen at its
+    equilibrium map, i.e. the basic scheme at the plant's dither
+    frequency), "ideal" the dominant-order autonomous descent the scheme is
+    designed to mimic."""
+    h, chans = s.h, s.dither.channels
+    if system == "ideal":
+        # filtered1d: quasi-steady gradient estimate j = h'(x)
+        rate = s.eta if s.kind == "filtered1d" else s.a * s.eta / 2.0
+        axes = 2 if s.kind == "planar" else 1
+        return Field.scaled(-rate, [differentiate(h, i) for i in range(axes)])
+    if system == "slow":
+        if s.kind != "plant1d":
+            raise SchemeError("slow reduction is defined for plant1d")
+        return dithered_field(h, s.a, s.eta * s.omega, chans[0], s.omega)
+    if system != "full":
+        raise SchemeError(f"unknown system {system!r}")
     if s.kind == "basic1d":
-        ch = s.dither.channels[0]
-
-        def rhs(t, x):
-            u = ch.eval(t)
-            return np.asarray([-s.eta * hf([x[0] + s.a * u]) * u])
-        return rhs
+        return dithered_field(h, s.a, s.eta, chans[0])
     if s.kind == "plant1d":
-        ch = s.dither.channels[0]
-        w = s.omega
-        k_gain = s.eta * w  # eta is the rate in dither-scaled time
-
-        def rhs(t, x):
-            u = ch.eval(w * t)
-            # state (z, x): first-order plant driven by the dithered knob
-            return np.asarray([-x[0] + x[1] + s.a * u,
-                               -k_gain * hf([x[0]]) * u])
-        return rhs
+        # state (z, x): first-order plant driven by the dithered knob;
+        # eta is the rate in dither-scaled time
+        return Field(["-x0 + x1 + a*u", "(neg_k*v)*u"], _h_lines(h, ["x0"]),
+                     [("u", chans[0].source("w*t"))], a=s.a, neg_k=-(s.eta * s.omega), w=s.omega)
     if s.kind == "filtered1d":
-        ch = s.dither.channels[0]
-
-        def rhs(t, x):
-            u = ch.eval(t)
-            v = hf([x[0] + s.a * u])
-            err = v - x[1]
-            return np.asarray([-s.eta * x[2],
-                               s.mu * err,
-                               s.gamma * (-(s.a / 2.0) * x[2] + err * u)])
-        return rhs
-    ch1, ch2 = s.dither.channels
-
-    def rhs(t, x):
-        d1, d2 = ch1.eval(t), ch2.eval(t)
-        v = hf([x[0] + s.a * d1, x[1] + s.a * d2])
-        return np.asarray([-s.eta * d1 * v, -s.eta * d2 * v])
-    return rhs
+        return Field(["neg_eta*x2", "mu*err", "gamma*(neg_half_a*x2 + err*u)"],
+                     _h_lines(h, ["x0 + a*u"]) + [("err", "v - x1")],
+                     [("u", chans[0].source("t"))], a=s.a, neg_eta=-s.eta, mu=s.mu,
+                     gamma=s.gamma, neg_half_a=-(s.a / 2.0))
+    return Field(["(neg_eta*d1)*v", "(neg_eta*d2)*v"], _h_lines(h, ["x0 + a*d1", "x1 + a*d2"]),
+                 [("d1", chans[0].source("t")), ("d2", chans[1].source("t"))],
+                 a=s.a, neg_eta=-s.eta)
 
 
-def plant_slow_rhs(s: SchemeInstance):
+def averaged_field(s: SchemeInstance, g) -> Field:
+    """The averaged system eps^(m + n) g(y) of one degree-(m + n) field g,
+    in original time."""
+    return Field.scaled(s.eps ** (s.m + s.n), tuple(g))
+
+
+def scheme_rhs(s: SchemeInstance) -> Field:
+    """Exact right-hand side f(t, x) -> xdot; broadcasts over trailing axes."""
+    return scheme_field(s)
+
+
+def plant_slow_rhs(s: SchemeInstance) -> Field:
     """Reduced system of plant1d: the fast state frozen at its equilibrium
     map; equals the basic scheme running at the plant's dither frequency."""
-    if s.kind != "plant1d":
-        raise SchemeError("slow reduction is defined for plant1d")
-    hf = compile_expr(s.h)
-    ch = s.dither.channels[0]
-    w = s.omega
-    k_gain = s.eta * w
-
-    def rhs(t, x):
-        u = ch.eval(w * t)
-        return np.asarray([-k_gain * hf([x[0] + s.a * u]) * u])
-    return rhs
+    return scheme_field(s, "slow")
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +394,6 @@ def reference_averaged(s: SchemeInstance) -> ReferenceAveraged:
                "ambiguous higher-order display terms are not encoded"))
 
 
-def ideal_flow(s: SchemeInstance):
+def ideal_flow(s: SchemeInstance) -> Field:
     """Dominant-order autonomous descent the scheme is designed to mimic."""
-    rate = s.a * s.eta / 2.0
-    if s.kind in ("basic1d", "plant1d"):
-        h1 = compile_expr(differentiate(s.h))
-
-        def rhs(t, z):
-            return np.asarray([-rate * h1([z[0]])])
-        return rhs
-    if s.kind == "planar":
-        g1 = compile_expr(differentiate(s.h, 0))
-        g2 = compile_expr(differentiate(s.h, 1))
-
-        def rhs(t, z):
-            return np.asarray([-rate * g1([z[0], z[1]]), -rate * g2([z[0], z[1]])])
-        return rhs
-    # filtered1d: quasi-steady gradient estimate j = h'(x)
-    h1 = compile_expr(differentiate(s.h))
-
-    def rhs(t, z):
-        return np.asarray([-s.eta * h1([z[0]])])
-    return rhs
+    return scheme_field(s, "ideal")

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import AveragingResult, transform_points
-from .symexpr import compile_expr
+from .schemes import dithered_field
+from .symexpr import Field
+
+
+_BLOCK = 1024     # RK4 steps between finiteness checks; CSV rows per write
+_CELL_STEPS = 2 ** 15   # cell-steps a gain map holds between its checks
 
 
 class SimError(Exception):
@@ -55,11 +60,8 @@ class Trajectory:
         return self.states.shape[1]
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(f"state{i}" for i in range(self.dim)) + "\n")
-            for ti, row in zip(self.t, self.states):
-                fh.write(("%.17g" % ti) + ","
-                         + ",".join("%.17g" % v for v in row) + "\n")
+        _write_rows(path, "t," + ",".join(f"state{i}" for i in range(self.dim)),
+                    ",".join(["%.17g"] * (self.dim + 1)), [self.t, *self.states.T])
 
 
 @dataclass(frozen=True)
@@ -77,26 +79,30 @@ class ErrorMetrics:
 
 
 def integrate(rhs, x0, T: float, dt: float, metadata: dict | None = None) -> Trajectory:
-    """Classical fixed-step 4th-order Runge-Kutta from t = 0 to t = T."""
+    """Classical fixed-step 4th-order Runge-Kutta from t = 0 to t = T, on
+    Python floats through the field's generated march. A plain callable is
+    wrapped by `Field.of_callable` and may see a blow-up's non-finite states."""
     if dt <= 0.0:
         raise SimError("dt must be positive")
     if T < dt:
         raise SimError("horizon must cover at least one step")
     n_steps = int(round(T / dt))
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    march = (rhs if isinstance(rhs, Field) else Field.of_callable(rhs, x.size)).rk4(dt)
+    state, t = tuple(x.tolist()), 0.0
     out = np.empty((n_steps + 1, x.size))
     out[0] = x
-    t = 0.0
-    for i in range(n_steps):
-        k1 = np.asarray(rhs(t, x), dtype=float)
-        k2 = np.asarray(rhs(t + 0.5 * dt, x + 0.5 * dt * k1), dtype=float)
-        k3 = np.asarray(rhs(t + 0.5 * dt, x + 0.5 * dt * k2), dtype=float)
-        k4 = np.asarray(rhs(t + dt, x + dt * k3), dtype=float)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        if not np.all(np.isfinite(x)):
-            raise SimulationOverflowError(t)
-        out[i + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, n_steps + 1, _BLOCK):
+            states, t_next = march(t, state, min(_BLOCK, n_steps + 1 - start))
+            block = out[start:start + len(states)]
+            block[:] = states
+            bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+            if bad.size:   # report the first non-finite step at its time
+                for _ in range(bad[0] + 1):
+                    t += dt
+                raise SimulationOverflowError(t)
+            state, t = states[-1], t_next
     return Trajectory(t=np.arange(n_steps + 1) * dt, states=out,
                       metadata=dict(metadata or {}, dt=dt))
 
@@ -166,19 +172,15 @@ class PerfMap:
                 raise SimError("cell arrays must match the grid shape")
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("a,p,speed,error,feasible\n")
-            for i, a in enumerate(self.a_grid):
-                for j, p in enumerate(self.p_grid):
-                    fh.write("%.17g,%.17g,%.17g,%.17g,%d\n" % (
-                        a, p, self.speed[i, j], self.error[i, j],
-                        1 if self.feasible[i, j] else 0))
+        cells = (*np.meshgrid(self.a_grid, self.p_grid, indexing="ij"),
+                 self.speed, self.error, self.feasible)
+        _write_rows(path, "a,p,speed,error,feasible", "%.17g,%.17g,%.17g,%.17g,%d",
+                    [c.ravel() for c in cells])
 
 
 def performance_map(h, a_grid, p_grid, horizon_periods: int = 1000,
                     x0: float = 1.0, x_star: float = 0.0,
-                    steps_per_period: int = 200,
-                    kind: str = "basic1d") -> PerfMap:
+                    steps_per_period: int = 200) -> PerfMap:
     """Sweep the (a, p) gain plane for the single-gain scheme
     xdot = -eta h(x + a sin t) sin t with eta = p * a^3 (p is the
     fine-tuning factor when the loop gain sits one grading order above the
@@ -188,62 +190,58 @@ def performance_map(h, a_grid, p_grid, horizon_periods: int = 1000,
     record speed = 1 / (time for the period-averaged deviation |x_av - x*|
     to halve), error = sup |x - x*| over the final 20% of the horizon, and
     feasibility = the state stayed finite and bounded. All cells advance in
-    lockstep through one vectorized integrator.
+    lockstep through the march `integrate` runs; a lone cell runs on floats.
     """
-    if kind != "basic1d":
-        raise SimError("performance map is defined for the single-gain scheme")
     a_grid = np.asarray(a_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
-    hf = compile_expr(h)
     A = np.repeat(a_grid, p_grid.size)          # row-major over (a, p)
     ETA = A ** 3 * np.tile(p_grid, a_grid.size)
-    n_cells = A.size
-    dt = 2.0 * math.pi / steps_per_period
-    n_steps = horizon_periods * steps_per_period
-    x = np.full(n_cells, float(x0))
-    alive = np.ones(n_cells, dtype=bool)
+    n, dt = steps_per_period, 2.0 * math.pi / steps_per_period
     escape = 1e6 * max(1.0, abs(x0 - x_star))
-
-    period_means = np.zeros((horizon_periods, n_cells))
-    acc = np.zeros(n_cells)
-    tail_start = int(0.8 * n_steps)
-    tail_max = np.abs(x - x_star) * (tail_start == 0)
-
-    def f(t, y):
-        return -ETA * hf([y + A * math.sin(t)]) * math.sin(t)
-
-    t = 0.0
-    # escaping cells overflow by design; they are parked and flagged infeasible
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            k1 = f(t, x)
-            k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
-            k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
-            k4 = f(t + dt, x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += dt
-            bad = ~np.isfinite(x) | (np.abs(x - x_star) > escape)
-            if bad.any():
-                alive &= ~bad
-                x = np.where(alive, x, x_star)
-            acc += x
-            if step >= tail_start:
-                tail_max = np.maximum(tail_max, np.abs(x - x_star))
-            if (step + 1) % steps_per_period == 0:
-                period_means[(step + 1) // steps_per_period - 1] = acc / steps_per_period
-                acc[:] = 0.0
-
     d0 = abs(float(x0) - x_star)
-    dev = np.abs(period_means - x_star)          # (periods, cells)
-    halved = dev <= 0.5 * d0
-    t_half = np.full(n_cells, math.inf)
-    any_halved = halved.any(axis=0)
-    first = np.argmax(halved, axis=0)
-    period = 2.0 * math.pi
-    t_half[any_halved] = (first[any_halved] + 1.0) * period
-    speed = np.where(alive & any_halved, 1.0 / t_half, 0.0)
-    error = np.where(alive, tail_max, math.inf)
-    return PerfMap(a_grid=a_grid, p_grid=p_grid,
-                   speed=speed.reshape(a_grid.size, p_grid.size),
-                   error=error.reshape(a_grid.size, p_grid.size),
-                   feasible=alive.reshape(a_grid.size, p_grid.size))
+    tail_start = int(0.8 * horizon_periods * n)
+    tail_max = np.full(A.size, d0 if tail_start == 0 else 0.0)
+    first = np.full(A.size, -1)     # first period whose mean deviation is <= d0 / 2
+    live = np.arange(A.size)        # cells that have not escaped
+    lone = A.size == 1              # a lone cell steps on Python floats
+    march = dithered_field(h, *((float(A[0]), float(ETA[0])) if lone else (A, ETA))).rk4(dt)
+    x, t = float(x0) if lone else np.full(A.size, float(x0)), 0.0
+    # escaping cells overflow by design; a block's end drops them as infeasible
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(horizon_periods):
+            acc, done = 0.0, 0
+            while done < n and live.size:
+                m = min(n - done, max(1, _CELL_STEPS // live.size))
+                states, t = march(t, (x,), m)
+                for (x,) in states:     # the period's sum in step order; x ends as the last state
+                    acc = acc + x
+                dev = np.abs(np.reshape(states, (m, live.size)) - x_star)
+                tail = dev[max(0, tail_start - k * n - done):].max(axis=0, initial=0.0)
+                tail_max[live] = np.maximum(tail_max[live], tail)
+                done += m
+                kept = (dev <= escape).all(axis=0)
+                if not kept.all():
+                    live = live[kept]
+                    if live.size:
+                        x, acc = x[kept], acc[kept]
+                        march = dithered_field(h, A[live], ETA[live]).rk4(dt)
+            if not live.size:
+                break
+            halved = np.abs(acc / n - x_star) <= 0.5 * d0
+            first[live[halved & (first[live] < 0)]] = k
+    shape = (a_grid.size, p_grid.size)
+    alive = np.isin(np.arange(A.size), live)
+    settled = alive & (first >= 0)
+    speed = np.where(settled, 1.0 / ((np.maximum(first, 0) + 1.0) * (2.0 * math.pi)), 0.0)
+    return PerfMap(a_grid, p_grid, speed.reshape(shape),
+                   np.where(alive, tail_max, math.inf).reshape(shape), alive.reshape(shape))
+
+
+def _write_rows(path, header: str, fmt: str, columns) -> None:
+    """Write a CSV: the header, then `fmt % row` per row of the columns, a
+    block of rows per write."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), _BLOCK):
+            rows = zip(*(c[i:i + _BLOCK].tolist() for c in columns))
+            fh.write("".join([fmt % row + "\n" for row in rows]))

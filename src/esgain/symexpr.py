@@ -8,10 +8,14 @@ structural equality stays decidable. Division is excluded by design.
 The parser accepts expressions over "x" (1-D) or "x1"/"x2" (2-D). Internally
 higher variable indices are allowed (they arise for multi-state schemes) but
 are not part of the textual grammar.
+
+Expressions compile to Python source. The same code generator builds
+`Field`s: right-hand sides of ODEs with their RK4 integrators.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import re
@@ -510,17 +514,17 @@ def _pow_chain(k: int, first: str, name: str, fresh) -> str:
     return f"({t}:={_pow_chain(k // 2, first, name, fresh)})*{t}"
 
 
-def _codegen(e: Expr, fresh) -> str:
+def _codegen(e: Expr, fresh, var) -> str:
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
-        return f"p[{e.index}]"
+        return var(e.index)
     if isinstance(e, Sum):
-        return "(" + "+".join(_codegen(t, fresh) for t in e.terms) + ")"
+        return "(" + "+".join(_codegen(t, fresh, var) for t in e.terms) + ")"
     if isinstance(e, Prod):
-        return "(" + "*".join(_codegen(f, fresh) for f in e.factors) + ")"
+        return "(" + "*".join(_codegen(f, fresh, var) for f in e.factors) + ")"
     if isinstance(e, Neg):
-        return "(-" + _codegen(e.arg, fresh) + ")"
+        return "(-" + _codegen(e.arg, fresh, var) + ")"
     if isinstance(e, Pow):
         # a node built directly, not through powi: fold and reject as it does
         if e.exponent < 0:
@@ -529,26 +533,33 @@ def _codegen(e: Expr, fresh) -> str:
             return repr(ONE.value)
         # numpy's power takes libm's slow path on negative bases; products
         # do not. A compound base is bound to a temporary and evaluated once.
-        base = _codegen(e.base, fresh)
+        base = _codegen(e.base, fresh, var)
         if isinstance(e.base, (Var, Const)):
             return "(" + _pow_chain(e.exponent, base, base, fresh) + ")"
         name = fresh()
         return "(" + _pow_chain(e.exponent, f"({name}:={base})", name, fresh) + ")"
     if isinstance(e, Sin):
-        return "sin(" + _codegen(e.arg, fresh) + ")"
+        return "sin(" + _codegen(e.arg, fresh, var) + ")"
     if isinstance(e, Cos):
-        return "cos(" + _codegen(e.arg, fresh) + ")"
+        return "cos(" + _codegen(e.arg, fresh, var) + ")"
     if isinstance(e, Exp):
-        return "exp(" + _codegen(e.arg, fresh) + ")"
+        return "exp(" + _codegen(e.arg, fresh, var) + ")"
     raise TypeError(type(e).__name__)
 
 
-def codegen(e: Expr) -> str:
-    """Python source of the lambda that `compile_expr` compiles. Integer
-    powers become multiplication chains. Temporaries are named `_t0`, `_t1`,
-    ... from a counter local to the call, so the source is deterministic."""
+def expr_source(e: Expr, names=None) -> str:
+    """Python source of `e`. Variable i reads `names[i]`, or `p[i]` without
+    names. Integer powers become multiplication chains. Temporaries are
+    named `_t0`, `_t1`, ... from a counter local to the call, so the source
+    is deterministic."""
     counter = itertools.count()
-    return "lambda p: " + _codegen(e, lambda: f"_t{next(counter)}")
+    var = names.__getitem__ if names is not None else "p[{}]".format
+    return _codegen(e, lambda: f"_t{next(counter)}", var)
+
+
+def codegen(e: Expr) -> str:
+    """Python source of the lambda that `compile_expr` compiles."""
+    return "lambda p: " + expr_source(e)
 
 
 @lru_cache(maxsize=None)
@@ -575,6 +586,191 @@ def eval_array(e: Expr, axes) -> np.ndarray:
     out = compile_expr(e)(list(np.asarray(a, dtype=float) for a in axes))
     return np.broadcast_to(np.asarray(out, dtype=float), np.asarray(axes[0]).shape).copy() \
         if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# generated right-hand sides and RK4 steps
+
+def _float_valued(ufunc):
+    """`ufunc` on a Python float, returning a Python float: the same bits as
+    the ufunc, while the arithmetic that follows stays on Python floats."""
+    def f(v):
+        return float(ufunc(v))
+    return f
+
+
+_FLOAT_NAMESPACE = {name: _float_valued(fn) for name, fn in _NAMESPACE.items()}
+
+
+_UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.USub: "negative"}
+
+
+def _in_place(source: str, arrays) -> str:
+    """A generated march for cells: every operation on cells writes into a
+    buffer allocated once per march, and every literal such an operation
+    takes is a 0-d array. That spares numpy an allocation or a scalar
+    conversion per operation; the operations, and so the bits, stay the
+    same. A named value keeps its buffer for the step; an unnamed
+    intermediate's buffer is reused once its operation has read it. A new
+    state is still allocated, since the caller keeps it. `arrays` names the
+    parameters and states that hold cells."""
+    tree = ast.parse(source)
+    make = tree.body[0]
+    loop = next(st for st in make.body[0].body if isinstance(st, ast.For))
+    held, buffers, free, consts = set(arrays), [], [], []
+
+    def visit(node, fresh=False):
+        """(node, whether it holds cells, the reusable buffer it is in)"""
+        if isinstance(node, ast.Name):
+            return node, node.id in held, None
+        if isinstance(node, ast.NamedExpr):
+            node.value, cells, _ = visit(node.value)
+            (held.add if cells else held.discard)(node.target.id)
+            return node, cells, None
+        if isinstance(node, ast.BinOp):
+            ufunc, args = _UFUNCS[type(node.op)], [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp):
+            ufunc, args = _UFUNCS[type(node.op)], [node.operand]
+        elif isinstance(node, ast.Call):
+            ufunc, args = node.func.id, node.args
+        else:
+            return node, False, None
+        visited = [visit(a) for a in args]
+        if not any(cells for _, cells, _ in visited):
+            return node, False, None
+        args = []
+        for a, _, buf in visited:
+            if isinstance(a, ast.Constant) or isinstance(a, ast.UnaryOp) \
+                    and isinstance(a.operand, ast.Constant):
+                consts.append(ast.literal_eval(a))
+                a = ast.Name(f"_c{len(consts) - 1}")
+            args.append(a)
+            if buf:
+                free.append(buf)
+        if fresh:
+            return ast.Call(ast.Name(ufunc), args, []), True, None
+        if not free:
+            free.append(f"_b{len(buffers)}")
+            buffers.append(free[-1])
+        buf = free.pop()
+        return ast.Call(ast.Name(ufunc), args, [ast.keyword("out", ast.Name(buf))]), True, buf
+
+    for st in loop.body:
+        if isinstance(st, ast.Assign) and isinstance(st.targets[0], ast.Name):
+            name = st.targets[0].id
+            st.value, cells, _ = visit(st.value, fresh=name.startswith("_y"))
+            (held.add if cells else held.discard)(name)
+    make.args.args.insert(0, ast.arg("_shape"))
+    setup = [f"{b} = empty(_shape)" for b in buffers]
+    setup += [f"_c{i} = asarray({c!r})" for i, c in enumerate(consts)]
+    make.body[:0] = ast.parse("\n".join(setup)).body
+    return ast.unparse(ast.fix_missing_locations(tree))
+
+
+@lru_cache(maxsize=None)
+def _compile_factory(source: str, flavour: str, arrays=()):
+    """`_make` of a generated source. Flavour "float" runs on Python floats,
+    "array" on numpy values of any shape, "cells" on arrays of cells in
+    place (`_in_place`)."""
+    namespace = dict(_FLOAT_NAMESPACE if flavour == "float" else _NAMESPACE,
+                     asarray=np.asarray, broadcast_to=np.broadcast_to, empty=np.empty,
+                     **{name: getattr(np, name) for name in _UFUNCS.values()})
+    if flavour == "cells":
+        source = _in_place(source, arrays)
+    exec(source, namespace)  # noqa: S102 - generated from our own sources
+    return namespace["_make"]
+
+
+class Field:
+    """A right-hand side f(t, x) written as Python source, from which both
+    f itself and its classical RK4 march are generated.
+
+    `dither` holds (name, source) bindings that depend on the time `t` only,
+    `body` holds bindings over the state `x0, x1, ...`, the dither names and
+    the parameters, in order, and `comps` are the sources of the components
+    of xdot. Parameter values are bound when a function is built: floats,
+    or arrays of one shape with one element per cell. The generated code
+    runs the sources' operations in their order, and the transcendentals
+    are numpy's ufuncs also on floats, so a float state and an array state
+    give the same bits."""
+
+    def __init__(self, comps, body=(), dither=(), **params):
+        self.comps = tuple(comps)
+        self.body = tuple(body)
+        self.dither = tuple(dither)
+        self.params = params
+
+    @classmethod
+    def scaled(cls, coeff, exprs) -> "Field":
+        """The autonomous field coeff * e_i(x)."""
+        names = [f"x{i}" for i in range(len(exprs))]
+        return cls([f"c*{expr_source(e, names)}" for e in exprs], c=coeff)
+
+    @classmethod
+    def of_callable(cls, rhs, dim: int) -> "Field":
+        """A plain callable rhs(t, x) -> xdot; it sees the state as an array
+        and its result is broadcast to the state's shape."""
+        x = "[" + ", ".join(f"x{i}" for i in range(dim)) + "]"
+        return cls([f"_f[{i}]" for i in range(dim)],
+                   [("_f", f"broadcast_to(asarray(rhs(t, asarray({x})), dtype=float), ({dim},))")],
+                   rhs=rhs)
+
+    @property
+    def dim(self) -> int:
+        return len(self.comps)
+
+    def __call__(self, t, x) -> np.ndarray:
+        """xdot at (t, x); x is indexed by component, so trailing axes broadcast."""
+        try:
+            fn = self._rhs
+        except AttributeError:
+            lines = [f"x{i} = x[{i}]" for i in range(self.dim)]
+            lines += self._stage_lines(dither=True)
+            lines.append("return asarray([" + ", ".join(self.comps) + "])")
+            fn = self._rhs = self._build("t, x", lines, (), "array")
+        return fn(t, x)
+
+    def rk4(self, dt: float):
+        """march(t, y, n) -> (states, t): n classical RK4 steps of size dt
+        from time t and state y, with time accumulating by t += dt; states
+        lists the state after each step. A state is a tuple with one float,
+        or one array of cells, per component; float states need float
+        parameters."""
+        n = range(self.dim)
+        ys = "".join(f"_y{i}, " for i in n)
+        lines = [f"{ys}= _y", "_states = []", "for _ in range(_n):"]
+        stages = (("_time", None), ("_time + _dt2", "_dt2"), (None, "_dt2"),
+                  ("_time + _dt", "_dt"))
+        body = []
+        for s, (time, scale) in enumerate(stages, 1):
+            if time is not None:
+                body.append(f"t = {time}")
+            body += [f"x{i} = _y{i}" if scale is None else f"x{i} = _y{i} + {scale}*_k{s - 1}_{i}"
+                     for i in n]
+            body += self._stage_lines(dither=time is not None)
+            body += [f"_k{s}_{i} = {c}" for i, c in enumerate(self.comps)]
+        body += [f"_y{i} = _y{i} + _dt6*(_k1_{i} + 2.0*_k2_{i} + 2.0*_k3_{i} + _k4_{i})" for i in n]
+        body += ["_time += _dt", f"_states.append(({ys}))"]
+        lines += ["    " + line for line in body] + ["return _states, _time"]
+        cells = any(isinstance(v, np.ndarray) for v in self.params.values())
+        return self._build("_time, _y, _n", lines, (dt, 0.5 * dt, dt / 6.0),
+                           "cells" if cells else "float")
+
+    def _stage_lines(self, dither: bool) -> list:
+        return [f"{name} = {src}" for name, src in (self.dither if dither else ()) + self.body]
+
+    def _build(self, args: str, lines, consts, flavour: str):
+        names = ["_dt", "_dt2", "_dt6"][:len(consts)] + list(self.params)
+        values = [*consts, *self.params.values()]
+        source = (f"def _make({', '.join(names)}):\n    def f({args}):\n"
+                  + "".join(f"        {line}\n" for line in lines) + "    return f\n")
+        if flavour != "cells":
+            return _compile_factory(source, flavour)(*values)
+        arrays = [n for n, v in zip(names, values) if isinstance(v, np.ndarray)]
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+        arrays += [f"_y{i}" for i in range(self.dim)]
+        return _compile_factory(source, flavour, tuple(arrays))(
+            shape, *(np.asarray(v) if isinstance(v, float) else v for v in values))
 
 
 # ---------------------------------------------------------------------------

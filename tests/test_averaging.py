@@ -8,7 +8,7 @@ from esgain.averaging import (AveragingError, ResidualPreconditionError, average
                               autonomy_residual, transform_point, transform_points)
 from esgain.fourieralg import GradedField, TrigPoly, unit_term
 from esgain.schemes import SchemeInstance, reference_averaged, scheme_graded_field
-from esgain.symexpr import Var, compile_expr, eval_expr, is_zero, sin_of
+from esgain.symexpr import Var, compile_expr, eval_expr, is_zero, parse_expr, sin_of
 
 
 def basic_scheme(worked_h, a=1.0, eta=1.0, order=6):
@@ -184,6 +184,28 @@ class TestResidual:
         rep = autonomy_residual(f, res, [0.2, 0.1, 0.05], samples=40)
         assert rep.sample_count == 40
         assert abs(rep.exponent - (res.order + 1)) <= 0.5
+
+    def test_three_state_field_takes_a_sample_count(self, worked_h):
+        # dim 3 needs a fourth lattice multiplier: three axes and time
+        s = SchemeInstance("filtered1d", worked_h, a=0.2, eta=0.02, mu=0.05, gamma=1.0)
+        f = scheme_graded_field(s, 3)
+        res = average(f, 2, convention="w-zero-mean")
+        rep = autonomy_residual(f, res, [0.2, 0.1, 0.05], samples=10)
+        assert rep.sample_count == 10
+        assert abs(rep.exponent - (res.order + 1)) <= 0.5
+
+    def test_sample_lattice_unchanged_up_to_two_states(self, worked_h):
+        # a count and the explicit golden-ratio lattice it stands for agree
+        s = SchemeInstance("planar", parse_expr("sin(x1) + 0.5*x2^2", dim=2), a=0.2,
+                           eta=0.25, taylor_order=3)
+        f = scheme_graded_field(s, 3)
+        res = average(f, 2, convention="w-zero-mean")
+        k = np.arange(12, dtype=float)
+        phis = (0.6180339887498949, 0.7548776662466927, 0.5698402909980532)
+        pts = [([-0.9 + 1.8 * ((i * phis[0]) % 1.0), -0.9 + 1.8 * ((i * phis[1]) % 1.0)],
+                2.0 * math.pi * ((i * phis[2]) % 1.0)) for i in k]
+        assert autonomy_residual(f, res, [0.2, 0.1], samples=12) == \
+            autonomy_residual(f, res, [0.2, 0.1], samples=pts)
 
     def test_ill_conditioned_jacobian_names_first_sample(self, worked_h):
         s = basic_scheme(worked_h, eta=0.8)

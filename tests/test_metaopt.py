@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from esgain.averaging import average
 from esgain.contraction import BoundsLedger
 from esgain.metaopt import (_SUP_BLOCK_ELEMS, _SUP_TILE, InfeasibleError, MetaOptError,
-                            MetaOptProblem, RemainderTables, _bisect_up,
+                            MetaOptProblem, MetaOptSolution, RemainderTables, _bisect_up,
                             _constraints_for, consistency_report,
                             solve_monomial, solve_numeric,
                             solve_strategy3_closed_form, tune_filtered,
                             tune_frequency)
-from esgain.schemes import SchemeInstance, scheme_graded_field
-from esgain.symexpr import Domain1D
+from esgain.schemes import SchemeInstance, reference_averaged, scheme_graded_field
+from esgain.symexpr import Domain1D, eval_array, parse_expr
 
 
 def synthetic_ledger(h0=1.0, h1=1.5, h2=1.0, h3=1.8, kappa=1.0, l2=1.0):
@@ -383,3 +383,28 @@ class TestConsistencyReport:
         rep = consistency_report(sol, res)
         assert rep.neglected_ratio < 0.1
         assert rep.neglected_terms_small
+
+    def test_one_dimensional_scan_is_the_401_point_grid(self, worked_ledger, worked_h):
+        sol = solve_strategy3_closed_form(worked_ledger, 0.01, 0.01)
+        res = self._averaged(worked_h, sol.gains["a"], sol.gains["eta"], m=3)
+        ys = np.linspace(-1.0, 1.0, 401)[:, None]
+        want = [float(np.max(np.abs(res.g_field.degree_part(i).eval(ys, 0.0, sol.gains["a"]))))
+                for i in range(1, res.order + 1)]
+        assert consistency_report(sol, res).details["per_degree_sup"] == want
+
+    def test_planar_result_scans_both_axes(self):
+        # the scan covers the square of the 1-D ledger domain; the degree-2
+        # sup is the reference averaged field's on the same grid
+        h = parse_expr("0.5*x1^2 + 0.5*x2^2 + 0.3*x1^3", dim=2)
+        s = SchemeInstance("planar", h, a=0.2, eta=0.02)
+        res = average(scheme_graded_field(s, 3), 3, convention="w-zero-mean")
+        sol = MetaOptSolution(gains={"a": s.a, "eta": s.eta}, budget=None,
+                              active_constraints=(), provenance={"domain": [[-1.0, 1.0]]})
+        rep = consistency_report(sol, res)
+        xx, yy = np.meshgrid(np.linspace(-1.0, 1.0, 401), np.linspace(-1.0, 1.0, 401))
+        ref = reference_averaged(s).degree_fields[2]
+        sup2 = s.eps ** 2 * max(float(np.max(np.abs(eval_array(e, [xx, yy])))) for e in ref)
+        sups = rep.details["per_degree_sup"]
+        assert sups[1] == pytest.approx(sup2, rel=1e-9)
+        assert sups[0] == 0.0 and rep.details["dominant_degree"] == 2
+        assert rep.p_value == pytest.approx(0.1, rel=1e-12)
