@@ -26,8 +26,8 @@ from .contraction import build_ledger
 from .metaopt import (InfeasibleError, MetaOptProblem, consistency_report,
                       solve_numeric, solve_strategy3_closed_form,
                       tune_filtered, tune_frequency)
-from .schemes import (SchemeInstance, averaged_field, reference_averaged, scheme_field,
-                      scheme_graded_field)
+from .schemes import (SchemeInstance, _ideal_field, averaged_field, reference_averaged,
+                      scheme_field, scheme_graded_field)
 from .sim import SimulationOverflowError, compare, integrate, performance_map
 from .symexpr import (Domain1D, EvalOverflowError, ParseError, compile_expr,
                       differentiate, parse_expr, to_string)
@@ -281,7 +281,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
         n_avg = int(sim_blk.get("avg_order", 2))
         res = average(scheme_graded_field(s, n_avg), n_avg, convention="w-zero-mean")
         y_traj = integrate(averaged_field(s, res.g_exprs(s.m + s.n)), [x0[0]], horizon, dt)
-        z_traj = integrate(scheme_field(s, "ideal"), [x0[0]], horizon, dt)
+        z_traj = integrate(_ideal_field(s), [x0[0]], horizon, dt)
         metrics = compare(traj, y_traj, z_traj, res, s.eps)
         payload["metrics"] = dataclasses.asdict(metrics)
     _emit_json(payload, cfg, os.path.join(out_dir, "simulate.json"), verbose)

@@ -506,8 +506,10 @@ def consistency_report(sol: MetaOptSolution, result: AveragingResult,
     ivs = sol.provenance.get("domain") if domain is None else domain.intervals
     if ivs is None:
         raise MetaOptError("no domain available for the consistency scan")
-    # a grid over every axis; an axis past the domain's last uses its last interval
-    axes = [np.linspace(*ivs[min(d, len(ivs) - 1)], 401) for d in range(result.dim)]
+    if result.dim > 2 or len(ivs) < result.dim:
+        raise MetaOptError(f"the consistency scan needs a domain over each of 1 or 2 axes; "
+                           f"the result has {result.dim}, the domain {len(ivs)}")
+    axes = [np.linspace(*ivs[d], 401) for d in range(result.dim)]
     ys = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, result.dim)
     eps = sol.gains["a"] ** (1.0 / sol.provenance.get("n", 1))
     g = result.g_field

@@ -164,24 +164,9 @@ def dithered_field(h: Expr, a, eta, channel: DitherChannel = DitherChannel("sin"
                  a=a, neg_eta=-eta, **({} if omega is None else {"w": omega}))
 
 
-def scheme_field(s: SchemeInstance, system: str = "full") -> Field:
-    """The scheme's right-hand side f(t, x): "full" is the exact loop,
-    "slow" the reduced system of plant1d (the fast state frozen at its
-    equilibrium map, i.e. the basic scheme at the plant's dither
-    frequency), "ideal" the dominant-order autonomous descent the scheme is
-    designed to mimic."""
+def scheme_field(s: SchemeInstance) -> Field:
+    """The scheme's exact right-hand side f(t, x)."""
     h, chans = s.h, s.dither.channels
-    if system == "ideal":
-        # filtered1d: quasi-steady gradient estimate j = h'(x)
-        rate = s.eta if s.kind == "filtered1d" else s.a * s.eta / 2.0
-        axes = 2 if s.kind == "planar" else 1
-        return Field.scaled(-rate, [differentiate(h, i) for i in range(axes)])
-    if system == "slow":
-        if s.kind != "plant1d":
-            raise SchemeError("slow reduction is defined for plant1d")
-        return dithered_field(h, s.a, s.eta * s.omega, chans[0], s.omega)
-    if system != "full":
-        raise SchemeError(f"unknown system {system!r}")
     if s.kind == "basic1d":
         return dithered_field(h, s.a, s.eta, chans[0])
     if s.kind == "plant1d":
@@ -213,7 +198,9 @@ def scheme_rhs(s: SchemeInstance) -> Field:
 def plant_slow_rhs(s: SchemeInstance) -> Field:
     """Reduced system of plant1d: the fast state frozen at its equilibrium
     map; equals the basic scheme running at the plant's dither frequency."""
-    return scheme_field(s, "slow")
+    if s.kind != "plant1d":
+        raise SchemeError("slow reduction is defined for plant1d")
+    return dithered_field(s.h, s.a, s.eta * s.omega, s.dither.channels[0], s.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +381,14 @@ def reference_averaged(s: SchemeInstance) -> ReferenceAveraged:
                "ambiguous higher-order display terms are not encoded"))
 
 
+def _ideal_field(s: SchemeInstance) -> Field:
+    """Dominant-order autonomous descent the scheme is designed to mimic."""
+    # filtered1d: quasi-steady gradient estimate j = h'(x)
+    rate = s.eta if s.kind == "filtered1d" else s.a * s.eta / 2.0
+    axes = 2 if s.kind == "planar" else 1
+    return Field.scaled(-rate, [differentiate(s.h, i) for i in range(axes)])
+
+
 def ideal_flow(s: SchemeInstance) -> Field:
     """Dominant-order autonomous descent the scheme is designed to mimic."""
-    return scheme_field(s, "ideal")
+    return _ideal_field(s)

@@ -17,7 +17,8 @@ from .schemes import dithered_field
 from .symexpr import Field
 
 
-_BLOCK = 1024     # RK4 steps between finiteness checks; CSV rows per write
+_BLOCK = 1024     # RK4 steps between finiteness checks
+_CSV_ROWS = 1024  # CSV rows formatted per write
 _CELL_STEPS = 2 ** 15   # cell-steps a gain map holds between its checks
 
 
@@ -242,6 +243,6 @@ def _write_rows(path, header: str, fmt: str, columns) -> None:
     block of rows per write."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(columns[0]), _BLOCK):
-            rows = zip(*(c[i:i + _BLOCK].tolist() for c in columns))
+        for i in range(0, len(columns[0]), _CSV_ROWS):
+            rows = zip(*(c[i:i + _CSV_ROWS].tolist() for c in columns))
             fh.write("".join([fmt % row + "\n" for row in rows]))

@@ -15,7 +15,6 @@ Expressions compile to Python source. The same code generator builds
 
 from __future__ import annotations
 
-import ast
 import itertools
 import math
 import re
@@ -602,81 +601,12 @@ def _float_valued(ufunc):
 _FLOAT_NAMESPACE = {name: _float_valued(fn) for name, fn in _NAMESPACE.items()}
 
 
-_UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.USub: "negative"}
-
-
-def _in_place(source: str, arrays) -> str:
-    """A generated march for cells: every operation on cells writes into a
-    buffer allocated once per march, and every literal such an operation
-    takes is a 0-d array. That spares numpy an allocation or a scalar
-    conversion per operation; the operations, and so the bits, stay the
-    same. A named value keeps its buffer for the step; an unnamed
-    intermediate's buffer is reused once its operation has read it. A new
-    state is still allocated, since the caller keeps it. `arrays` names the
-    parameters and states that hold cells."""
-    tree = ast.parse(source)
-    make = tree.body[0]
-    loop = next(st for st in make.body[0].body if isinstance(st, ast.For))
-    held, buffers, free, consts = set(arrays), [], [], []
-
-    def visit(node, fresh=False):
-        """(node, whether it holds cells, the reusable buffer it is in)"""
-        if isinstance(node, ast.Name):
-            return node, node.id in held, None
-        if isinstance(node, ast.NamedExpr):
-            node.value, cells, _ = visit(node.value)
-            (held.add if cells else held.discard)(node.target.id)
-            return node, cells, None
-        if isinstance(node, ast.BinOp):
-            ufunc, args = _UFUNCS[type(node.op)], [node.left, node.right]
-        elif isinstance(node, ast.UnaryOp):
-            ufunc, args = _UFUNCS[type(node.op)], [node.operand]
-        elif isinstance(node, ast.Call):
-            ufunc, args = node.func.id, node.args
-        else:
-            return node, False, None
-        visited = [visit(a) for a in args]
-        if not any(cells for _, cells, _ in visited):
-            return node, False, None
-        args = []
-        for a, _, buf in visited:
-            if isinstance(a, ast.Constant) or isinstance(a, ast.UnaryOp) \
-                    and isinstance(a.operand, ast.Constant):
-                consts.append(ast.literal_eval(a))
-                a = ast.Name(f"_c{len(consts) - 1}")
-            args.append(a)
-            if buf:
-                free.append(buf)
-        if fresh:
-            return ast.Call(ast.Name(ufunc), args, []), True, None
-        if not free:
-            free.append(f"_b{len(buffers)}")
-            buffers.append(free[-1])
-        buf = free.pop()
-        return ast.Call(ast.Name(ufunc), args, [ast.keyword("out", ast.Name(buf))]), True, buf
-
-    for st in loop.body:
-        if isinstance(st, ast.Assign) and isinstance(st.targets[0], ast.Name):
-            name = st.targets[0].id
-            st.value, cells, _ = visit(st.value, fresh=name.startswith("_y"))
-            (held.add if cells else held.discard)(name)
-    make.args.args.insert(0, ast.arg("_shape"))
-    setup = [f"{b} = empty(_shape)" for b in buffers]
-    setup += [f"_c{i} = asarray({c!r})" for i, c in enumerate(consts)]
-    make.body[:0] = ast.parse("\n".join(setup)).body
-    return ast.unparse(ast.fix_missing_locations(tree))
-
-
 @lru_cache(maxsize=None)
-def _compile_factory(source: str, flavour: str, arrays=()):
+def _compile_factory(source: str, flavour: str):
     """`_make` of a generated source. Flavour "float" runs on Python floats,
-    "array" on numpy values of any shape, "cells" on arrays of cells in
-    place (`_in_place`)."""
+    "array" on numpy values of any shape."""
     namespace = dict(_FLOAT_NAMESPACE if flavour == "float" else _NAMESPACE,
-                     asarray=np.asarray, broadcast_to=np.broadcast_to, empty=np.empty,
-                     **{name: getattr(np, name) for name in _UFUNCS.values()})
-    if flavour == "cells":
-        source = _in_place(source, arrays)
+                     asarray=np.asarray, broadcast_to=np.broadcast_to)
     exec(source, namespace)  # noqa: S102 - generated from our own sources
     return namespace["_make"]
 
@@ -754,7 +684,7 @@ class Field:
         lines += ["    " + line for line in body] + ["return _states, _time"]
         cells = any(isinstance(v, np.ndarray) for v in self.params.values())
         return self._build("_time, _y, _n", lines, (dt, 0.5 * dt, dt / 6.0),
-                           "cells" if cells else "float")
+                           "array" if cells else "float")
 
     def _stage_lines(self, dither: bool) -> list:
         return [f"{name} = {src}" for name, src in (self.dither if dither else ()) + self.body]
@@ -764,13 +694,7 @@ class Field:
         values = [*consts, *self.params.values()]
         source = (f"def _make({', '.join(names)}):\n    def f({args}):\n"
                   + "".join(f"        {line}\n" for line in lines) + "    return f\n")
-        if flavour != "cells":
-            return _compile_factory(source, flavour)(*values)
-        arrays = [n for n, v in zip(names, values) if isinstance(v, np.ndarray)]
-        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-        arrays += [f"_y{i}" for i in range(self.dim)]
-        return _compile_factory(source, flavour, tuple(arrays))(
-            shape, *(np.asarray(v) if isinstance(v, float) else v for v in values))
+        return _compile_factory(source, flavour)(*values)
 
 
 # ---------------------------------------------------------------------------

@@ -393,18 +393,35 @@ class TestConsistencyReport:
         assert consistency_report(sol, res).details["per_degree_sup"] == want
 
     def test_planar_result_scans_both_axes(self):
-        # the scan covers the square of the 1-D ledger domain; the degree-2
-        # sup is the reference averaged field's on the same grid
+        # the degree-2 sup is the reference averaged field's on the same grid
         h = parse_expr("0.5*x1^2 + 0.5*x2^2 + 0.3*x1^3", dim=2)
         s = SchemeInstance("planar", h, a=0.2, eta=0.02)
         res = average(scheme_graded_field(s, 3), 3, convention="w-zero-mean")
-        sol = MetaOptSolution(gains={"a": s.a, "eta": s.eta}, budget=None,
-                              active_constraints=(), provenance={"domain": [[-1.0, 1.0]]})
+        sol = MetaOptSolution(gains={"a": s.a, "eta": s.eta}, budget=None, active_constraints=(),
+                              provenance={"domain": [[-1.0, 1.0], [-0.5, 0.5]]})
         rep = consistency_report(sol, res)
-        xx, yy = np.meshgrid(np.linspace(-1.0, 1.0, 401), np.linspace(-1.0, 1.0, 401))
+        xx, yy = np.meshgrid(np.linspace(-1.0, 1.0, 401), np.linspace(-0.5, 0.5, 401))
         ref = reference_averaged(s).degree_fields[2]
         sup2 = s.eps ** 2 * max(float(np.max(np.abs(eval_array(e, [xx, yy])))) for e in ref)
         sups = rep.details["per_degree_sup"]
         assert sups[1] == pytest.approx(sup2, rel=1e-9)
         assert sups[0] == 0.0 and rep.details["dominant_degree"] == 2
         assert rep.p_value == pytest.approx(0.1, rel=1e-12)
+
+    def test_planar_result_needs_a_domain_over_both_axes(self):
+        h = parse_expr("0.5*x1^2 + 0.5*x2^2", dim=2)
+        s = SchemeInstance("planar", h, a=0.2, eta=0.02)
+        res = average(scheme_graded_field(s, 2), 2, convention="w-zero-mean")
+        sol = MetaOptSolution(gains={"a": s.a, "eta": s.eta}, budget=None,
+                              active_constraints=(), provenance={"domain": [[-1.0, 1.0]]})
+        with pytest.raises(MetaOptError, match="domain"):
+            consistency_report(sol, res)
+
+    def test_three_state_result_is_refused_before_any_grid(self, worked_h):
+        # a 401-point grid per axis would hold 401^3 points for filtered1d
+        s = SchemeInstance("filtered1d", worked_h, a=0.2, eta=0.02, mu=0.05, gamma=1.0)
+        res = average(scheme_graded_field(s, 2), 2, convention="w-zero-mean")
+        sol = MetaOptSolution(gains={"a": s.a, "eta": s.eta}, budget=None, active_constraints=(),
+                              provenance={"domain": [[-1.0, 1.0]] * 3})
+        with pytest.raises(MetaOptError, match="1 or 2 axes"):
+            consistency_report(sol, res)

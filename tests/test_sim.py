@@ -420,7 +420,7 @@ class TestStepperOracle:
 
     @pytest.mark.parametrize("kind", ["basic1d", "plant1d", "filtered1d", "planar"])
     def test_cells_march_equals_float_march(self, kind):
-        # three cells with array gains run in place on numpy buffers; each
+        # three cells with array gains run on numpy arrays; each
         # cell equals its own march on Python floats, bit for bit
         field = scheme_rhs(SchemeInstance(kind, ORACLE_H2 if kind == "planar" else ORACLE_H,
                                           **self.GAINS[kind]))
