@@ -6,7 +6,7 @@ validation."""
 __version__ = "0.1.0"
 
 from .averaging import (AveragingResult, ResidualReport, average,
-                        autonomy_residual, transform_point, transform_points)
+                        autonomy_residual, transform_points)
 from .contraction import (BoundsLedger, ContractionEstimate, ErrorBudget,
                           NonContractingError, SingularPerturbationInputs,
                           build_ledger, contraction_rate, lie_along,
@@ -14,8 +14,7 @@ from .contraction import (BoundsLedger, ContractionEstimate, ErrorBudget,
                           singular_perturbation_bound)
 from .fourieralg import (GradedField, HarmonicOverflowError, SeparableTerm,
                          TrigPoly, exp_operator_apply, lie_bracket,
-                         shifted_bracket, trig_mean_and_antiderivative,
-                         trig_mul, unit_term)
+                         shifted_bracket, unit_term)
 from .metaopt import (ConsistencyReport, FrequencyTuning, InfeasibleError,
                       MetaOptProblem, MetaOptSolution, consistency_report,
                       solve_monomial, solve_numeric,

@@ -147,14 +147,10 @@ def average(f: GradedField, n: int, convention: str = "u-zero-mean",
 # ---------------------------------------------------------------------------
 # transform evaluation and the finite-order remainder certificate
 
-def transform_point(result: AveragingResult, y, t: float, eps: float) -> np.ndarray:
-    """x = y + sum_i eps^i u_i(y, t)."""
-    return transform_points(result, [y], [t], eps)[0]
-
-
 def transform_points(result: AveragingResult, ys: np.ndarray, ts: np.ndarray,
                      eps: float) -> np.ndarray:
-    """Vectorized transform over matched arrays of states (n, dim) and times (n,)."""
+    """x = y + sum_i eps^i u_i(y, t), vectorized over matched arrays of
+    states (n, dim) and times (n,)."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     out = ys.copy()
     for ui in result.u:

@@ -1,11 +1,11 @@
 """Batch command-line front end: JSON config in, JSON/CSV artifacts out.
 
 Subcommands: tune, simulate, perfmap, average, verify. Exit codes:
-0 success, 2 config error, 3 infeasible tuning, 4 numeric overflow. Errors
-are emitted as machine-readable JSON on standard error. All artifacts embed
-a sha256 hash of the config file and the tool version, and floats are
-printed with 17 significant digits so identical runs produce identical
-bytes.
+0 success, 2 config error, 3 infeasible tuning, 4 numeric overflow,
+5 a `verify` invariant failed. Every nonzero exit writes one machine-readable
+JSON line on standard error. All artifacts embed a sha256 hash of the
+config file and the tool version, and floats are printed with 17
+significant digits so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -21,38 +21,105 @@ import sys
 import numpy as np
 
 from . import __version__
-from .averaging import average, autonomy_residual
-from .contraction import build_ledger
-from .metaopt import (InfeasibleError, MetaOptProblem, consistency_report,
+from .averaging import AveragingError, average, autonomy_residual
+from .contraction import BoundsError, build_ledger
+from .fourieralg import FieldError
+from .metaopt import (InfeasibleError, MetaOptError, MetaOptProblem, consistency_report,
                       solve_numeric, solve_strategy3_closed_form,
                       tune_filtered, tune_frequency)
-from .schemes import (SchemeInstance, _ideal_field, averaged_field, reference_averaged,
-                      scheme_field, scheme_graded_field)
-from .sim import SimulationOverflowError, compare, integrate, performance_map
-from .symexpr import (Domain1D, EvalOverflowError, ParseError, compile_expr,
-                      differentiate, parse_expr, to_string)
+from .schemes import (SchemeError, SchemeInstance, _ideal_field, averaged_field,
+                      reference_averaged, scheme_field, scheme_graded_field)
+from .sim import SimError, SimulationOverflowError, compare, integrate, performance_map
+from .symexpr import (Domain1D, EvalOverflowError, ExprError, compile_expr,
+                      parse_expr, to_string)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_OVERFLOW = 4
+EXIT_VERIFY = 5
 
 # RK4 steps in one simulate trajectory; integrate stores every state, so the
 # cap bounds the memory a config can ask for
 _MAX_STEPS = 10_000_000
+
+# the keys each config object accepts, the union over subcommands; "" is
+# the root, whose keys are the blocks, and "scheme.gains" is nested
+_KEYS = {
+    "": ("scheme", "ledger", "tuning", "sim"),
+    "scheme": ("kind", "h", "gains", "m", "n", "taylor_order", "avg_order", "convention"),
+    "scheme.gains": ("a", "eta", "mu", "gamma", "omega"),
+    "ledger": ("domain", "h", "x_star"),
+    "tuning": ("target", "strategy", "method", "delta", "delta1", "delta2", "a", "eta",
+               "m", "n", "grid_points", "consistency"),
+    "sim": ("dt", "horizon_periods", "x0", "metrics", "avg_order",
+            "a_range", "p_range", "a_points", "p_points", "x_star"),
+}
 
 
 class ConfigError(Exception):
     pass
 
 
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# field kinds a Block reads: (accepts, converts, description)
+NUMBER = (_finite, float, "a finite number")
+COUNT = (lambda v: type(v) is int and v >= 1, int, "an integer >= 1")
+TEXT = (lambda v: isinstance(v, str), str, "a string")
+FLAG = (lambda v: isinstance(v, bool), bool, "true or false")
+NUMBERS = (lambda v: _finite(v) or isinstance(v, list) and all(map(_finite, v)),
+           lambda v: [float(x) for x in (v if isinstance(v, list) else [v])],
+           "a finite number or a list of them")
+PAIR = (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_finite, v)),
+        lambda v: (float(v[0]), float(v[1])), "[lo, hi] of two finite numbers")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, str, "one of " + ", ".join(choices))
+
+
+_REQUIRED = object()
+
+
+class Block(dict):
+    """One config object, its keys checked against `_KEYS` and its nested
+    objects made Blocks too. Calling it reads one field of a given kind."""
+
+    def __init__(self, path: str, data):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path or 'config root'} must be a JSON object")
+        unknown = sorted(set(data) - set(_KEYS[path]))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {path or 'config root'}: "
+                              + ", ".join(unknown))
+        sub = lambda k: f"{path}.{k}" if path else k
+        super().__init__({k: Block(sub(k), v) if sub(k) in _KEYS else v
+                          for k, v in data.items()})
+        self.path = path
+
+    def __call__(self, key: str, kind, default=_REQUIRED):
+        if key not in self:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing config field: {self.path}.{key}")
+            return default
+        accepts, convert, what = kind
+        if not accepts(self[key]):
+            raise ConfigError(f"{self.path}.{key} must be {what}")
+        return convert(self[key])
+
+    def block(self, key: str) -> "Block":
+        return self.get(key) or Block(f"{self.path}.{key}" if self.path else key, {})
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    scheme: dict
-    ledger: dict
-    tuning: dict
-    sim: dict
-    output: dict
+    scheme: Block
+    ledger: Block
+    tuning: Block
+    sim: Block
     raw_text: str
 
     @classmethod
@@ -61,104 +128,32 @@ class RunConfig:
             with open(path) as fh:
                 text = fh.read()
             data = json.loads(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        cfg = cls(scheme=data.get("scheme", {}), ledger=data.get("ledger", {}),
-                  tuning=data.get("tuning", {}), sim=data.get("sim", {}),
-                  output=data.get("output", {}), raw_text=text)
-        cfg._check_finite(data)
-        return cfg
-
-    @staticmethod
-    def _check_finite(node) -> None:
-        if isinstance(node, dict):
-            for v in node.values():
-                RunConfig._check_finite(v)
-        elif isinstance(node, list):
-            for v in node:
-                RunConfig._check_finite(v)
-        elif isinstance(node, float) and not math.isfinite(node):
-            raise ConfigError("numeric config fields must be finite")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config as JSON: {exc}") from exc
+        root = Block("", data)
+        return cls(**{name: root.block(name) for name in _KEYS[""]}, raw_text=text)
 
     @property
     def sha256(self) -> str:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()
 
 
-def _require(block: dict, key, what: str):
-    if key not in block:
-        raise ConfigError(f"missing config field: {what}.{key}")
-    return block[key]
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _number(block: dict, key, default: float, what: str) -> float:
-    v = block.get(key, default)
-    if not _is_number(v):
-        raise ConfigError(f"{what}.{key} must be a number")
-    return float(v)
-
-
-def _count(block: dict, key, default: int, what: str) -> int:
-    v = block.get(key, default)
-    if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-        raise ConfigError(f"{what}.{key} must be an integer >= 1")
-    return v
-
-
-def _positive_range(block: dict, key, default: list, what: str) -> tuple:
-    v = block.get(key, default)
-    if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
-            and 0 < v[0] < v[1]):
-        raise ConfigError(f"{what}.{key} must be [lo, hi] with 0 < lo < hi")
-    return float(v[0]), float(v[1])
-
-
 def _scheme_from_config(cfg: RunConfig) -> SchemeInstance:
-    blk = cfg.scheme
-    if not blk:
-        raise ConfigError("config needs a 'scheme' block")
-    kind = _require(blk, "kind", "scheme")
-    dim = 2 if kind == "planar" else 1
-    try:
-        h = parse_expr(_require(blk, "h", "scheme"), dim=dim)
-    except ParseError as exc:
-        raise ConfigError(f"scheme.h does not parse: {exc}") from exc
-    gains = blk.get("gains", {})
-    try:
-        return SchemeInstance(
-            kind=kind, h=h,
-            a=float(_require(gains, "a", "scheme.gains")),
-            eta=float(_require(gains, "eta", "scheme.gains")),
-            m=int(blk.get("m", 1)), n=int(blk.get("n", 1)),
-            mu=gains.get("mu"), gamma=gains.get("gamma"),
-            omega=gains.get("omega"),
-            taylor_order=int(blk.get("taylor_order", 6)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scheme block: {exc}") from exc
+    blk, gains = cfg.scheme, cfg.scheme.block("gains")
+    kind = blk("kind", TEXT)
+    return SchemeInstance(
+        kind=kind, h=parse_expr(blk("h", TEXT), dim=2 if kind == "planar" else 1),
+        a=gains("a", NUMBER), eta=gains("eta", NUMBER),
+        m=blk("m", COUNT, 1), n=blk("n", COUNT, 1),
+        mu=gains("mu", NUMBER, None), gamma=gains("gamma", NUMBER, None),
+        omega=gains("omega", NUMBER, None), taylor_order=blk("taylor_order", COUNT, 6))
 
 
 def _ledger_from_config(cfg: RunConfig):
     blk = cfg.ledger
-    if not blk:
-        raise ConfigError("config needs a 'ledger' block")
-    dom = _require(blk, "domain", "ledger")
-    if not (isinstance(dom, list) and len(dom) == 2):
-        raise ConfigError("ledger.domain must be [lo, hi]")
-    h_text = blk.get("h") or _require(cfg.scheme, "h", "scheme")
-    try:
-        h = parse_expr(h_text, dim=1)
-    except ParseError as exc:
-        raise ConfigError(f"ledger objective does not parse: {exc}") from exc
-    return h, build_ledger(h, Domain1D(float(dom[0]), float(dom[1])),
-                           x_star=blk.get("x_star"))
+    lo, hi = blk("domain", PAIR)
+    h = parse_expr(blk("h", TEXT, "") or cfg.scheme("h", TEXT), dim=1)
+    return h, build_ledger(h, Domain1D(lo, hi), x_star=blk("x_star", NUMBER, None))
 
 
 def _json_default(obj):
@@ -206,37 +201,31 @@ def _error_json(code: int, kind: str, message: str) -> int:
 
 def _cmd_tune(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     blk = cfg.tuning
-    if not blk:
-        raise ConfigError("config needs a 'tuning' block")
+    target = blk("target", _one_of("gains", "frequency", "filtered"), "gains")
+    method = blk("method", _one_of("closed-form", "numeric"), "closed-form")
     h, ledger = _ledger_from_config(cfg)
-    target = blk.get("target", "gains")
     if target == "frequency":
-        sol = tune_frequency(ledger, float(_require(blk, "a", "tuning")),
-                             float(_require(blk, "eta", "tuning")))
+        sol = tune_frequency(ledger, blk("a", NUMBER), blk("eta", NUMBER))
         payload = {"omega": sol.omega, "diagnostics": sol.diagnostics}
     elif target == "filtered":
-        sol = tune_filtered(ledger, float(_require(blk, "delta1", "tuning")),
-                            float(_require(blk, "delta2", "tuning")))
+        sol = tune_filtered(ledger, blk("delta1", NUMBER), blk("delta2", NUMBER))
         payload = dataclasses.asdict(sol)
     else:
-        strategy = int(_require(blk, "strategy", "tuning"))
-        if strategy == 3 and blk.get("method", "closed-form") == "closed-form":
-            sol = solve_strategy3_closed_form(
-                ledger, float(_require(blk, "delta1", "tuning")),
-                float(_require(blk, "delta2", "tuning")))
+        strategy = blk("strategy", COUNT)
+        if strategy == 3 and method == "closed-form":
+            sol = solve_strategy3_closed_form(ledger, blk("delta1", NUMBER),
+                                              blk("delta2", NUMBER))
         else:
             prob = MetaOptProblem(
-                ledger=ledger, strategy=strategy,
-                delta=blk.get("delta"), delta1=blk.get("delta1"),
-                delta2=blk.get("delta2"),
-                m=int(blk.get("m", 1)), n=int(blk.get("n", 1)),
-                grid_points=int(blk.get("grid_points", 200)))
+                ledger=ledger, strategy=strategy, delta=blk("delta", NUMBER, None),
+                delta1=blk("delta1", NUMBER, None), delta2=blk("delta2", NUMBER, None),
+                m=blk("m", COUNT, 1), n=blk("n", COUNT, 1),
+                grid_points=blk("grid_points", COUNT, 200))
             sol = solve_numeric(prob, h=h)
         payload = dataclasses.asdict(sol)
-        if blk.get("consistency", True) and "p" in sol.gains:
+        if blk("consistency", FLAG, True) and "p" in sol.gains:
             s = SchemeInstance("basic1d", h, a=sol.gains["a"], eta=sol.gains["eta"],
-                               m=int(sol.provenance.get("m", 1)),
-                               n=int(sol.provenance.get("n", 1)), taylor_order=6)
+                               m=sol.provenance["m"], n=sol.provenance["n"], taylor_order=6)
             res = average(scheme_graded_field(s, 4), 4, convention="w-zero-mean")
             payload["consistency"] = dataclasses.asdict(consistency_report(sol, res))
     _emit_json(payload, cfg, os.path.join(out_dir, "tune.json"), verbose)
@@ -245,40 +234,29 @@ def _cmd_tune(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
 
 def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     s = _scheme_from_config(cfg)
-    sim_blk = cfg.sim
+    blk = cfg.sim
     period = 2.0 * math.pi / (s.omega or 1.0) if s.kind == "plant1d" else 2.0 * math.pi
-    dt = _number(sim_blk, "dt", period / 200.0, "sim")
-    periods = _number(sim_blk, "horizon_periods", 300, "sim")
-    if dt <= 0.0:
-        raise ConfigError("sim.dt must be positive")
-    if periods <= 0.0:
-        raise ConfigError("sim.horizon_periods must be positive")
-    horizon = periods * period
-    if horizon < dt:
-        raise ConfigError("sim.horizon_periods must cover at least one step of sim.dt")
-    if round(horizon / dt) > _MAX_STEPS:
+    dt = blk("dt", NUMBER, period / 200.0)
+    horizon = blk("horizon_periods", NUMBER, 300.0) * period
+    if dt > 0.0 and round(horizon / dt) > _MAX_STEPS:
         raise ConfigError(f"sim.horizon_periods / sim.dt exceeds {_MAX_STEPS} steps")
-    x0 = sim_blk.get("x0", [1.0] * s.dim)
-    if _is_number(x0):
-        x0 = [x0]
+    x0 = blk("x0", NUMBERS, [1.0] * s.dim)
     # filtered1d and plant1d may give the slow state alone; the rest is derived
     fits = (1, s.dim) if s.kind in ("filtered1d", "plant1d") else (s.dim,)
-    if not (isinstance(x0, list) and len(x0) in fits and all(map(_is_number, x0))):
-        raise ConfigError(f"sim.x0 for {s.kind} must be a list of "
+    if len(x0) not in fits:
+        raise ConfigError(f"sim.x0 for {s.kind} must hold "
                           + " or ".join(map(str, fits)) + " numbers")
-    x0 = [float(v) for v in x0]
     if s.kind == "filtered1d" and len(x0) == 1:
         hf = compile_expr(s.h)
         x0 = [x0[0], float(hf([np.asarray(x0[0])])), 0.0]
     if s.kind == "plant1d" and len(x0) == 1:
         x0 = [x0[0], x0[0]]
-    traj = integrate(scheme_field(s), x0, horizon, dt,
-                     metadata={"scheme": s.kind, "gains": s.gains})
+    traj = integrate(scheme_field(s), x0, horizon, dt)
     traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
     payload: dict = {"final_state": list(traj.states[-1]),
                      "horizon": horizon, "dt": dt}
-    if sim_blk.get("metrics", True) and s.kind == "basic1d":
-        n_avg = int(sim_blk.get("avg_order", 2))
+    if blk("metrics", FLAG, True) and s.kind == "basic1d":
+        n_avg = blk("avg_order", COUNT, 2)
         res = average(scheme_graded_field(s, n_avg), n_avg, convention="w-zero-mean")
         y_traj = integrate(averaged_field(s, res.g_exprs(s.m + s.n)), [x0[0]], horizon, dt)
         z_traj = integrate(_ideal_field(s), [x0[0]], horizon, dt)
@@ -290,20 +268,16 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
 
 def _cmd_perfmap(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     blk = cfg.sim
-    h_text = _require(cfg.scheme, "h", "scheme")
-    try:
-        h = parse_expr(h_text, dim=1)
-    except ParseError as exc:
-        raise ConfigError(f"scheme.h does not parse: {exc}") from exc
-    a_rng = _positive_range(blk, "a_range", [0.02, 1.0], "sim")
-    p_rng = _positive_range(blk, "p_range", [0.1, 10.0], "sim")
-    na = _count(blk, "a_points", 20, "sim")
-    npts = _count(blk, "p_points", 20, "sim")
-    pm = performance_map(
-        h, np.geomspace(a_rng[0], a_rng[1], na),
-        np.geomspace(p_rng[0], p_rng[1], npts),
-        horizon_periods=_count(blk, "horizon_periods", 300, "sim"),
-        x0=_number(blk, "x0", 1.0, "sim"), x_star=_number(blk, "x_star", 0.0, "sim"))
+    h = parse_expr(cfg.scheme("h", TEXT), dim=1)
+    grids = []
+    for axis, default in (("a", [0.02, 1.0]), ("p", [0.1, 10.0])):
+        lo, hi = blk(f"{axis}_range", PAIR, default)
+        # geomspace needs positive ends, and the map an increasing grid
+        if not 0.0 < lo < hi:
+            raise ConfigError(f"sim.{axis}_range must be [lo, hi] with 0 < lo < hi")
+        grids.append(np.geomspace(lo, hi, blk(f"{axis}_points", COUNT, 20)))
+    pm = performance_map(h, *grids, horizon_periods=blk("horizon_periods", COUNT, 300),
+                         x0=blk("x0", NUMBER, 1.0), x_star=blk("x_star", NUMBER, 0.0))
     path = os.path.join(out_dir, "perfmap.csv")
     pm.write_csv(path)
     _emit_json({"cells": int(pm.feasible.size),
@@ -315,8 +289,8 @@ def _cmd_perfmap(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
 
 def _cmd_average(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     s = _scheme_from_config(cfg)
-    n_avg = int(cfg.scheme.get("avg_order", 2))
-    convention = cfg.scheme.get("convention", "u-zero-mean")
+    n_avg = cfg.scheme("avg_order", COUNT, 2)
+    convention = cfg.scheme("convention", TEXT, "u-zero-mean")
     res = average(scheme_graded_field(s, n_avg), n_avg, convention=convention)
     per_degree = {}
     listing = []
@@ -361,21 +335,38 @@ def _cmd_verify(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
         checks["residual_order"] = bool(
             rep.exponent == math.inf
             or abs(rep.exponent - (res.order + 1)) <= 0.5)
-    ok_all = all(checks.values())
-    _emit_json({"checks": checks, "passed": ok_all},
+    failed = [name for name, ok in checks.items() if not ok]
+    _emit_json({"checks": checks, "passed": not failed},
                cfg, os.path.join(out_dir, "verify.json"), verbose)
-    return EXIT_OK if ok_all else EXIT_CONFIG
+    if failed:
+        return _error_json(EXIT_VERIFY, "verify", "invariant checks failed: "
+                           + ", ".join(failed))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+
+_COMMANDS = {"tune": _cmd_tune, "simulate": _cmd_simulate, "perfmap": _cmd_perfmap,
+             "average": _cmd_average, "verify": _cmd_verify}
+
+# library error -> exit code and JSON error kind. The first match wins, so
+# InfeasibleError (a MetaOptError) and the overflow errors (an ExprError and
+# a SimError) come before their bases; any other exception is a bug and
+# propagates.
+_EXITS = (
+    (InfeasibleError, EXIT_INFEASIBLE, "infeasible"),
+    ((SimulationOverflowError, EvalOverflowError, OverflowError), EXIT_OVERFLOW, "overflow"),
+    ((ConfigError, ExprError, SchemeError, MetaOptError, AveragingError, BoundsError,
+      FieldError, SimError), EXIT_CONFIG, "config"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="esgain",
         description="Gain analysis and simulation for dither-based "
                     "extremum-seeking schemes.")
-    ap.add_argument("command",
-                    choices=["tune", "simulate", "perfmap", "average", "verify"])
+    ap.add_argument("command", choices=list(_COMMANDS))
     ap.add_argument("--config", required=True, help="JSON config file")
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--verbose", action="store_true")
@@ -387,21 +378,12 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "tune":
-            return _cmd_tune(cfg, args.out, args.verbose)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, args.out, args.verbose)
-        if args.command == "perfmap":
-            return _cmd_perfmap(cfg, args.out, args.verbose)
-        if args.command == "average":
-            return _cmd_average(cfg, args.out, args.verbose)
-        return _cmd_verify(cfg, args.out, args.verbose)
-    except ConfigError as exc:
-        return _error_json(EXIT_CONFIG, "config", str(exc))
-    except InfeasibleError as exc:
-        return _error_json(EXIT_INFEASIBLE, "infeasible", str(exc))
-    except (SimulationOverflowError, EvalOverflowError, OverflowError) as exc:
-        return _error_json(EXIT_OVERFLOW, "overflow", str(exc))
+        return _COMMANDS[args.command](cfg, args.out, args.verbose)
+    except Exception as exc:
+        for types, code, kind in _EXITS:
+            if isinstance(exc, types):
+                return _error_json(code, kind, str(exc))
+        raise
 
 
 if __name__ == "__main__":

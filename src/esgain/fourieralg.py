@@ -219,14 +219,6 @@ class TrigPoly:
         return " + ".join(parts)
 
 
-def trig_mul(p: TrigPoly, q: TrigPoly) -> TrigPoly:
-    return p * q
-
-
-def trig_mean_and_antiderivative(p: TrigPoly) -> tuple[float, TrigPoly]:
-    return p.mean, p.antiderivative()
-
-
 def trig_power(p: TrigPoly, k: int) -> TrigPoly:
     out = TrigPoly.constant(1.0)
     for _ in range(k):

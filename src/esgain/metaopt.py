@@ -54,6 +54,10 @@ class MetaOptProblem:
         else:
             if self.delta1 is None or self.delta2 is None or self.delta1 <= 0 or self.delta2 <= 0:
                 raise MetaOptError("strategies 2 and 3 need positive delta1 and delta2")
+        if self.grid_points < 2:
+            raise MetaOptError(f"grid_points must be at least 2, got {self.grid_points}")
+        if not 0 < self.gain_lo < self.gain_hi:
+            raise MetaOptError("gain bounds must satisfy 0 < gain_lo < gain_hi")
 
 
 @dataclass(frozen=True)

@@ -131,15 +131,6 @@ class SchemeInstance:
         """Fine-tuning factor implied by eta = p * eps^m."""
         return self.eta / self.eps ** self.m
 
-    @property
-    def gains(self) -> dict:
-        out = {"a": self.a, "eta": self.eta, "p": self.p}
-        for k in ("mu", "gamma", "omega"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        return out
-
 
 # ---------------------------------------------------------------------------
 # simulatable right-hand sides (original, unscaled time)

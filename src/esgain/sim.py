@@ -8,7 +8,7 @@ Everything here is deterministic: fixed steps, no adaptivity, no sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class SimulationOverflowError(SimError):
 class Trajectory:
     t: np.ndarray           # uniform grid, shape (nt,)
     states: np.ndarray      # shape (nt, dim)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -51,10 +50,6 @@ class Trajectory:
                 raise SimError("time grid must be uniform")
         if not np.all(np.isfinite(s)):
             raise SimError("trajectory contains non-finite states")
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
 
     @property
     def dim(self) -> int:
@@ -79,7 +74,7 @@ class ErrorMetrics:
                 raise SimError(f"{name} must be nonnegative")
 
 
-def integrate(rhs, x0, T: float, dt: float, metadata: dict | None = None) -> Trajectory:
+def integrate(rhs, x0, T: float, dt: float) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta from t = 0 to t = T, on
     Python floats through the field's generated march. A plain callable is
     wrapped by `Field.of_callable` and may see a blow-up's non-finite states."""
@@ -104,8 +99,7 @@ def integrate(rhs, x0, T: float, dt: float, metadata: dict | None = None) -> Tra
                     t += dt
                 raise SimulationOverflowError(t)
             state, t = states[-1], t_next
-    return Trajectory(t=np.arange(n_steps + 1) * dt, states=out,
-                      metadata=dict(metadata or {}, dt=dt))
+    return Trajectory(t=np.arange(n_steps + 1) * dt, states=out)
 
 
 def compare(full: Trajectory, averaged: Trajectory, ideal: Trajectory,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from esgain.averaging import (AveragingError, ResidualPreconditionError, average,
-                              autonomy_residual, transform_point, transform_points)
+                              autonomy_residual, transform_points)
 from esgain.fourieralg import GradedField, TrigPoly, unit_term
 from esgain.schemes import SchemeInstance, reference_averaged, scheme_graded_field
 from esgain.symexpr import Var, compile_expr, eval_expr, is_zero, parse_expr, sin_of
@@ -112,7 +112,7 @@ class TestTransform:
         s = basic_scheme(worked_h)
         res = average(scheme_graded_field(s, 2), 2)
         y = [0.4]
-        x = transform_point(res, y, 1.3, 1e-9)
+        x = transform_points(res, [y], [1.3], 1e-9)[0]
         assert x[0] == pytest.approx(0.4, abs=1e-8)
 
     def test_leading_term_single_first_harmonic(self, worked_h):
@@ -145,7 +145,7 @@ class TestTransform:
         ts = np.linspace(0, 6, 7)
         batch = transform_points(res, ys, ts, 0.15)
         for i in range(7):
-            single = transform_point(res, [ys[i, 0]], ts[i], 0.15)
+            single = transform_points(res, [[ys[i, 0]]], [ts[i]], 0.15)[0]
             assert batch[i, 0] == single[0]
 
 

@@ -8,8 +8,7 @@ from conftest import WORKED_H_TEXT, random_expr
 from esgain.fourieralg import (DimensionMismatchError, GradedField,
                                HarmonicOverflowError, SeparableTerm, TrigPoly,
                                exp_operator_apply, lie_bracket,
-                               shifted_bracket, trig_mean_and_antiderivative,
-                               trig_mul, unit_term)
+                               shifted_bracket, unit_term)
 from esgain.schemes import SchemeInstance, scheme_graded_field
 from esgain.symexpr import (Const, Var, cos_of, differentiate, eval_expr, mul, parse_expr,
                             sin_of)
@@ -25,18 +24,18 @@ def tp_cos(k=1, amp=1.0):
 
 class TestTrigPoly:
     def test_sin_squared(self):
-        p = trig_mul(tp_sin(), tp_sin())
+        p = tp_sin() * tp_sin()
         ts = np.linspace(0, 2 * math.pi, 37)
         assert np.allclose(p.eval(ts), np.sin(ts) ** 2, atol=1e-14)
         assert p.mean == pytest.approx(0.5)
 
     def test_multiplicative_identity(self):
         p = TrigPoly(0.3, (0.1, -0.2), (0.7,))
-        q = trig_mul(p, TrigPoly.constant(1.0))
+        q = p * TrigPoly.constant(1.0)
         assert q == p
 
     def test_cos_times_sin(self):
-        p = trig_mul(tp_cos(), tp_sin())
+        p = tp_cos() * tp_sin()
         assert p.mean == 0.0
         ts = np.linspace(0, 2 * math.pi, 29)
         assert np.allclose(p.eval(ts), 0.5 * np.sin(2 * ts), atol=1e-14)
@@ -51,7 +50,7 @@ class TestTrigPoly:
             q = TrigPoly(rng.uniform(-1, 1),
                          tuple(rng.uniform(-1, 1) for _ in range(k2)),
                          tuple(rng.uniform(-1, 1) for _ in range(k2)))
-            r = trig_mul(p, q)
+            r = p * q
             assert r.max_harmonic <= p.max_harmonic + q.max_harmonic
             ts = np.linspace(0.1, 2 * math.pi, 41)
             assert np.allclose(r.eval(ts), p.eval(ts) * q.eval(ts), atol=1e-12)
@@ -67,17 +66,20 @@ class TestTrigPoly:
 
 class TestMeanAndAntiderivative:
     def test_cos_to_sin(self):
-        mean, anti = trig_mean_and_antiderivative(tp_cos())
+        p = tp_cos()
+        mean, anti = p.mean, p.antiderivative()
         assert mean == 0.0
         assert anti == tp_sin()
 
     def test_constant_plus_second_harmonic(self):
-        mean, anti = trig_mean_and_antiderivative(TrigPoly(0.5, (0.0, -0.5), ()))
+        p = TrigPoly(0.5, (0.0, -0.5), ())
+        mean, anti = p.mean, p.antiderivative()
         assert mean == 0.5
         assert anti == TrigPoly(0.0, (), (0.0, -0.25))
 
     def test_sin_to_minus_cos(self):
-        mean, anti = trig_mean_and_antiderivative(tp_sin())
+        p = tp_sin()
+        mean, anti = p.mean, p.antiderivative()
         assert mean == 0.0
         assert anti == tp_cos(amp=-1.0)
 
@@ -87,12 +89,12 @@ class TestMeanAndAntiderivative:
             p = TrigPoly(rng.uniform(-2, 2),
                          tuple(rng.uniform(-2, 2) for _ in range(3)),
                          tuple(rng.uniform(-2, 2) for _ in range(3)))
-            _, anti = trig_mean_and_antiderivative(p)
+            anti = p.antiderivative()
             assert anti.c0 == 0.0
 
     def test_antiderivative_differentiates_back(self):
         p = TrigPoly(0.0, (0.3, -1.0, 0.25), (2.0,))
-        _, anti = trig_mean_and_antiderivative(p)
+        anti = p.antiderivative()
         assert anti.ddt() == p
 
 

@@ -121,6 +121,19 @@ class TestSolveNumeric:
         assert small.gains["a"] < big.gains["a"]
         assert small.gains["eta"] < big.gains["eta"]
 
+    @pytest.mark.parametrize("kw", [
+        {"grid_points": 0},
+        {"grid_points": 1},
+        {"gain_lo": 0.0},
+        {"gain_lo": -1.0},
+        {"gain_lo": 10.0},
+        {"gain_lo": 1.0, "gain_hi": 0.5},
+    ], ids=["grid_points_zero", "grid_points_one", "gain_lo_zero",
+            "gain_lo_negative", "gain_lo_equals_hi", "gain_bounds_reversed"])
+    def test_degenerate_grid_rejected(self, worked_ledger, kw):
+        with pytest.raises(MetaOptError):
+            MetaOptProblem(worked_ledger, strategy=3, delta1=0.01, delta2=0.01, **kw)
+
     @pytest.mark.parametrize("strategy,kw", [
         (1, {"delta": 0.05}),
         (2, {"delta1": 0.01, "delta2": 0.01}),
