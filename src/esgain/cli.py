@@ -39,9 +39,13 @@ EXIT_INFEASIBLE = 3
 EXIT_OVERFLOW = 4
 EXIT_VERIFY = 5
 
-# RK4 steps in one simulate trajectory; integrate stores every state, so the
-# cap bounds the memory a config can ask for
+# caps on the memory a config can ask for, checked before anything is
+# allocated: RK4 steps in one simulate trajectory (integrate stores every
+# state), cells of a gain map (each holds a few dozen doubles) and points per
+# axis of a numeric tuning grid (it evaluates their square)
 _MAX_STEPS = 10_000_000
+_MAX_CELLS = 1_000_000
+_MAX_GRID_POINTS = 2_000
 
 # the keys each config object accepts, the union over subcommands; "" is
 # the root, whose keys are the blocks, and "scheme.gains" is nested
@@ -216,11 +220,13 @@ def _cmd_tune(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
             sol = solve_strategy3_closed_form(ledger, blk("delta1", NUMBER),
                                               blk("delta2", NUMBER))
         else:
+            grid_points = blk("grid_points", COUNT, 200)
+            if grid_points > _MAX_GRID_POINTS:
+                raise ConfigError(f"tuning.grid_points exceeds {_MAX_GRID_POINTS}")
             prob = MetaOptProblem(
                 ledger=ledger, strategy=strategy, delta=blk("delta", NUMBER, None),
                 delta1=blk("delta1", NUMBER, None), delta2=blk("delta2", NUMBER, None),
-                m=blk("m", COUNT, 1), n=blk("n", COUNT, 1),
-                grid_points=blk("grid_points", COUNT, 200))
+                m=blk("m", COUNT, 1), n=blk("n", COUNT, 1), grid_points=grid_points)
             sol = solve_numeric(prob, h=h)
         payload = dataclasses.asdict(sol)
         if blk("consistency", FLAG, True) and "p" in sol.gains:
@@ -269,13 +275,16 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
 def _cmd_perfmap(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     blk = cfg.sim
     h = parse_expr(cfg.scheme("h", TEXT), dim=1)
+    points = [blk(f"{axis}_points", COUNT, 20) for axis in "ap"]
+    if points[0] * points[1] > _MAX_CELLS:
+        raise ConfigError(f"sim.a_points * sim.p_points exceeds {_MAX_CELLS} cells")
     grids = []
-    for axis, default in (("a", [0.02, 1.0]), ("p", [0.1, 10.0])):
+    for axis, default, count in zip("ap", ([0.02, 1.0], [0.1, 10.0]), points):
         lo, hi = blk(f"{axis}_range", PAIR, default)
         # geomspace needs positive ends, and the map an increasing grid
         if not 0.0 < lo < hi:
             raise ConfigError(f"sim.{axis}_range must be [lo, hi] with 0 < lo < hi")
-        grids.append(np.geomspace(lo, hi, blk(f"{axis}_points", COUNT, 20)))
+        grids.append(np.geomspace(lo, hi, count))
     pm = performance_map(h, *grids, horizon_periods=blk("horizon_periods", COUNT, 300),
                          x0=blk("x0", NUMBER, 1.0), x_star=blk("x_star", NUMBER, 0.0))
     path = os.path.join(out_dir, "perfmap.csv")
@@ -377,7 +386,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out cannot be made a directory: {exc}") from exc
         return _COMMANDS[args.command](cfg, args.out, args.verbose)
     except Exception as exc:
         for types, code, kind in _EXITS:

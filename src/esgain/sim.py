@@ -204,12 +204,12 @@ def performance_map(h, a_grid, p_grid, horizon_periods: int = 1000,
     # escaping cells overflow by design; a block's end drops them as infeasible
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon_periods):
-            acc, done = 0.0, 0
+            acc, done = 0.0 if lone else np.zeros(live.size), 0
             while done < n and live.size:
                 m = min(n - done, max(1, _CELL_STEPS // live.size))
                 states, t = march(t, (x,), m)
-                for (x,) in states:     # the period's sum in step order; x ends as the last state
-                    acc = acc + x
+                for (x,) in states:     # the period's sum in step order, in place on cells;
+                    acc += x            # x ends as the last state
                 dev = np.abs(np.reshape(states, (m, live.size)) - x_star)
                 tail = dev[max(0, tail_start - k * n - done):].max(axis=0, initial=0.0)
                 tail_max[live] = np.maximum(tail_max[live], tail)

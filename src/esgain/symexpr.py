@@ -15,6 +15,7 @@ Expressions compile to Python source. The same code generator builds
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import re
@@ -499,61 +500,97 @@ def parse_expr(text: str, dim: int = 1) -> Expr:
 _NAMESPACE = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
-def _pow_chain(k: int, first: str, name: str, fresh) -> str:
+def _pow_chain(k: int, square: str, sq: str, name: str, fresh) -> str:
     """Source of base^k as a product by square-and-multiply:
-    b^(2j) = (b^j)^2 and b^(2j+1) = b^(2j) * b. The leftmost operand,
-    evaluated first, is `first`; every later use of the base is `name`."""
-    if k == 1:
-        return first
-    if k % 2:
-        return f"{_pow_chain(k - 1, first, name, fresh)}*{name}"
+    b^(2j) = (b^j)^2 and b^(2j+1) = b^(2j) * b, so every chain starts from
+    the square. `square` evaluates b*b (binding it to `sq` where it is
+    evaluated first), `sq` reads it, and `name` reads the base."""
     if k == 2:
-        return f"{first}*{name}"
+        return square
+    if k % 2:
+        return f"{_pow_chain(k - 1, square, sq, name, fresh)}*{name}"
+    if k == 4:
+        return f"{square}*{sq}"
     t = fresh()
-    return f"({t}:={_pow_chain(k // 2, first, name, fresh)})*{t}"
+    return f"({t}:={_pow_chain(k // 2, square, sq, name, fresh)})*{t}"
 
 
-def _codegen(e: Expr, fresh, var) -> str:
+def _negated(e: Expr):
+    """b when `e` is -b, as Neg(b) or -1.0 * b, else None. a + (-b) and
+    a - b are the same IEEE operation, and (-1.0*b)*c is -(b*c) exactly."""
+    if isinstance(e, Neg):
+        return e.arg
+    if isinstance(e, Prod) and e.factors[0] == Const(-1.0):
+        rest = e.factors[1:]
+        return rest[0] if len(rest) == 1 else Prod(rest)
+    return None
+
+
+def _codegen(e: Expr, fresh, var, squares) -> str:
+    """`squares` maps a variable or constant base to the temporary holding
+    its square, bound where the square is first evaluated; so all powers of
+    one base in an expression share one square, the first in evaluation
+    order (left to right) binding it."""
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
         return var(e.index)
     if isinstance(e, Sum):
-        return "(" + "+".join(_codegen(t, fresh, var) for t in e.terms) + ")"
+        terms = e.terms
+        if len(terms) > 1 and _negated(terms[0]) is not None and _negated(terms[1]) is None:
+            terms = (terms[1], terms[0], *terms[2:])   # -b + c is c - b: addition commutes
+        parts = [_codegen(terms[0], fresh, var, squares)]
+        for t in terms[1:]:
+            b = _negated(t)
+            parts.append("+" + _codegen(t, fresh, var, squares) if b is None
+                         else "-" + _codegen(b, fresh, var, squares))
+        return "(" + "".join(parts) + ")"
     if isinstance(e, Prod):
-        return "(" + "*".join(_codegen(f, fresh, var) for f in e.factors) + ")"
+        return "(" + "*".join(_codegen(f, fresh, var, squares) for f in e.factors) + ")"
     if isinstance(e, Neg):
-        return "(-" + _codegen(e.arg, fresh, var) + ")"
+        return "(-" + _codegen(e.arg, fresh, var, squares) + ")"
     if isinstance(e, Pow):
         # a node built directly, not through powi: fold and reject as it does
         if e.exponent < 0:
             raise ExprError("negative exponents are outside the grammar")
         if e.exponent == 0:
             return repr(ONE.value)
+        base = _codegen(e.base, fresh, var, squares)
+        if e.exponent == 1:
+            return "(" + base + ")"
         # numpy's power takes libm's slow path on negative bases; products
-        # do not. A compound base is bound to a temporary and evaluated once.
-        base = _codegen(e.base, fresh, var)
+        # do not. A compound base is bound to a temporary and evaluated once
+        # per power.
         if isinstance(e.base, (Var, Const)):
-            return "(" + _pow_chain(e.exponent, base, base, fresh) + ")"
-        name = fresh()
-        return "(" + _pow_chain(e.exponent, f"({name}:={base})", name, fresh) + ")"
+            name, sq = base, squares.get(e.base)
+            if sq is None:
+                sq = squares[e.base] = fresh()
+                square = f"({sq}:={base}*{base})"
+            else:
+                square = sq
+        else:
+            name, sq = fresh(), fresh()
+            square = f"({sq}:=({name}:={base})*{name})"
+        return "(" + _pow_chain(e.exponent, square, sq, name, fresh) + ")"
     if isinstance(e, Sin):
-        return "sin(" + _codegen(e.arg, fresh, var) + ")"
+        return "sin(" + _codegen(e.arg, fresh, var, squares) + ")"
     if isinstance(e, Cos):
-        return "cos(" + _codegen(e.arg, fresh, var) + ")"
+        return "cos(" + _codegen(e.arg, fresh, var, squares) + ")"
     if isinstance(e, Exp):
-        return "exp(" + _codegen(e.arg, fresh, var) + ")"
+        return "exp(" + _codegen(e.arg, fresh, var, squares) + ")"
     raise TypeError(type(e).__name__)
 
 
 def expr_source(e: Expr, names=None) -> str:
     """Python source of `e`. Variable i reads `names[i]`, or `p[i]` without
-    names. Integer powers become multiplication chains. Temporaries are
-    named `_t0`, `_t1`, ... from a counter local to the call, so the source
-    is deterministic."""
+    names. Integer powers become multiplication chains, and the powers of
+    one variable share its square; a term -b of a sum is subtracted, and a
+    sum that starts -b + c starts c - b.
+    Temporaries are named `_t0`, `_t1`, ... from a counter local to the
+    call, so the source is deterministic."""
     counter = itertools.count()
     var = names.__getitem__ if names is not None else "p[{}]".format
-    return _codegen(e, lambda: f"_t{next(counter)}", var)
+    return _codegen(e, lambda: f"_t{next(counter)}", var, {})
 
 
 def codegen(e: Expr) -> str:
@@ -601,14 +638,151 @@ def _float_valued(ufunc):
 _FLOAT_NAMESPACE = {name: _float_valued(fn) for name, fn in _NAMESPACE.items()}
 
 
+_UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.USub: "negative"}
+
+
+def _reads_no_state(node, state) -> bool:
+    """Whether `node` is arithmetic and `_NAMESPACE` calls over names outside
+    `state`."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            if n.id in state:
+                return False
+        elif isinstance(n, ast.Call):
+            if not (isinstance(n.func, ast.Name) and n.func.id in _NAMESPACE) or n.keywords:
+                return False
+        elif not isinstance(n, (ast.BinOp, ast.UnaryOp, ast.Constant, ast.operator,
+                                ast.unaryop, ast.expr_context)):
+            return False
+    return True
+
+
+def _in_place(source: str, cells, outs) -> str:
+    """A generated march for cells in which every operation on arrays writes
+    into a buffer allocated once per march: the binding of a name writes
+    into that name's own buffer, or into the target `outs` gives the name,
+    and an unnamed intermediate into a pooled buffer that is reused once its
+    operation has read it. A buffer holds cells, or one value (0-d) for a
+    transcendental of a scalar such as the dither sin(t), and the literals
+    and scalar parameters an operation on arrays takes are 0-d arrays too:
+    numpy takes a 0-d array faster than a scalar. A name bound to another
+    name's buffer gets a copy in its own, so a later write never changes a
+    value that is still read. The operations, and so the bits, are those of
+    `source`. `cells` names the parameters and states that hold cells."""
+    tree = ast.parse(source)
+    make = tree.body[0]
+    f = make.body[0]
+    params = {a.arg for a in make.args.args}
+    # what each name holds: the shape source of its array ("_shape" for
+    # cells, "()" for one value), absent for a Python scalar
+    kinds = dict.fromkeys(cells, "_shape")
+    owned = set()                   # names bound to their own buffer
+    named, buffers, free, consts, setup = {}, [], {"_shape": [], "()": []}, {}, []
+
+    def load(name):
+        return ast.Name(name, ast.Load())
+
+    def allocate(kind):
+        buffers.append(f"_b{len(buffers)}")
+        setup.append(f"{buffers[-1]} = empty({kind})")
+        return buffers[-1]
+
+    def own(name, kind):
+        if (name, kind) not in named:
+            named[name, kind] = allocate(kind)
+        return load(named[name, kind])
+
+    def operand(node):
+        literal = isinstance(node, ast.Constant) or isinstance(node, ast.UnaryOp) \
+            and isinstance(node.operand, ast.Constant)
+        if not literal and not (isinstance(node, ast.Name) and node.id in params
+                                and node.id not in kinds):
+            return node
+        src = ast.unparse(node)    # a literal or a scalar parameter
+        if src not in consts:
+            consts[src] = f"_c{len(consts)}"
+            setup.append(f"{consts[src]} = asarray({src})")
+        return load(consts[src])
+
+    def visit(node, out=None):
+        """(node, what it holds, the pooled buffer it is in); out(kind) gives
+        the node of the buffer an operation on arrays writes into."""
+        if isinstance(node, ast.Name):
+            return node, kinds.get(node.id), None
+        if isinstance(node, ast.NamedExpr):
+            node.value = bind(node.target.id, node.value)
+            return node, kinds.get(node.target.id), None
+        if isinstance(node, ast.BinOp) and type(node.op) in _UFUNCS:
+            ufunc, args = _UFUNCS[type(node.op)], [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UFUNCS:
+            ufunc, args = _UFUNCS[type(node.op)], [node.operand]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _NAMESPACE and not node.keywords:
+            ufunc, args = node.func.id, node.args
+        else:
+            if any(isinstance(n, ast.Name) and n.id in kinds for n in ast.walk(node)):
+                raise ExprError(f"a march over cells cannot run {ast.unparse(node)!r} in place")
+            return node, None, None
+        visited = [visit(a) for a in args]
+        held = {kind for _, kind, _ in visited}
+        kind = "_shape" if "_shape" in held else "()" if "()" in held \
+            or ufunc in _NAMESPACE else None
+        if kind is None:
+            return node, None, None
+        for _, held_kind, buf in visited:
+            if buf:
+                free[held_kind].append(buf)
+        buf = None if out else free[kind].pop() if free[kind] else allocate(kind)
+        call = ast.Call(load(ufunc), [*(operand(a) for a, _, _ in visited),
+                                      out(kind) if out else load(buf)], [])
+        return call, kind, buf
+
+    def bind(name, value):
+        """`value` rewritten to be bound to `name`."""
+        if isinstance(value, (ast.Name, ast.NamedExpr)):
+            value, kind, _ = visit(value)
+            source = value.id if isinstance(value, ast.Name) else value.target.id
+            in_own = source in owned
+            if in_own:
+                value = ast.Call(load("positive"), [value, own(name, kind)], [])
+        else:
+            target = outs.get(name)
+            value, kind, _ = visit(value, lambda kind: ast.parse(target, mode="eval").body
+                                   if target else own(name, kind))
+            in_own = kind is not None and not target
+        if kind:
+            kinds[name] = kind
+        else:
+            kinds.pop(name, None)
+        (owned.add if in_own else owned.discard)(name)
+        return value
+
+    loop = next(st for st in f.body if isinstance(st, ast.For))
+    for st in [*f.body[:f.body.index(loop)], *loop.body]:
+        if isinstance(st, ast.Assign) and isinstance(st.targets[0], ast.Name):
+            st.value = bind(st.targets[0].id, st.value)
+    make.args.args.insert(0, ast.arg("_shape"))
+    make.body[:0] = ast.parse("\n".join(setup)).body
+    return ast.unparse(ast.fix_missing_locations(tree))
+
+
 @lru_cache(maxsize=None)
-def _compile_factory(source: str, flavour: str):
+def _compile_factory(source: str, flavour: str, cells=(), outs=()):
     """`_make` of a generated source. Flavour "float" runs on Python floats,
-    "array" on numpy values of any shape."""
+    "array" on numpy values of any shape, "cells" on arrays of cells in
+    place (`_in_place`, with `cells` and `outs`)."""
     namespace = dict(_FLOAT_NAMESPACE if flavour == "float" else _NAMESPACE,
-                     asarray=np.asarray, broadcast_to=np.broadcast_to)
+                     asarray=np.asarray, broadcast_to=np.broadcast_to, empty=np.empty,
+                     positive=np.positive, **{u: getattr(np, u) for u in _UFUNCS.values()})
+    if flavour == "cells":
+        source = _in_place(source, cells, dict(outs))
     exec(source, namespace)  # noqa: S102 - generated from our own sources
     return namespace["_make"]
+
+
+# RK4's stages: the time each is taken at (None: the previous stage's) and the
+# step fraction of the previous stage's slope that the state moves by
+_STAGES = ((None, None), ("_time + _dt2", "_dt2"), (None, "_dt2"), ("_time + _dt", "_dt"))
 
 
 class Field:
@@ -620,9 +794,9 @@ class Field:
     the parameters, in order, and `comps` are the sources of the components
     of xdot. Parameter values are bound when a function is built: floats,
     or arrays of one shape with one element per cell. The generated code
-    runs the sources' operations in their order, and the transcendentals
-    are numpy's ufuncs also on floats, so a float state and an array state
-    give the same bits."""
+    runs the sources' operations, and the transcendentals are numpy's
+    ufuncs also on floats, so a float state and an array state give the
+    same bits."""
 
     def __init__(self, comps, body=(), dither=(), **params):
         self.comps = tuple(comps)
@@ -655,46 +829,101 @@ class Field:
             fn = self._rhs
         except AttributeError:
             lines = [f"x{i} = x[{i}]" for i in range(self.dim)]
-            lines += self._stage_lines(dither=True)
+            lines += [f"{name} = {src}" for name, src in self.dither + self.body]
             lines.append("return asarray([" + ", ".join(self.comps) + "])")
             fn = self._rhs = self._build("t, x", lines, (), "array")
         return fn(t, x)
 
     def rk4(self, dt: float):
         """march(t, y, n) -> (states, t): n classical RK4 steps of size dt
-        from time t and state y, with time accumulating by t += dt; states
-        lists the state after each step. A state is a tuple with one float,
-        or one array of cells, per component; float states need float
-        parameters."""
+        from time t and state y, with time accumulating by t += dt. A state
+        is a tuple with one float, or one array of cells, per component;
+        float states need float parameters. On floats, states lists the
+        state after each step; on cells, it is a new (n, dim, cells) array
+        whose row k is the state after step k + 1, and the march allocates
+        nothing per step (`_in_place`).
+
+        What reads no state (the dither, and body bindings and
+        subexpressions such as `a*u` in `x0 + a*u`) is computed once per
+        distinct stage time: stages 2 and 3 share it, and stage 4's values
+        serve the next step's stage 1, since `_time + _dt` there and
+        `_time += _dt` give the same double."""
         n = range(self.dim)
+        cells = any(isinstance(v, np.ndarray) for v in self.params.values())
+        timed, staged, comps = self._split()
+        at_time = [f"{name} = {src}" for name, src in timed]
         ys = "".join(f"_y{i}, " for i in n)
-        lines = [f"{ys}= _y", "_states = []", "for _ in range(_n):"]
-        stages = (("_time", None), ("_time + _dt2", "_dt2"), (None, "_dt2"),
-                  ("_time + _dt", "_dt"))
+        lines = [f"{ys}= _y", f"_states = empty((_n, {self.dim}, *_shape))" if cells
+                 else "_states = []", "t = _time", *at_time, "for _j in range(_n):"]
         body = []
-        for s, (time, scale) in enumerate(stages, 1):
+        for s, (time, scale) in enumerate(_STAGES, 1):
             if time is not None:
-                body.append(f"t = {time}")
+                body += [f"t = {time}", *at_time]
             body += [f"x{i} = _y{i}" if scale is None else f"x{i} = _y{i} + {scale}*_k{s - 1}_{i}"
                      for i in n]
-            body += self._stage_lines(dither=time is not None)
-            body += [f"_k{s}_{i} = {c}" for i, c in enumerate(self.comps)]
+            body += [f"{name} = {src}" for name, src in staged]
+            body += [f"_k{s}_{i} = {c}" for i, c in enumerate(comps)]
         body += [f"_y{i} = _y{i} + _dt6*(_k1_{i} + 2.0*_k2_{i} + 2.0*_k3_{i} + _k4_{i})" for i in n]
-        body += ["_time += _dt", f"_states.append(({ys}))"]
+        body += ["_time += _dt"] + ([] if cells else [f"_states.append(({ys}))"])
         lines += ["    " + line for line in body] + ["return _states, _time"]
-        cells = any(isinstance(v, np.ndarray) for v in self.params.values())
         return self._build("_time, _y, _n", lines, (dt, 0.5 * dt, dt / 6.0),
-                           "array" if cells else "float")
+                           "cells" if cells else "float")
 
-    def _stage_lines(self, dither: bool) -> list:
-        return [f"{name} = {src}" for name, src in (self.dither if dither else ()) + self.body]
+    def _split(self):
+        """(timed, staged, comps): the bindings that read no state, in
+        order, each state-free subexpression of the rest bound to a name
+        `_w0`, `_w1`, ... among them; the bindings that read the state; and
+        the components, over those names. Walrus temporaries and names bound
+        twice count as state."""
+        trees = [ast.parse(src, mode="eval").body for _, src in self.body]
+        comps = [ast.parse(c, mode="eval").body for c in self.comps]
+        bound = [name for name, _ in self.dither + self.body]
+        state = {f"x{i}" for i in range(self.dim)} | {n for n in bound if bound.count(n) > 1}
+        state |= {n.target.id for tree in trees + comps
+                  for n in ast.walk(tree) if isinstance(n, ast.NamedExpr)}
+        timed, staged, hoisted = list(self.dither), [], {}
+
+        def hoist(node):
+            if not _reads_no_state(node, state):
+                # into expressions that bind no names of their own
+                if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call, ast.keyword,
+                                     ast.NamedExpr, ast.Subscript, ast.List, ast.Tuple)):
+                    for field, value in ast.iter_fields(node):
+                        if isinstance(value, ast.expr):
+                            setattr(node, field, hoist(value))
+                        elif isinstance(value, list):
+                            setattr(node, field, [hoist(v) if isinstance(v, ast.AST) else v
+                                                  for v in value])
+                return node
+            if isinstance(node, ast.Name) or not any(isinstance(n, ast.Name)
+                                                      for n in ast.walk(node)):
+                return node
+            src = ast.unparse(node)
+            if src not in hoisted:
+                hoisted[src] = f"_w{len(hoisted)}"
+                timed.append((hoisted[src], src))
+            return ast.Name(hoisted[src], ast.Load())
+
+        for (name, src), tree in zip(self.body, trees):
+            if _reads_no_state(tree, state):
+                timed.append((name, src))
+            else:
+                state.add(name)
+                staged.append((name, ast.unparse(hoist(tree))))
+        return timed, staged, [ast.unparse(hoist(c)) for c in comps]
 
     def _build(self, args: str, lines, consts, flavour: str):
         names = ["_dt", "_dt2", "_dt6"][:len(consts)] + list(self.params)
         values = [*consts, *self.params.values()]
         source = (f"def _make({', '.join(names)}):\n    def f({args}):\n"
                   + "".join(f"        {line}\n" for line in lines) + "    return f\n")
-        return _compile_factory(source, flavour)(*values)
+        if flavour != "cells":
+            return _compile_factory(source, flavour)(*values)
+        arrays = {n: v for n, v in zip(names, values) if isinstance(v, np.ndarray)}
+        states = tuple(f"_y{i}" for i in range(self.dim))
+        outs = tuple((y, f"_states[_j, {i}]") for i, y in enumerate(states))
+        make = _compile_factory(source, flavour, tuple(arrays) + states, outs)
+        return make(np.broadcast_shapes(*(v.shape for v in arrays.values())), *values)
 
 
 # ---------------------------------------------------------------------------

@@ -339,19 +339,36 @@ class TestConfigHandling:
         # missing fields
         ("simulate", edited("simulate", scheme={"h": None})),
         ("tune", edited("tune", tuning=None)),
+        # counts past the caps, refused before anything is allocated
+        ("perfmap", edited("perfmap", sim={"a_points": 10 ** 20})),
+        ("perfmap", edited("perfmap", sim={"a_points": 1001, "p_points": 1000})),
+        ("tune", edited("tune", tuning={"method": "numeric", "grid_points": 10 ** 20})),
+        ("tune", edited("tune", tuning={"method": "numeric", "grid_points": 2001})),
     ], ids=["concave_objective", "reversed_domain", "strategy_five",
             "strategy_one_without_delta", "negative_delta1",
             "degenerate_third_derivative", "unknown_kind", "filtered_without_mu",
             "avg_order_too_high", "unknown_convention", "strategy_not_a_number",
             "x_star_not_a_number", "avg_order_not_a_number", "grid_points_zero",
             "frequency_gain_not_a_number", "domain_end_not_a_number", "unknown_block",
-            "missing_objective", "missing_tuning_block"])
+            "missing_objective", "missing_tuning_block", "map_points_past_numpy",
+            "map_cells_over_cap", "grid_points_past_numpy", "grid_points_over_cap"])
     def test_probed_config_exits_two(self, tmp_path, command, cfg):
         path = write_config(tmp_path / "cfg.json", cfg)
         code, lines = run_main([command, "--config", path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "config"
+
+    @pytest.mark.parametrize("command", sorted(BASE))
+    def test_out_naming_a_file_exits_two(self, tmp_path, command):
+        path = write_config(tmp_path / "cfg.json", BASE[command])
+        out = tmp_path / "taken"
+        out.write_text("")
+        code, lines = run_main([command, "--config", path, "--out", str(out)])
+        assert code == 2
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config"
+        assert out.read_text() == ""
 
 
 # values a mutation puts in place of a config value or block; none selects
@@ -412,3 +429,18 @@ class TestContract:
         out = tmp_path / "out"
         assert main(["tune", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((out / "tune.json").read_text())["gains"]
+
+    def test_readme_plane_config_maps_and_tunes(self, tmp_path):
+        # the README's gain-plane config, on a smaller plane and horizon
+        text = README.read_text()
+        plane = json.loads(re.search(r"with `plane.json`:\s*```json\n(.*?)```",
+                                     text, re.S).group(1))
+        plane["sim"].update(a_points=3, p_points=2, horizon_periods=5)
+        cfg = write_config(tmp_path / "plane.json", plane)
+        out = tmp_path / "plane"
+        assert main(["perfmap", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["tune", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "perfmap.csv").read_text().count("\n") == 1 + 3 * 2
+        gains = json.loads((out / "tune.json").read_text())["gains"]
+        assert float(gains["a"]) == pytest.approx(0.2084, abs=1e-3)
+        assert float(gains["p"]) == pytest.approx(1.104, abs=1e-3)

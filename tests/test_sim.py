@@ -10,7 +10,7 @@ from esgain.schemes import SchemeInstance, ideal_flow, plant_slow_rhs, scheme_rh
     scheme_graded_field
 from esgain.sim import (PerfMap, SimError, SimulationOverflowError, Trajectory,
                         compare, convergence_time, integrate, performance_map)
-from esgain.symexpr import Field, compile_expr, differentiate, parse_expr
+from esgain.symexpr import ExprError, Field, compile_expr, differentiate, parse_expr
 
 
 QUAD_H = parse_expr("0.5*x^2")
@@ -464,3 +464,58 @@ class TestStepperOracle:
             one = performance_map(ORACLE_H, a_grid[i:i + 1], p_grid[j:j + 1],
                                   horizon_periods=periods)
             assert (one.speed[0, 0], one.error[0, 0], one.feasible[0, 0]) == want
+
+
+class TestCellsMarchBuffers:
+    """A march over cells writes every operation into buffers allocated once
+    per march; the states it returns are its own and stay as returned."""
+
+    SCALE = np.array([0.5, 1.0, 1.7])
+
+    def cells(self, field):
+        return Field(field.comps, field.body, field.dither,
+                     **{k: v * self.SCALE for k, v in field.params.items()})
+
+    def test_returned_states_survive_later_steps_and_calls(self):
+        march = self.cells(scheme_rhs(SchemeInstance("basic1d", ORACLE_H, a=0.3, eta=0.05))
+                           ).rk4(0.05)
+        x0 = np.array([0.8, -0.4, 1.2])
+        first, t = march(0.0, (x0.copy(),), 40)
+        kept = first.copy()
+        second, _ = march(t, (first[-1][0],), 40)
+        again, _ = march(0.0, (x0,), 40)
+        assert first.shape == (40, 1, 3)
+        assert np.array_equal(first, kept)       # untouched by a later call
+        assert np.array_equal(x0, [0.8, -0.4, 1.2])   # the start state is only read
+        assert np.array_equal(again, first)
+        assert not np.shares_memory(first, second)
+        # row k holds step k + 1's state, not a buffer a later step rewrote
+        for k in (1, 2, 7, 40):
+            assert np.array_equal(march(0.0, (x0,), k)[0][-1], first[k - 1])
+        assert np.array_equal(np.concatenate([first, second]), march(0.0, (x0,), 80)[0])
+
+    @pytest.mark.parametrize("comps,dither", [
+        (["x1", "neg_w*x0"], ()),                      # a component that is a state
+        (["u", "neg_w*x0 + x1*u"], [("u", "sin(t)")]),   # one that is the dither
+        (["g", "neg_w*g"], ()),                        # one that is a body name
+    ], ids=["state", "dither", "body"])
+    def test_bare_name_components_equal_float_march(self, comps, dither):
+        # a component that only names a value is a copy on cells, since the
+        # value's buffer is rewritten in the next stage
+        body = [("g", "x0 + x1")] if "g" in comps else []
+        field = Field(comps, body, dither, neg_w=-2.0)
+        got, t_cells = self.cells(field).rk4(0.05)(0.0, (self.SCALE, -self.SCALE), 60)
+        for c in range(self.SCALE.size):
+            one = Field(comps, body, dither, neg_w=-2.0 * float(self.SCALE[c]))
+            want, t_one = one.rk4(0.05)(0.0, (float(self.SCALE[c]), -float(self.SCALE[c])), 60)
+            assert [tuple(float(v[c]) for v in st) for st in got] == want
+            assert t_cells == t_one
+
+    def test_operation_outside_the_grammar_refused_on_cells(self):
+        # only arithmetic and sin, cos, exp run in place; anything else on
+        # cells could return a view of a buffer that the next stage rewrites
+        field = Field(["_f[0]"], [("_f", "asarray([a*x0])")], a=self.SCALE)
+        with pytest.raises(ExprError):
+            field.rk4(0.05)
+        states, _ = Field(["_f[0]"], [("_f", "asarray([a*x0])")], a=0.5).rk4(0.05)(0.0, (1.0,), 2)
+        assert len(states) == 2   # on floats it runs

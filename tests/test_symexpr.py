@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import functools
 import math
+import operator
 import pickle
 import random
 
@@ -8,8 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import WORKED_H_TEXT, random_expr
+from esgain import symexpr
+from esgain.schemes import dithered_field
 from esgain.symexpr import (Const, Domain1D, Domain2D, EvalOverflowError,
-                            Expr, ExprError, ParseError, Pow, Var, add, codegen,
+                            Cos, Exp, Expr, ExprError, Neg, ParseError, Pow, Prod,
+                            Sin, Sum, Var, add, codegen,
                             compile_expr, differentiate, eval_array,
                             eval_expr, exp_of, max_var_index, mul,
                             nth_derivative, parse_expr, powi, scan_supnorm,
@@ -161,6 +166,29 @@ class TestPowerCodegen:
             compile_expr(Pow(add(Var(0), Const(1.0)), k))
 
 
+    @pytest.mark.parametrize("text", [WORKED_H_TEXT,
+                                      "-0.98*cos(x) + 0.12*x^3 + 0.03*x^4 + 0.1*(exp(x) - 1 - x)"])
+    def test_march_subtracts_and_squares_once_per_stage(self, text, monkeypatch):
+        # the objective inside a gain-map march: no multiply by -1.0, and
+        # x^3 and x^4 share one square of the state per stage
+        sources = []
+        real = symexpr._compile_factory
+        monkeypatch.setattr(symexpr, "_compile_factory",
+                            lambda source, *rest: sources.append(source) or real(source, *rest))
+        h = parse_expr(text)
+        dithered_field(h, np.array([0.2, 0.3]), np.array([0.01, 0.02])).rk4(0.05)
+        dithered_field(h, 0.2, 0.01).rk4(0.05)
+        assert len(sources) == 2
+        for source in sources:
+            assert "-1.0 *" not in source
+            assert source.count("_v0 * _v0") == 4
+
+    def test_powers_of_one_variable_share_its_square(self):
+        src = codegen(parse_expr("x^3 + x^4 + 2*x^2"))
+        assert src.count("p[0]*p[0]") == 1
+        assert src.count("*") == 4   # the square, then one multiply each for x^3, x^4, 2*x^2
+
+
 class TestSupNorm:
     def test_worked_objective_norms(self, worked_h):
         dom = Domain1D(-1.0, 1.0)
@@ -182,6 +210,35 @@ class TestSupNorm:
         small = float(scan_supnorm(d1, Domain1D(-0.5, 0.5)))
         big = float(scan_supnorm(d1, Domain1D(-1.0, 1.0)))
         assert small <= big + 1e-9
+
+
+def plain_power(b, k):
+    """b^k by square-and-multiply, the chain the code generator writes."""
+    if k == 1:
+        return b
+    if k % 2:
+        return plain_power(b, k - 1) * b
+    half = plain_power(b, k // 2)
+    return half * half
+
+
+def plain_eval(e, xs):
+    """e at points xs (one array per variable) by plain numpy recursion:
+    sums and products folded left to right, powers by square-and-multiply."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return xs[e.index]
+    if isinstance(e, Sum):
+        return functools.reduce(operator.add, [plain_eval(t, xs) for t in e.terms])
+    if isinstance(e, Prod):
+        return functools.reduce(operator.mul, [plain_eval(f, xs) for f in e.factors])
+    if isinstance(e, Neg):
+        return -plain_eval(e.arg, xs)
+    if isinstance(e, Pow):
+        return plain_power(plain_eval(e.base, xs), e.exponent)
+    ufunc = {Sin: np.sin, Cos: np.cos, Exp: np.exp}[type(e)]
+    return ufunc(plain_eval(e.arg, xs))
 
 
 class TestRandomCorpus:
@@ -215,6 +272,24 @@ class TestRandomCorpus:
                 assert abs(sym - num) <= 1e-6 * (1.0 + abs(sym) + abs(v))
                 checked += 1
         assert checked > 5000  # the skip guards must not hollow out the test
+
+    def test_compiled_evaluation_equals_plain_numpy(self):
+        # scalar and array evaluation of the generated source agree bit for
+        # bit with each other and with a plain recursive evaluation, so the
+        # code generator's rewrites (subtraction, shared squares) keep
+        # every bit; derivatives bring the negated terms
+        rng = random.Random(808)
+        for _ in range(self.N_EXPRS):
+            dim = rng.choice([1, 2])
+            e = random_expr(rng, dim=dim, depth=5)
+            for f in (e, differentiate(e)):
+                xs = [np.array([rng.uniform(-1.5, 1.5) for _ in range(6)]) for _ in range(dim)]
+                with np.errstate(all="ignore"):
+                    want = np.broadcast_to(plain_eval(f, xs), xs[0].shape)
+                    arr = eval_array(f, xs)
+                    one = [compile_expr(f)([float(x[i]) for x in xs]) for i in range(6)]
+                assert np.array_equal(arr, want, equal_nan=True), to_string(f)
+                assert np.array_equal(np.array(one, dtype=float), want, equal_nan=True)
 
     def test_print_parse_round_trip(self):
         rng = random.Random(99)
