@@ -14,7 +14,7 @@ from .contraction import (BoundsLedger, ContractionEstimate, ErrorBudget,
                           singular_perturbation_bound)
 from .fourieralg import (GradedField, HarmonicOverflowError, SeparableTerm,
                          TrigPoly, exp_operator_apply, lie_bracket,
-                         shifted_bracket, unit_term)
+                         transform_part, unit_term)
 from .metaopt import (ConsistencyReport, FrequencyTuning, InfeasibleError,
                       MetaOptProblem, MetaOptSolution, consistency_report,
                       solve_monomial, solve_numeric,

@@ -3,6 +3,10 @@
 Produces autonomous averaged dynamics g_1..g_n, periodic generators
 w_1..w_n, and the non-identity transform terms u_1..u_n, together with a
 numeric certificate that the residual non-autonomy scales like eps^(n+1).
+Order i is summed from Lie-triangle rows of the lower orders (Deprit 1969),
+so each bracket is taken once. On the basic scheme at a = 1, g_4 is exactly
+c1 p + c3 p^3 and u_2 exactly c1 p + c2 p^2 in the fine-tuning factor p, so
+`metaopt.RemainderTables` reads both from two engine runs.
 
 The free constant at each order admits three conventions:
   "u-zero-mean"  : constants chosen so each transform term u_i has zero
@@ -22,9 +26,12 @@ import numpy as np
 
 from .fourieralg import (
     GradedField,
+    LieTriangle,
     SeparableTerm,
     TrigPoly,
-    exp_operator_apply,
+    bracket_component,
+    degree_parts,
+    derivative_component,
 )
 from .symexpr import Const, add, differentiate, is_zero, mul
 
@@ -67,79 +74,64 @@ class AveragingResult:
                                   for i, comps in enumerate(self.g, start=1)])
 
 
-def _mean_field(f: GradedField) -> GradedField:
-    terms = [SeparableTerm(t.space, TrigPoly.constant(t.time.mean), t.eps_degree)
-             for t in f.terms if t.time.mean != 0.0]
-    return GradedField.build(f.dim, f.max_order, terms)
+def _constant_field(f: GradedField, value) -> GradedField:
+    return GradedField.build(f.dim, f.max_order, [
+        SeparableTerm(t.space, TrigPoly.constant(value(t.time)), t.eps_degree) for t in f.terms])
 
 
-def _eval_at_t0_field(f: GradedField) -> GradedField:
-    terms = [SeparableTerm(t.space, TrigPoly.constant(float(t.time.eval(0.0))), t.eps_degree)
-             for t in f.terms]
-    return GradedField.build(f.dim, f.max_order, terms)
-
-
-def _collapse(f: GradedField) -> tuple:
-    """Collapse a time-constant field into one Expr per component."""
+def _mean_exprs(f: GradedField) -> tuple:
+    """The time mean of f as one Expr per component."""
     comps = []
     for c in range(f.dim):
-        pieces = []
-        for t in f.terms:
-            if not t.time.is_constant:
-                raise AveragingError("internal: collapsing a non-autonomous field")
-            if not is_zero(t.space[c]) and t.time.c0 != 0.0:
-                pieces.append(mul(Const(t.time.c0), t.space[c]))
+        pieces = [mul(Const(t.time.mean), t.space[c]) for t in f.terms
+                  if not is_zero(t.space[c]) and t.time.mean != 0.0]
         comps.append(add(*pieces) if pieces else Const(0.0))
     return tuple(comps)
 
 
 def average(f: GradedField, n: int, convention: str = "u-zero-mean",
             term_cap: int = 20000) -> AveragingResult:
-    """Run the averaging recursion up to order n.
+    """Run the averaging recursion up to order n, one eps degree at a time.
 
-    At each order i the transformed field is expanded with the generator
-    built so far, the degree-i part is split into its time mean (g_i) and
-    zero-mean oscillation, and the generator gains the zero-mean
-    antiderivative of the oscillation (plus a convention-dependent
-    time-constant correction).
-    """
+    Two Lie triangles share the generator's parts w_j: the rows of exp(L_w)
+    on L_w f - dw/dt and of exp(D_w) on w. At degree i the rows of lower
+    degree give e_i, the degree-i part of the transformed field. Its mean
+    is g_i; the antiderivative of its oscillation is w_i, less the time
+    constant the convention reads off u_i. That w_i completes the degree-i
+    first rows, and u_i is summed again with it first."""
     if convention not in CONVENTIONS:
         raise AveragingError(f"unknown convention {convention!r}")
     if not 1 <= n <= f.max_order:
         raise AveragingError(f"order {n} outside 1..{f.max_order}")
     dim = f.dim
-    w = GradedField.zero(dim, n)
-    g_list: list[tuple] = []
-    term_counts: dict[int, int] = {}
+    fs = degree_parts(f, n)
+    w: dict = {}
+    f_tri = LieTriangle(bracket_component, w, {}, dim, n)   # exp(L_w) on L_w f - dw/dt
+    u_tri = LieTriangle(derivative_component, w, w, dim, n)  # exp(D_w) on w
+    g_list, u_parts, term_counts, mean_residual = [], [], {}, {}
     for i in range(1, n + 1):
-        transformed = exp_operator_apply(w, f, i)
-        e_i = transformed.degree_part(i)
+        lf = f_tri.apply(fs, i)  # L_w f at degree i; w_i is not known yet
+        e_i = f_tri.part(i, fs[i].add(lf))
         if len(e_i.terms) > term_cap:
             raise TermExplosionError(i, len(e_i.terms), term_cap)
-        g_field = _mean_field(e_i)
-        g_list.append(_collapse(g_field))
-        osc_terms = []
-        for t in e_i.terms:
-            trig = t.time + TrigPoly.constant(-t.time.mean)
-            if not trig.is_zero:
-                osc_terms.append(SeparableTerm(t.space, trig.antiderivative(), i))
-        w = w.add(GradedField.build(dim, n, osc_terms))
+        g_list.append(_mean_exprs(e_i))
+        w_i = GradedField.build(dim, n, [SeparableTerm(t.space, t.time.antiderivative(), i)
+                                         for t in e_i.terms])
         if convention != "w-zero-mean":
-            u_i = exp_operator_apply(w, "identity", i).degree_part(i)
-            offset = _mean_field(u_i) if convention == "u-zero-mean" else _eval_at_t0_field(u_i)
-            # rebuild at the full truncation order: add() truncates to the
-            # smaller max_order and the correction was computed at order i
-            offset = GradedField.build(dim, n, offset.scale(-1.0).terms)
-            w = w.add(offset)
+            u_i = u_tri.part(i, w_i)
+            if convention == "u-zero-mean":
+                w_i = w_i.add(_constant_field(u_i, lambda trig: -trig.mean))
+            else:
+                w_i = w_i.add(_constant_field(u_i, lambda trig: -trig.eval(0.0)))
+        w[i] = w_i
+        f_tri.rows[0][i] = lf.add(w_i.ddt().scale(-1.0))
+        u_parts.append(u_tri.part(i, w_i))
         term_counts[i] = len(e_i.terms)
-
-    u_full = exp_operator_apply(w, "identity", n)
-    u_parts = tuple(u_full.degree_part(i) for i in range(1, n + 1))
-    mean_residual = {}
-    for i, ui in enumerate(u_parts, start=1):
-        mean_residual[i] = max((abs(t.time.mean) for t in ui.terms), default=0.0)
+        mean_residual[i] = max((abs(t.time.mean) for t in u_parts[-1].terms), default=0.0)
     return AveragingResult(
-        order=n, dim=dim, g=tuple(g_list), w=w, u=u_parts, convention=convention,
+        order=n, dim=dim, g=tuple(g_list),
+        w=GradedField.build(dim, n, [t for part in w.values() for t in part.terms]),
+        u=tuple(u_parts), convention=convention,
         diagnostics={"term_counts": term_counts, "u_mean_residual": mean_residual},
     )
 

@@ -6,17 +6,18 @@ under products, differentiation and zero-mean antiderivatives, which makes
 time averaging exact at the coefficient level.
 
 A field is a sum of separable terms eps^i * space(x) * trig(t); the Lie
-operators D_w, L_w and the time-shifted bracket act termwise.
+operators D_w and L_w act termwise, and their exponential series are
+summed one eps degree at a time in a Lie triangle.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .symexpr import (
-    Const,
     Expr,
     ZERO,
     add,
@@ -64,10 +65,6 @@ class TrigPoly:
 
     # -- constructors
     @classmethod
-    def zero(cls) -> "TrigPoly":
-        return cls(0.0)
-
-    @classmethod
     def constant(cls, c: float) -> "TrigPoly":
         return cls(c)
 
@@ -93,10 +90,6 @@ class TrigPoly:
         return self.c0 == 0.0 and not self.cos_coeffs
 
     @property
-    def is_constant(self) -> bool:
-        return not self.cos_coeffs
-
-    @property
     def mean(self) -> float:
         return self.c0
 
@@ -117,9 +110,6 @@ class TrigPoly:
         return TrigPoly(self.c0 * c,
                         tuple(v * c for v in self.cos_coeffs),
                         tuple(v * c for v in self.sin_coeffs))
-
-    def __neg__(self) -> "TrigPoly":
-        return self.scale(-1.0)
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
         """Exact product via product-to-sum identities; K <= K1 + K2."""
@@ -229,10 +219,6 @@ def trig_power(p: TrigPoly, k: int) -> TrigPoly:
 # ---------------------------------------------------------------------------
 # separable terms and graded fields
 
-def _space_is_zero(space: tuple) -> bool:
-    return all(is_zero(e) for e in space)
-
-
 @dataclass(frozen=True)
 class SeparableTerm:
     """One field contribution eps^degree * space(x) * time(t)."""
@@ -267,13 +253,10 @@ class GradedField:
                     f"term of dim {len(t.space)} in field of dim {dim}")
             if t.eps_degree > max_order:
                 continue  # explicit truncation
-            if t.time.is_zero or _space_is_zero(t.space):
+            if t.time.is_zero or all(is_zero(e) for e in t.space):
                 continue
             key = (t.eps_degree, t.space)
-            if key in merged:
-                merged[key] = merged[key] + t.time
-            else:
-                merged[key] = t.time
+            merged[key] = merged[key] + t.time if key in merged else t.time
         out = []
         for (deg, space), trig in merged.items():
             if trig.is_zero:
@@ -333,21 +316,41 @@ class GradedField:
         return out[0] if np.ndim(y) == 1 else out
 
     def debug_lines(self) -> list[str]:
-        lines = []
-        for t in self.terms:
-            vec = ", ".join(str(e) for e in t.space)
-            lines.append(f"eps^{t.eps_degree} * [{vec}] * ({t.time})")
-        return lines
+        return [f"eps^{t.eps_degree} * [{', '.join(str(e) for e in t.space)}] * ({t.time})"
+                for t in self.terms]
 
 
 # ---------------------------------------------------------------------------
 # Lie operators
 
-def directional_derivative(w: GradedField, v: GradedField, trunc_order: int) -> GradedField:
-    """D_w v, componentwise (grad v_c) . w; eps degrees add."""
+def derivative_component(ws: tuple, vs: tuple, c: int):
+    """Component c of D_w v = (grad v_c) . w, or None."""
+    pieces = []
+    for d in range(len(ws)):
+        dc = ZERO if is_zero(ws[d]) else differentiate(vs[c], d)
+        if not is_zero(dc):
+            pieces.append(mul(dc, ws[d]))
+    return add(*pieces) if pieces else None
+
+
+def bracket_component(ws: tuple, fs: tuple, c: int):
+    """Component c of L_w f = (grad f_c) . w - (grad w_c) . f, or None."""
+    pieces = []
+    for d in range(len(ws)):
+        dfc = ZERO if is_zero(ws[d]) else differentiate(fs[c], d)
+        if not is_zero(dfc):
+            pieces.append(mul(dfc, ws[d]))
+        dwc = ZERO if is_zero(fs[d]) else differentiate(ws[c], d)
+        if not is_zero(dwc):
+            pieces.append(neg(mul(dwc, fs[d])))
+    return add(*pieces) if pieces else None
+
+
+def _op_terms(component, w: GradedField, v: GradedField, trunc_order: int) -> list:
+    """The terms of op_w v: each term of v paired with each term of w, in
+    that order; eps degrees add."""
     if w.dim != v.dim:
         raise DimensionMismatchError("field dims differ")
-    dim = w.dim
     terms = []
     for tv in v.terms:
         for tw in w.terms:
@@ -357,91 +360,84 @@ def directional_derivative(w: GradedField, v: GradedField, trunc_order: int) -> 
             trig = tv.time * tw.time
             if trig.is_zero:
                 continue
-            for c in range(dim):
-                if is_zero(tv.space[c]):
-                    continue
-                pieces = []
-                for d in range(dim):
-                    if is_zero(tw.space[d]):
-                        continue
-                    dc = differentiate(tv.space[c], d)
-                    if not is_zero(dc):
-                        pieces.append(mul(dc, tw.space[d]))
-                if pieces:
-                    terms.append(unit_term(dim, c, add(*pieces), trig, deg))
-    return GradedField.build(dim, trunc_order, terms)
+            for c in range(w.dim):
+                expr = component(tw.space, tv.space, c)
+                if expr is not None:
+                    terms.append(unit_term(w.dim, c, expr, trig, deg))
+    return terms
 
 
 def lie_bracket(w: GradedField, f: GradedField, trunc_order: int) -> GradedField:
     """L_w f = (grad f) . w - (grad w) . f, truncated in eps degree."""
+    return GradedField.build(w.dim, trunc_order,
+                             _op_terms(bracket_component, w, f, trunc_order))
+
+
+def degree_parts(f: GradedField, trunc_order: int) -> dict:
+    """{d: degree-d part of f} for d = 1..trunc_order."""
+    return {d: GradedField.build(f.dim, trunc_order, [t for t in f.terms if t.eps_degree == d])
+            for d in range(1, trunc_order + 1)}
+
+
+class LieTriangle:
+    """The Lie series exp(op_w) of a generator w, one eps degree at a time
+    (Deprit's triangle). `w` and each row map a degree d to a degree-d part,
+
+        rows[k][d] = sum_{j<d} op_{w_j}(rows[k-1][d-j]),   k >= 1,
+
+    built from lower degrees only, so each bracket is taken once. The
+    series' degree-d part is sum_k rows[k][d] / (k+1)!. Callers go up one
+    degree at a time: part(d) builds the rows of degree d from the rows
+    that the calls for lower degrees built, and from rows[0] below d."""
+
+    def __init__(self, component, w: dict, rows0: dict, dim: int, max_order: int):
+        self.component, self.w, self.dim, self.max_order = component, w, dim, max_order
+        self.rows = defaultdict(dict, {0: rows0})
+
+    def apply(self, row: dict, d: int) -> GradedField:
+        """Degree-d part of op_w(row), its pairs taken in the order
+        lie_bracket takes those of whole fields, so sums keep their bits."""
+        terms = []
+        for m in range(1, d):
+            if m in row:
+                terms += _op_terms(self.component, self.w[d - m], row[m], d)
+        return GradedField.build(self.dim, self.max_order, terms)
+
+    def part(self, d: int, first: GradedField) -> GradedField:
+        """first + sum_{k>=1} rows[k][d] / (k+1)!, added in order of k."""
+        fact = 1.0
+        for k in range(1, d):
+            if d not in self.rows[k]:
+                self.rows[k][d] = self.apply(self.rows[k - 1], d)
+            fact *= k + 1
+            first = first.add(self.rows[k][d].scale(1.0 / fact))
+        return first
+
+    def series(self, first) -> GradedField:
+        """The whole series up to max_order, `first(d)` giving each k = 0 term."""
+        terms = []
+        for d in range(1, self.max_order + 1):
+            terms += self.part(d, first(d)).terms
+        return GradedField.build(self.dim, self.max_order, terms)
+
+
+def exp_operator_apply(w: GradedField, f: GradedField, trunc_order: int) -> GradedField:
+    """The field f transformed by the near-identity map that w generates,
+    f + A + L_w A / 2! + L_w^2 A / 3! + ... with A = L_w f - dw/dt; each L_w
+    raises the eps degree, so the series terminates under truncation."""
     if w.dim != f.dim:
         raise DimensionMismatchError("field dims differ")
-    dim = w.dim
-    terms = []
-    for tf in f.terms:
-        for tw in w.terms:
-            deg = tf.eps_degree + tw.eps_degree
-            if deg > trunc_order:
-                continue
-            trig = tf.time * tw.time
-            if trig.is_zero:
-                continue
-            for c in range(dim):
-                pieces = []
-                for d in range(dim):
-                    if not is_zero(tw.space[d]):
-                        dfc = differentiate(tf.space[c], d)
-                        if not is_zero(dfc):
-                            pieces.append(mul(dfc, tw.space[d]))
-                    if not is_zero(tf.space[d]):
-                        dwc = differentiate(tw.space[c], d)
-                        if not is_zero(dwc):
-                            pieces.append(neg(mul(dwc, tf.space[d])))
-                if pieces:
-                    expr = add(*pieces)
-                    if not is_zero(expr):
-                        terms.append(unit_term(dim, c, expr, trig, deg))
-    return GradedField.build(dim, trunc_order, terms)
+    fs = degree_parts(f, trunc_order)
+    tri = LieTriangle(bracket_component, degree_parts(w, trunc_order), {}, w.dim, trunc_order)
+
+    def first(d):
+        tri.rows[0][d] = tri.apply(fs, d).add(tri.w[d].ddt().scale(-1.0))
+        return fs[d].add(tri.rows[0][d])
+    return tri.series(first)
 
 
-def shifted_bracket(w: GradedField, f: GradedField, trunc_order: int) -> GradedField:
-    """The non-autonomous bracket: L_w f - dw/dt."""
-    return lie_bracket(w, f, trunc_order).add(w.ddt().scale(-1.0))
-
-
-def exp_operator_apply(w: GradedField, target, trunc_order: int) -> GradedField:
-    """Truncated exponential of the Lie operator generated by w.
-
-    target "identity": returns the non-identity transform part
-        U - id = w + D_w w / 2! + D_w^2 w / 3! + ...
-    target a GradedField f: returns the transformed field
-        f + A + L_w A / 2! + L_w^2 A / 3! + ...   with A = L_w f - dw/dt.
-
-    Since every application of an operator built from w raises the eps
-    degree by at least one, the series terminates under truncation.
-    """
-    if isinstance(target, str) and target == "identity":
-        return _exp_series(
-            GradedField.zero(w.dim, trunc_order),
-            GradedField.build(w.dim, trunc_order, w.terms),
-            lambda v: directional_derivative(w, v, trunc_order), trunc_order)
-    f: GradedField = target
-    if w.dim != f.dim:
-        raise DimensionMismatchError("field dims differ")
-    return _exp_series(
-        GradedField.build(f.dim, trunc_order, f.terms),
-        shifted_bracket(w, f, trunc_order),
-        lambda v: lie_bracket(w, v, trunc_order), trunc_order)
-
-
-def _exp_series(out: GradedField, term: GradedField, op, trunc_order: int) -> GradedField:
-    """out + term + op(term) / 2! + op^2(term) / 3! + ..., at most
-    trunc_order + 2 terms; each op raises the eps degree by at least one."""
-    fact = 1.0
-    for q in range(2, trunc_order + 4):
-        if term.is_zero:
-            break
-        out = out.add(term.scale(1.0 / fact))
-        fact *= q
-        term = op(term)
-    return out
+def transform_part(w: GradedField, trunc_order: int) -> GradedField:
+    """The non-identity part of the near-identity map that w generates:
+    U - id = w + D_w w / 2! + D_w^2 w / 3! + ..."""
+    ws = degree_parts(w, trunc_order)
+    return LieTriangle(derivative_component, ws, ws, w.dim, trunc_order).series(ws.get)

@@ -142,6 +142,11 @@ class RemainderTables:
     (degree-4) term at the small amplitudes the tolerances force, and the
     safety factor absorbs the rest.
 
+    Two engine runs, at p = 1 and 2, fix the polynomials exactly: every term
+    of the basic1d field carries one factor p, and reversing time while
+    taking (eps, p) to (-eps, -p) negates the averaged field, so only the
+    powers in G_POWERS and U_POWERS occur.
+
     A sup query evaluates the polynomial at every tabulated sample for every
     distinct queried p: a geometric gain grid repeats eta / a, and its
     200 x 200 cells hold 2 428 distinct p. The distinct values are evaluated
@@ -154,11 +159,13 @@ class RemainderTables:
 
     G_DEGREE = 4  # first neglected averaged degree beyond the modeled one
     U_DEGREE = 2  # first transform degree beyond the modeled leading term
+    G_POWERS = (1, 3)  # the powers of p in the degree-G_DEGREE averaged term
+    U_POWERS = (1, 2)  # and in the degree-U_DEGREE transform term
 
     def __init__(self, ledger: BoundsLedger, h, safety: float = 2.0,
                  y_samples: int = 101, t_samples: int = 32):
         self.safety = safety
-        nodes = np.array([0.4, 0.7, 1.0, 1.3, 1.6])
+        nodes = (1.0, 2.0)
         lo, hi = ledger.domain.intervals[0]
         ys = np.linspace(lo, hi, y_samples)
         ts = np.linspace(0.0, 2.0 * math.pi, t_samples, endpoint=False)
@@ -166,7 +173,7 @@ class RemainderTables:
         g_cols = []
         u_cols = []
         for p in nodes:
-            s = SchemeInstance("basic1d", h, a=1.0, eta=float(p), m=1, n=1,
+            s = SchemeInstance("basic1d", h, a=1.0, eta=p, m=1, n=1,
                                taylor_order=self.G_DEGREE)
             res = average(scheme_graded_field(s, self.G_DEGREE), self.G_DEGREE,
                           convention="w-zero-mean")
@@ -174,32 +181,35 @@ class RemainderTables:
             g_cols.append(g_part.eval(ys[:, None], 0.0, 1.0)[:, 0])
             u_cols.append(res.u[self.U_DEGREE - 1].eval(
                 mesh_y.reshape(-1, 1), mesh_t.ravel(), 1.0)[:, 0])
-        vander = np.vander(nodes, increasing=True)
-        self._g_coeffs = np.linalg.solve(vander, np.asarray(g_cols)).T   # (ny, k)
-        self._u_coeffs = np.linalg.solve(vander, np.asarray(u_cols)).T   # (ny*nt, k)
-        self._degree = len(nodes)
+        self._g_coeffs = np.linalg.solve([[p ** k for k in self.G_POWERS] for p in nodes],
+                                         g_cols).T   # (ny, 2)
+        self._u_coeffs = np.linalg.solve([[p ** k for k in self.U_POWERS] for p in nodes],
+                                         u_cols).T   # (ny*nt, 2)
 
-    def _sup(self, coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _sup(coeffs: np.ndarray, powers: tuple, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         if p.ndim == 0:
-            powers = np.stack([p ** k for k in range(self._degree)])
-            return np.max(np.abs(np.tensordot(coeffs, powers, axes=(1, 0))))
+            monomials = np.stack([p ** k for k in powers])
+            return np.max(np.abs(np.tensordot(coeffs, monomials, axes=(1, 0))))
         distinct, inverse = np.unique(p.ravel(), return_inverse=True)
         distinct = np.pad(distinct, (0, -distinct.size % _SUP_TILE), mode="edge")
-        powers = np.stack([distinct ** k for k in range(self._degree)])  # (k, n)
+        monomials = np.stack([distinct ** k for k in powers])  # (k, n)
         cols = max(1, _SUP_BLOCK_ELEMS // coeffs.shape[0] // _SUP_TILE) * _SUP_TILE
         out = np.empty(distinct.size)
         for c0 in range(0, distinct.size, cols):
-            vals = np.tensordot(coeffs, powers[:, c0:c0 + cols], axes=(1, 0))
+            vals = np.tensordot(coeffs, monomials[:, c0:c0 + cols], axes=(1, 0))
             np.abs(vals, out=vals)
             np.max(vals, axis=0, out=out[c0:c0 + cols])
         return out[inverse].reshape(p.shape)
 
     def g_remainder(self, eps, p) -> np.ndarray:
-        return self.safety * np.asarray(eps, float) ** self.G_DEGREE * self._sup(self._g_coeffs, p)
+        return self.safety * np.asarray(eps, float) ** self.G_DEGREE * self._sup(
+            self._g_coeffs, self.G_POWERS, p)
 
     def u_remainder(self, eps, p) -> np.ndarray:
-        return self.safety * np.asarray(eps, float) ** self.U_DEGREE * self._sup(self._u_coeffs, p)
+        return self.safety * np.asarray(eps, float) ** self.U_DEGREE * self._sup(
+            self._u_coeffs, self.U_POWERS, p)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +234,6 @@ def _constraints_for(prob: MetaOptProblem, ledger: BoundsLedger, tables):
                 ("delta2", lambda a, e: e * h0, prob.delta2),
             ]
         raise MetaOptError("strategy 3 requires m >= n")
-    if prob.m != 1 or prob.n != 1:
-        raise MetaOptError("remainder-bearing strategies are implemented for m = n = 1")
 
     def delta1(a, e):
         return 2.0 * tables.g_remainder(a, e / a) / (a * e * kap)
@@ -274,6 +282,8 @@ def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
         if h is None:
             raise MetaOptError("strategies 1, 2 and 4 need the objective expression "
                                "to estimate remainders")
+        if prob.m != 1 or prob.n != 1:
+            raise MetaOptError("remainder-bearing strategies are implemented for m = n = 1")
         tables = RemainderTables(ledger, h, safety=prob.remainder_safety)
     cons = _constraints_for(prob, ledger, tables)
 

@@ -7,8 +7,8 @@ import pytest
 from conftest import WORKED_H_TEXT, random_expr
 from esgain.fourieralg import (DimensionMismatchError, GradedField,
                                HarmonicOverflowError, SeparableTerm, TrigPoly,
-                               exp_operator_apply, lie_bracket,
-                               shifted_bracket, unit_term)
+                               exp_operator_apply, lie_bracket, transform_part,
+                               unit_term)
 from esgain.schemes import SchemeInstance, scheme_graded_field
 from esgain.symexpr import (Const, Var, cos_of, differentiate, eval_expr, mul, parse_expr,
                             sin_of)
@@ -143,26 +143,11 @@ class TestLieOperators:
                 if math.isfinite(expected) and abs(expected) < 1e6:
                     assert got == pytest.approx(expected, abs=1e-5, rel=1e-5)
 
-    def test_shifted_bracket_of_zero_generator(self):
-        f = self.h_field(tp_sin(), 1)
-        z = GradedField.zero(1, 8)
-        assert shifted_bracket(z, f, 8).is_zero
-
-    def test_shifted_bracket_pure_time_derivative(self):
-        w = self.h_field(tp_cos(), 1)
-        out = shifted_bracket(w, GradedField.zero(1, 8), 8)
-        # -d/dt (cos t h) = sin t h
-        ys = np.linspace(-1, 1, 5)
-        for y in ys:
-            for t in (0.0, 1.0, 2.5):
-                assert out.eval([y], t, 1.0)[0] == pytest.approx(
-                    math.sin(t) * math.sin(y), abs=1e-13)
-
     def test_degree_bookkeeping(self):
         w = self.h_field(tp_cos(), 1)
         f = self.h_field(tp_sin(), 1)
         assert set(lie_bracket(w, f, 8).degrees()) <= {2}
-        assert set(shifted_bracket(w, f, 8).degrees()) <= {1, 2}
+        assert set(exp_operator_apply(w, f, 2).degrees()) <= {1, 2}
 
     def test_dimension_mismatch_rejected(self):
         w = self.h_field(tp_cos(), 1)
@@ -175,7 +160,7 @@ class TestExpOperator:
     def test_zero_generator_is_identity(self):
         f = field_1d(unit_term(1, 0, sin_of(Var(0)), tp_sin(), 1))
         z = GradedField.zero(1, 8)
-        assert exp_operator_apply(z, "identity", 8).is_zero
+        assert transform_part(z, 8).is_zero
         out = exp_operator_apply(z, f, 8)
         ys = np.linspace(-1, 1, 5)
         for y in ys:
@@ -184,7 +169,7 @@ class TestExpOperator:
 
     def test_first_order_transform_term_is_generator(self):
         w = field_1d(unit_term(1, 0, sin_of(Var(0)), tp_cos(), 1))
-        u = exp_operator_apply(w, "identity", 3)
+        u = transform_part(w, 3)
         u1 = u.degree_part(1)
         for y in np.linspace(-1, 1, 5):
             assert u1.eval([y], 0.9, 1.0)[0] == pytest.approx(
@@ -192,8 +177,23 @@ class TestExpOperator:
 
     def test_series_terminates_by_grading(self):
         w = field_1d(unit_term(1, 0, sin_of(Var(0)), tp_cos(), 1))
-        out = exp_operator_apply(w, "identity", 4)
+        out = transform_part(w, 4)
         assert max(out.degrees()) <= 4
+
+    def test_zero_generator_leaves_field_unchanged(self):
+        f = field_1d(unit_term(1, 0, sin_of(Var(0)), tp_sin(), 1))
+        z = GradedField.zero(1, 8)
+        assert exp_operator_apply(z, f, 8) == f
+
+    def test_transform_of_zero_field_starts_with_minus_dw_dt(self):
+        # the series' first row is L_w f - dw/dt; with f = 0 its degree-1
+        # part is -d/dt (cos t h) = sin t h
+        w = field_1d(unit_term(1, 0, sin_of(Var(0)), tp_cos(), 1))
+        out = exp_operator_apply(w, GradedField.zero(1, 8), 8).degree_part(1)
+        for y in np.linspace(-1, 1, 5):
+            for t in (0.0, 1.0, 2.5):
+                assert out.eval([y], t, 1.0)[0] == pytest.approx(
+                    math.sin(t) * math.sin(y), abs=1e-13)
 
     def test_grading_sums_degrees(self):
         w = field_1d(unit_term(1, 0, Var(0), tp_cos(), 2))

@@ -159,6 +159,19 @@ class TestSolveNumeric:
             val = float(fn(np.asarray(a), np.asarray(eta)))
             assert val == pytest.approx(bound, rel=1e-9)
 
+    @pytest.mark.parametrize("strategy,kw", [
+        (1, {"delta": 0.05}), (2, {"delta1": 0.01, "delta2": 0.01}), (4, {"delta": 0.5})])
+    @pytest.mark.parametrize("m,n", [(2, 1), (1, 2)])
+    def test_remainder_strategies_reject_grading_before_tables(
+            self, worked_ledger, worked_h, monkeypatch, strategy, kw, m, n):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("RemainderTables built for an unsupported grading")
+
+        monkeypatch.setattr("esgain.metaopt.RemainderTables", no_tables)
+        prob = MetaOptProblem(worked_ledger, strategy=strategy, m=m, n=n, **kw)
+        with pytest.raises(MetaOptError, match="m = n = 1"):
+            solve_numeric(prob, h=worked_h)
+
     def test_heavy_grading_matches_monomial_closed_form(self, worked_ledger):
         # strategy 3 with m > n has two pure monomial constraints:
         #   a^2 |h'''| / (8 kappa) <= delta1  and  eta |h| <= delta2
@@ -258,13 +271,13 @@ class TestBisectUp:
         assert got == min(t, hi_cap)  # the largest feasible float
 
 
-def sup_by_column(coeffs, p):
+def sup_by_column(coeffs, powers, p):
     """sup over the samples for each entry of p on its own, without
     deduplication: each p is evaluated as a whole tile of copies of itself."""
     out = np.empty(p.size)
     for j, v in enumerate(p.ravel()):
-        powers = np.stack([np.full(_SUP_TILE, v) ** k for k in range(5)])
-        out[j] = np.max(np.abs(np.tensordot(coeffs, powers, axes=(1, 0))[:, 0]))
+        monomials = np.stack([np.full(_SUP_TILE, v) ** k for k in powers])
+        out[j] = np.max(np.abs(np.tensordot(coeffs, monomials, axes=(1, 0))[:, 0]))
     return out.reshape(p.shape)
 
 
@@ -280,14 +293,15 @@ class TestRemainderTablesMemory:
     @pytest.mark.parametrize("name", ["_g_coeffs", "_u_coeffs"])
     def test_blocked_sup_equals_one_shot(self, tables, name):
         coeffs = getattr(tables, name)
+        powers = tables.G_POWERS if name == "_g_coeffs" else tables.U_POWERS
         grid = np.geomspace(1e-4, 10.0, 200)
         p = grid[None, :] / grid[:, None]   # e / a over the solver's grid
         assert p.size > _SUP_BLOCK_ELEMS // coeffs.shape[0]  # more than one block
-        powers = np.stack([p ** k for k in range(5)])
-        vals = np.tensordot(coeffs, powers, axes=(1, 0))  # 1 GB for the u table
+        vals = np.tensordot(coeffs, np.stack([p ** k for k in powers]),
+                            axes=(1, 0))  # 1 GB for the u table
         ref = np.max(np.abs(vals, out=vals), axis=0)
         del vals
-        assert np.array_equal(tables._sup(coeffs, p), ref)
+        assert np.array_equal(tables._sup(coeffs, powers, p), ref)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.sampled_from([0, 1, 2]),
@@ -305,17 +319,17 @@ class TestRemainderTablesMemory:
         size = -(-(pool.size + extra) // rows) * rows
         p = np.concatenate([pool, rng.choice(pool, size - pool.size)])
         p = rng.permutation(p).reshape((rows, -1) if rows > 1 else (-1,))
-        got = tables._sup(coeffs, p)
+        got = tables._sup(coeffs, tables.U_POWERS, p)
         assert got.shape == p.shape
-        assert np.array_equal(got, sup_by_column(coeffs, p))
+        assert np.array_equal(got, sup_by_column(coeffs, tables.U_POWERS, p))
 
     def test_scalar_p_is_zero_dimensional(self, tables):
-        for name in ("_g_coeffs", "_u_coeffs"):
-            coeffs = getattr(tables, name)
-            got = tables._sup(coeffs, 0.7)
+        for coeffs, powers in ((tables._g_coeffs, tables.G_POWERS),
+                               (tables._u_coeffs, tables.U_POWERS)):
+            got = tables._sup(coeffs, powers, 0.7)
             assert np.ndim(got) == 0
-            powers = np.array([0.7 ** k for k in range(5)])
-            assert got == np.max(np.abs(np.tensordot(coeffs, powers, axes=(1, 0))))
+            monomials = np.array([0.7 ** k for k in powers])
+            assert got == np.max(np.abs(np.tensordot(coeffs, monomials, axes=(1, 0))))
 
     def test_strategy1_solve_peak_below_64mb(self, worked_ledger, worked_h):
         prob = MetaOptProblem(worked_ledger, strategy=1, delta=0.05, grid_points=200)
@@ -326,6 +340,45 @@ class TestRemainderTablesMemory:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestRemainderTablesFit:
+    """The two-run tables against the five-node Vandermonde fit they
+    replaced: the degree-4 averaged term is odd in p and the degree-2
+    transform term has no constant, so two nodes fix both polynomials."""
+
+    CORPUS = (
+        "-cos(x) + 0.16666666666666666*x^3",
+        "-0.9*cos(x) + 0.12*x^3 + 0.04*x^4 + 0.1*(exp(x) - 1 - x)",
+        "-1.1*cos(x) - 0.15*x^3 + 0.03*x^4 + 0.07*(exp(x) - 1 - x)",
+    )
+
+    @staticmethod
+    def five_node_fit(h, y_samples=101, t_samples=32):
+        nodes = np.array([0.4, 0.7, 1.0, 1.3, 1.6])
+        ys = np.linspace(-1.0, 1.0, y_samples)
+        ts = np.linspace(0.0, 2.0 * math.pi, t_samples, endpoint=False)
+        mesh_y, mesh_t = np.meshgrid(ys, ts, indexing="ij")
+        g_cols, u_cols = [], []
+        for p in nodes:
+            s = SchemeInstance("basic1d", h, a=1.0, eta=float(p), m=1, n=1, taylor_order=4)
+            res = average(scheme_graded_field(s, 4), 4, convention="w-zero-mean")
+            g_cols.append(res.g_field.degree_part(4).eval(ys[:, None], 0.0, 1.0)[:, 0])
+            u_cols.append(res.u[1].eval(mesh_y.reshape(-1, 1), mesh_t.ravel(), 1.0)[:, 0])
+        vander = np.vander(nodes, increasing=True)
+        return (np.linalg.solve(vander, np.asarray(g_cols)).T,
+                np.linalg.solve(vander, np.asarray(u_cols)).T)
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_two_runs_match_five_node_fit(self, text):
+        h = parse_expr(text)
+        tables = RemainderTables(synthetic_ledger(), h)  # the ledger gives the domain
+        g_ref, u_ref = self.five_node_fit(h)
+        for coeffs, powers, ref in ((tables._g_coeffs, tables.G_POWERS, g_ref),
+                                    (tables._u_coeffs, tables.U_POWERS, u_ref)):
+            dense = np.zeros_like(ref)
+            dense[:, list(powers)] = coeffs
+            assert np.max(np.abs(dense - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 class TestFrequencyTuner:
