@@ -30,7 +30,7 @@ from .metaopt import (InfeasibleError, MetaOptError, MetaOptProblem, consistency
 from .schemes import (SchemeError, SchemeInstance, _ideal_field, averaged_field,
                       reference_averaged, scheme_field, scheme_graded_field)
 from .sim import SimError, SimulationOverflowError, compare, integrate, performance_map
-from .symexpr import (Domain1D, EvalOverflowError, ExprError, compile_expr,
+from .symexpr import (Domain1D, EvalOverflowError, ExprError, compile_expr, eval_array,
                       parse_expr, to_string)
 
 EXIT_OK = 0
@@ -323,17 +323,13 @@ def _cmd_verify(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     n_avg = 4 if s.kind in ("basic1d", "plant1d") else 2
     res = average(f, min(n_avg, f.max_order), convention="w-zero-mean")
     ref = reference_averaged(s) if s.kind != "plant1d" else None
-    rng_pts = np.linspace(-0.9, 0.9, 25)
+    args = [np.linspace(-0.9, 0.9, 25)] * s.dim
     if ref is not None:
         ok = True
         for deg, exprs in ref.degree_fields.items():
             got = res.g_exprs(deg)
             for e_ref, e_got in zip(exprs, got):
-                fr = compile_expr(e_ref)
-                fg = compile_expr(e_got)
-                args = [rng_pts] * s.dim
-                if not np.allclose(np.broadcast_to(fr(args), rng_pts.shape),
-                                   np.broadcast_to(fg(args), rng_pts.shape),
+                if not np.allclose(eval_array(e_ref, args), eval_array(e_got, args),
                                    rtol=0, atol=1e-9):
                     ok = False
         checks["averaged_matches_reference"] = ok

@@ -11,8 +11,8 @@ from .symexpr import (
     Domain,
     Expr,
     add,
-    compile_expr,
     differentiate,
+    eval_array,
     eval_expr,
     mul,
     neg,
@@ -69,39 +69,24 @@ class BoundsLedger:
                    {k: float(v) for k, v in d.get("composites", {}).items()})
 
 
-def build_ledger(h: Expr, dom: Domain, n_derivatives: int = 3,
-                 x_star: float | None = None, kappa_mode: str = "optimum",
-                 samples_per_axis: int | None = None) -> BoundsLedger:
-    """Scan sup norms of h .. h^(N) plus the composite |L_h^2 h'| and read
-    off kappa = h''(x*) at the declared (or scanned) optimum.
-
-    kappa_mode "optimum" takes the curvature at x*; "domain-min" takes the
-    conservative min of h'' over the whole domain.
-    """
+def build_ledger(h: Expr, dom: Domain, x_star: float | None = None) -> BoundsLedger:
+    """Scan sup norms of h .. h''' plus the composite |L_h^2 h'| and read
+    off kappa = h''(x*) at the declared (or scanned) optimum."""
     if dom.dim != 1:
         raise BoundsError("ledgers are built for 1-D objectives")
-    if n_derivatives < 3:
-        raise BoundsError("need norms through the third derivative")
     norms = []
     d = h
-    for i in range(n_derivatives + 1):
-        norms.append(scan_supnorm(d, dom, samples_per_axis).value)
+    for _ in range(4):
+        norms.append(scan_supnorm(d, dom).value)
         d = differentiate(d)
     if x_star is None:
-        x_star = scan_argmin(h, dom, samples_per_axis)[0]
-    h2 = nth_derivative(h, 2)
-    if kappa_mode == "optimum":
-        kappa = eval_expr(h2, (x_star,))
-    elif kappa_mode == "domain-min":
-        xs = np.linspace(*dom.intervals[0], samples_per_axis or 20001)
-        kappa = float(np.min(np.broadcast_to(compile_expr(h2)([xs]), xs.shape)))
-    else:
-        raise BoundsError(f"unknown kappa_mode {kappa_mode!r}")
+        x_star = scan_argmin(h, dom)[0]
+    kappa = eval_expr(nth_derivative(h, 2), (x_star,))
     if kappa <= 0.0:
         raise NonContractingError(
             f"h''({x_star}) = {kappa}; the declared optimum is not locally convex")
     composite = lie_along(h, lie_along(h, differentiate(h)))
-    composites = {"L2h_hprime": scan_supnorm(composite, dom, samples_per_axis).value}
+    composites = {"L2h_hprime": scan_supnorm(composite, dom).value}
     return BoundsLedger(dom, tuple(norms), float(kappa), float(x_star), composites)
 
 
@@ -138,8 +123,7 @@ def contraction_rate(fields, dom: Domain, metric=None,
     jvals = np.empty((ns, dim, dim))
     for c in range(dim):
         for d in range(dim):
-            v = compile_expr(jac[c][d])(axes)
-            jvals[:, c, d] = np.broadcast_to(v, (ns,))
+            jvals[:, c, d] = eval_array(jac[c][d], axes)
     if not np.all(np.isfinite(jvals)):
         raise BoundsError("non-finite Jacobian sample")
     m = np.asarray(metric)

@@ -4,7 +4,7 @@ deterministic grid searches under error-budget constraints.
 All searches are deterministic (log grids + local re-gridding + bisection
 polish); no stochastic optimizers. Remainder magnitudes, where a strategy
 needs them, are estimated from the averaging engine's next-order term with
-a configurable safety factor.
+a fixed safety factor.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class MetaOptProblem:
     grid_points: int = 200
     gain_lo: float = 1e-4
     gain_hi: float = 10.0
-    remainder_safety: float = 2.0
 
     def __post_init__(self):
         if self.strategy not in (1, 2, 3, 4):
@@ -140,7 +139,7 @@ class RemainderTables:
     The solvers that use these tables model only the dominant descent term;
     the tail of the averaged dynamics is dominated by the first neglected
     (degree-4) term at the small amplitudes the tolerances force, and the
-    safety factor absorbs the rest.
+    safety factor SAFETY absorbs the rest.
 
     Two engine runs, at p = 1 and 2, fix the polynomials exactly: every term
     of the basic1d field carries one factor p, and reversing time while
@@ -161,10 +160,9 @@ class RemainderTables:
     U_DEGREE = 2  # first transform degree beyond the modeled leading term
     G_POWERS = (1, 3)  # the powers of p in the degree-G_DEGREE averaged term
     U_POWERS = (1, 2)  # and in the degree-U_DEGREE transform term
+    SAFETY = 2.0  # factor on the first neglected terms, standing in for the tail
 
-    def __init__(self, ledger: BoundsLedger, h, safety: float = 2.0,
-                 y_samples: int = 101, t_samples: int = 32):
-        self.safety = safety
+    def __init__(self, ledger: BoundsLedger, h, y_samples: int = 101, t_samples: int = 32):
         nodes = (1.0, 2.0)
         lo, hi = ledger.domain.intervals[0]
         ys = np.linspace(lo, hi, y_samples)
@@ -204,11 +202,11 @@ class RemainderTables:
         return out[inverse].reshape(p.shape)
 
     def g_remainder(self, eps, p) -> np.ndarray:
-        return self.safety * np.asarray(eps, float) ** self.G_DEGREE * self._sup(
+        return self.SAFETY * np.asarray(eps, float) ** self.G_DEGREE * self._sup(
             self._g_coeffs, self.G_POWERS, p)
 
     def u_remainder(self, eps, p) -> np.ndarray:
-        return self.safety * np.asarray(eps, float) ** self.U_DEGREE * self._sup(
+        return self.SAFETY * np.asarray(eps, float) ** self.U_DEGREE * self._sup(
             self._u_coeffs, self.U_POWERS, p)
 
 
@@ -273,6 +271,67 @@ def _bisect_up(feasible, lo: float, hi_cap: float) -> float:
     return lo_b
 
 
+def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: float,
+              polish) -> tuple[list, tuple]:
+    """Maximize objective(*x) subject to fn(*x) <= bound for every
+    (name, fn, bound) in `cons`, over the box `ranges` (one (lo, hi) per axis).
+
+    The constraints are evaluated on a sparse mesh of the log-grid `axes`, and
+    the first (lexicographically smallest-index) maximizer is kept. Then
+    `rounds` local log grids of `points` per axis, each inside `ranges`, follow
+    it; their half-width, a ratio that starts at the first axis's spacing,
+    shrinks to sqrt(width) * widen after each. Last, each axis in `polish` is
+    bisected in turn toward the active boundary. Returns the point and the
+    names of the constraints active there."""
+
+    def evaluate(ax):
+        mesh = np.meshgrid(*ax, indexing="ij", sparse=True)
+        feas = np.ones(tuple(a.size for a in ax), dtype=bool)
+        worst = np.zeros(feas.shape)
+        for _, fn, bound in cons:
+            v = fn(*mesh)
+            feas &= v <= bound
+            if math.isfinite(bound):
+                worst = np.maximum(worst, v / bound)
+        return mesh, feas, worst
+
+    def first_maximizer(ax, mesh, feas):
+        obj = np.where(feas, objective(*mesh), -np.inf)
+        idx = np.unravel_index(int(np.argmax(obj)), obj.shape)
+        return [float(a[i]) for a, i in zip(ax, idx)]
+
+    mesh, feas, worst = evaluate(axes)
+    if not feas.any():
+        # name the constraint that is hardest to satisfy at the least-bad point
+        idx = np.unravel_index(int(np.argmin(worst)), worst.shape)
+        pt = [a[i] for a, i in zip(axes, idx)]
+        ratios = [(fn(*pt) / bound if math.isfinite(bound) else 0.0, name)
+                  for name, fn, bound in cons]
+        raise InfeasibleError(max(ratios)[1])
+    best = first_maximizer(axes, mesh, feas)
+
+    width = axes[0][1] / axes[0][0]
+    for _ in range(rounds):
+        local = [np.geomspace(max(b / width, lo), min(b * width, hi), points)
+                 for b, (lo, hi) in zip(best, ranges)]
+        mesh, feas, _ = evaluate(local)
+        if feas.any():
+            best = first_maximizer(local, mesh, feas)
+        width = width ** 0.5 * widen
+
+    def feasible(pt):
+        return all(float(fn(*pt)) <= bound for _, fn, bound in cons)
+
+    for k in polish:
+        best[k] = _bisect_up(lambda v: feasible(best[:k] + [v] + best[k + 1:]),
+                             best[k], ranges[k][1])
+
+    active = tuple(name for name, fn, bound in cons
+                   if math.isfinite(bound)
+                   and abs(float(fn(*best)) - bound) <= 1e-9 * abs(bound))
+    return best, active
+
+
 def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
     """Maximize eta*a over a deterministic log grid with local refinement and
     bisection polish; ties broken by the lexicographically smallest grid index."""
@@ -284,59 +343,13 @@ def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
                                "to estimate remainders")
         if prob.m != 1 or prob.n != 1:
             raise MetaOptError("remainder-bearing strategies are implemented for m = n = 1")
-        tables = RemainderTables(ledger, h, safety=prob.remainder_safety)
+        tables = RemainderTables(ledger, h)
     cons = _constraints_for(prob, ledger, tables)
-
-    def evaluate(a_arr, e_arr):
-        a_b = a_arr[:, None]
-        e_b = e_arr[None, :]
-        feas = np.ones((a_arr.size, e_arr.size), dtype=bool)
-        worst_ratio = np.zeros_like(feas, dtype=float)
-        for name, fn, bound in cons:
-            v = np.broadcast_to(fn(a_b, e_b), feas.shape)
-            feas &= v <= bound
-            ratio = v / bound if math.isfinite(bound) else np.zeros_like(v)
-            worst_ratio = np.maximum(worst_ratio, ratio)
-        return feas, worst_ratio
-
     grid = np.geomspace(prob.gain_lo, prob.gain_hi, prob.grid_points)
-    feas, worst = evaluate(grid, grid)
-    if not feas.any():
-        # name the constraint that is hardest to satisfy at the least-bad point
-        idx = np.unravel_index(int(np.argmin(worst)), worst.shape)
-        a0, e0 = grid[idx[0]], grid[idx[1]]
-        ratios = [(fn(a0, e0) / bound if math.isfinite(bound) else 0.0, name)
-                  for name, fn, bound in cons]
-        raise InfeasibleError(max(ratios)[1])
-    obj = np.where(feas, grid[:, None] * grid[None, :], -np.inf)
-    best = int(np.argmax(obj))  # first (lexicographically smallest) maximizer
-    ia, ie = np.unravel_index(best, obj.shape)
-    a_best, e_best = float(grid[ia]), float(grid[ie])
-    spacing = grid[1] / grid[0]
+    (a_best, e_best), active = _maximize(
+        cons, lambda a, e: a * e, [grid, grid], [(prob.gain_lo, prob.gain_hi)] * 2,
+        points=21, rounds=8, widen=1.12, polish=(1, 0) * 3)
 
-    width = spacing
-    for _ in range(8):
-        a_loc = np.geomspace(max(a_best / width, prob.gain_lo),
-                             min(a_best * width, prob.gain_hi), 21)
-        e_loc = np.geomspace(max(e_best / width, prob.gain_lo),
-                             min(e_best * width, prob.gain_hi), 21)
-        feas, _ = evaluate(a_loc, e_loc)
-        if feas.any():
-            obj = np.where(feas, a_loc[:, None] * e_loc[None, :], -np.inf)
-            ia, ie = np.unravel_index(int(np.argmax(obj)), obj.shape)
-            a_best, e_best = float(a_loc[ia]), float(e_loc[ie])
-        width = width ** 0.5 * 1.12
-
-    def point_ok(a, e):
-        return all(float(fn(a, e)) <= bound for _, fn, bound in cons)
-
-    for _ in range(3):  # coordinate bisection toward the active boundary
-        e_best = _bisect_up(lambda e: point_ok(a_best, e), e_best, prob.gain_hi)
-        a_best = _bisect_up(lambda a: point_ok(a, e_best), a_best, prob.gain_hi)
-
-    active = tuple(name for name, fn, bound in cons
-                   if math.isfinite(bound)
-                   and abs(float(fn(a_best, e_best)) - bound) <= 1e-9 * abs(bound))
     eps = a_best ** (1.0 / prob.n)
     p_val = e_best / eps ** prob.m
     h0 = ledger.norm(0)
@@ -404,10 +417,11 @@ def tune_frequency(ledger: BoundsLedger, a: float, eta: float) -> FrequencyTunin
 # ---------------------------------------------------------------------------
 # filtered-scheme tuner
 
-def tune_filtered(ledger: BoundsLedger, delta1: float, delta2: float,
-                  grid_points: int = 24,
-                  a_range=(1e-3, 2.0), eta_range=(1e-5, 1.0),
-                  mu_range=(1e-4, 1.0), gamma_range=(1e-2, 30.0)) -> MetaOptSolution:
+_FILTERED_RANGES = ((1e-3, 2.0), (1e-5, 1.0), (1e-4, 1.0), (1e-2, 30.0))  # a, eta, mu, gamma
+_FILTERED_GRID_POINTS = 24
+
+
+def tune_filtered(ledger: BoundsLedger, delta1: float, delta2: float) -> MetaOptSolution:
     """Maximize eta for the low/high-pass filtered scheme subject to:
 
     (i)  oscillation: the dominant |x - x_av| amplitude eta*gamma*|htilde|
@@ -436,47 +450,10 @@ def tune_filtered(ledger: BoundsLedger, delta1: float, delta2: float,
         return forcing / rate / kap
 
     cons = [("oscillation", osc, delta1), ("estimate_tube", tube, delta2)]
-    axes = [np.geomspace(*a_range, grid_points), np.geomspace(*eta_range, grid_points),
-            np.geomspace(*mu_range, grid_points), np.geomspace(*gamma_range, grid_points)]
-
-    def evaluate(ax):
-        mesh = np.meshgrid(*ax, indexing="ij")
-        feas = np.ones(mesh[0].shape, dtype=bool)
-        worst = np.zeros(mesh[0].shape)
-        for _, fn, bound in cons:
-            v = fn(*mesh)
-            feas &= v <= bound
-            worst = np.maximum(worst, v / bound)
-        return mesh, feas, worst
-
-    mesh, feas, worst = evaluate(axes)
-    if not feas.any():
-        idx = np.unravel_index(int(np.argmin(worst)), worst.shape)
-        pt = [m[idx] for m in mesh]
-        ratios = [(fn(*pt) / bound, name) for name, fn, bound in cons]
-        raise InfeasibleError(max(ratios)[1])
-    obj = np.where(feas, mesh[1], -np.inf)
-    idx = np.unravel_index(int(np.argmax(obj)), obj.shape)
-    best = [float(ax[i]) for ax, i in zip(axes, idx)]
-    ranges = [a_range, eta_range, mu_range, gamma_range]
-    width = axes[0][1] / axes[0][0]
-    for _ in range(6):
-        loc = [np.geomspace(max(b / width, r[0]), min(b * width, r[1]), 9)
-               for b, r in zip(best, ranges)]
-        mesh, feas, _ = evaluate(loc)
-        if feas.any():
-            obj = np.where(feas, mesh[1], -np.inf)
-            idx = np.unravel_index(int(np.argmax(obj)), obj.shape)
-            best = [float(ax[i]) for ax, i in zip(loc, idx)]
-        width = width ** 0.5 * 1.1
-
-    def eta_ok(eta):
-        return all(fn(best[0], eta, best[2], best[3]) <= bound for _, fn, bound in cons)
-
-    best[1] = _bisect_up(eta_ok, best[1], eta_range[1])
-    a_v, eta_v, mu_v, gamma_v = best
-    active = tuple(name for name, fn, bound in cons
-                   if abs(fn(a_v, eta_v, mu_v, gamma_v) - bound) <= 1e-9 * bound)
+    axes = [np.geomspace(lo, hi, _FILTERED_GRID_POINTS) for lo, hi in _FILTERED_RANGES]
+    (a_v, eta_v, mu_v, gamma_v), active = _maximize(
+        cons, lambda a, eta, mu, gamma: eta, axes, _FILTERED_RANGES,
+        points=9, rounds=6, widen=1.1, polish=(1,))
     budget = ErrorBudget(
         k1=osc(a_v, eta_v, mu_v, gamma_v), k2=0.0, k3=0.0, k4=0.0,
         delta1=osc(a_v, eta_v, mu_v, gamma_v), delta2=tube(a_v, eta_v, mu_v, gamma_v))
@@ -509,14 +486,17 @@ class ConsistencyReport:
     details: dict
 
 
+_P_BAND = (1.0 / 3.0, 3.0)  # fine-tuning factors counted as near one
+_NEGLECTED_RATIO_MAX = 0.1  # largest first-neglected / dominant sup counted as small
+
+
 def consistency_report(sol: MetaOptSolution, result: AveragingResult,
-                       domain=None, p_band=(1.0 / 3.0, 3.0),
-                       ratio_threshold: float = 0.1) -> ConsistencyReport:
+                       domain=None) -> ConsistencyReport:
     """Sanity checks for a tuned solution: is the fine-tuning factor near one
     and are the first neglected averaged terms small against the dominant
     descent term over the search domain?"""
     p_val = sol.gains.get("p", sol.gains["eta"] / sol.gains["a"])
-    near = p_band[0] <= p_val <= p_band[1]
+    near = _P_BAND[0] <= p_val <= _P_BAND[1]
     ivs = sol.provenance.get("domain") if domain is None else domain.intervals
     if ivs is None:
         raise MetaOptError("no domain available for the consistency scan")
@@ -536,6 +516,6 @@ def consistency_report(sol: MetaOptSolution, result: AveragingResult,
         ratio = 0.0
     return ConsistencyReport(
         p_value=float(p_val), p_near_unity=near,
-        neglected_ratio=ratio, neglected_terms_small=ratio <= ratio_threshold,
+        neglected_ratio=ratio, neglected_terms_small=ratio <= _NEGLECTED_RATIO_MAX,
         details={"per_degree_sup": sups,
                  "dominant_degree": nonzero[0][0] if nonzero else None})

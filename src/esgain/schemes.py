@@ -285,8 +285,6 @@ class ReferenceAveraged:
     the fine-tuning factor p substituted) plus the physical-gain field."""
     degree_fields: dict          # degree -> tuple[Expr] per component
     averaged: tuple              # physical-gain autonomous field
-    transform_leading: SeparableTerm | None
-    notes: tuple = ()
 
     def eval_degree(self, degree: int, y) -> np.ndarray:
         comps = self.degree_fields[degree]
@@ -316,11 +314,7 @@ def reference_averaged(s: SchemeInstance) -> ReferenceAveraged:
         physical = (add(mul(Const(-s.a * s.eta / 2.0), h1),
                         mul(Const(-s.a * s.eta ** 3 / 16.0), l2),
                         mul(Const(-s.eta * s.a ** 3 / 16.0), h3)),)
-        transform = SeparableTerm((mul(Const(s.eta), s.h),), TrigPoly.cosine(), 1)
-        return ReferenceAveraged(
-            deg, physical, transform,
-            notes=("leading transform term carries cosine phase under the "
-                   "zero-mean-generator convention",))
+        return ReferenceAveraged(deg, physical)
     if s.kind == "planar":
         wf = tuple(c.waveform for c in s.dither.channels)
         hs = tuple(c.harmonic for c in s.dither.channels)
@@ -339,17 +333,17 @@ def reference_averaged(s: SchemeInstance) -> ReferenceAveraged:
                             mul(Const(-s.eta ** 2 / 2.0), s.h, h2)),
                         add(mul(Const(-s.a * s.eta / 2.0), h2),
                             mul(Const(s.eta ** 2 / 2.0), s.h, h1)))
-            return ReferenceAveraged(deg, physical, None,
-                                     notes=("precession term includes the h(y) factor",))
+            return ReferenceAveraged(deg, physical)
         if wf == ("sin", "sin") and hs[0] != hs[1]:
             # frequency-separated dithers: channels decouple at degree 2
             deg = {2: (mul(Const(-p / 2.0), h1), mul(Const(-p / 2.0), h2))}
             physical = (mul(Const(-s.a * s.eta / 2.0), h1),
                         mul(Const(-s.a * s.eta / 2.0), h2))
-            return ReferenceAveraged(deg, physical, None)
+            return ReferenceAveraged(deg, physical)
         raise SchemeError(f"no reference for planar dither {wf}/{hs}")
     # filtered1d: only the unambiguous dominant rows of the displayed
-    # averaged system are encoded; higher terms are left to the engine.
+    # averaged system are encoded; higher terms are left to the engine. The
+    # gradient estimate contracts at rate a*gamma/2 toward h'(x).
     eps = s.a
     r_eta, r_mu, r_gamma = s.eta / eps, s.mu / eps, s.gamma / eps
     y2, y3 = Var(1), Var(2)
@@ -366,10 +360,7 @@ def reference_averaged(s: SchemeInstance) -> ReferenceAveraged:
                 add(mul(Const(s.mu), s.h), mul(Const(-s.mu), y2)),
                 add(mul(Const(s.a * s.gamma / 2.0), h1),
                     mul(Const(-s.a * s.gamma / 2.0), y3)))
-    return ReferenceAveraged(
-        deg, physical, None,
-        notes=("gradient estimate contracts at rate a*gamma/2 toward h'(x)",
-               "ambiguous higher-order display terms are not encoded"))
+    return ReferenceAveraged(deg, physical)
 
 
 def _ideal_field(s: SchemeInstance) -> Field:

@@ -983,18 +983,19 @@ def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]
     return xm, f(xm)
 
 
-def _scan_1d(fn, interval, samples: int, score) -> tuple[float, float]:
-    """Best point of score(fn(x)) on an interval: dense uniform sampling, then
+def _scan_1d(e: Expr, interval, samples: int, score) -> tuple[float, float]:
+    """Best point of score(e(x)) on an interval: dense uniform sampling, then
     golden-section refinement within one grid step of the best sample. The
     refined point is kept if its score is at least the best sample's.
     Returns (x, score)."""
     lo, hi = interval
     xs = np.linspace(lo, hi, samples)
-    vals = score(np.broadcast_to(fn([xs]), xs.shape))
+    vals = score(eval_array(e, [xs]))
     if not np.all(np.isfinite(vals)):
         raise EvalOverflowError("non-finite sample during scan")
     i = int(np.argmax(vals))
     spacing = (hi - lo) / (samples - 1)
+    fn = compile_expr(e)
     x_ref, v_ref = _golden_max(lambda x: score(float(fn([x]))),
                                max(lo, xs[i] - spacing), min(hi, xs[i] + spacing))
     if v_ref >= vals[i]:
@@ -1002,26 +1003,29 @@ def _scan_1d(fn, interval, samples: int, score) -> tuple[float, float]:
     return float(xs[i]), float(vals[i])
 
 
-def scan_supnorm(e: Expr, dom: Domain, samples_per_axis: int | None = None) -> SupNormEstimate:
+_SCAN_SAMPLES_1D = 20001  # samples of a 1-D scan
+_SCAN_SAMPLES_2D = 501  # samples per axis of a 2-D scan
+
+
+def scan_supnorm(e: Expr, dom: Domain) -> SupNormEstimate:
     """Approximate sup |e| on the domain: dense uniform sampling followed by
     local golden-section refinement around the best sample. The result is a
     lower bound on the true sup, reported with the grid spacing."""
-    if samples_per_axis is None:
-        samples_per_axis = 20001 if dom.dim == 1 else 501
-    fn = compile_expr(e)
     if dom.dim == 1:
         (lo, hi), = dom.intervals
-        x, v = _scan_1d(fn, (lo, hi), samples_per_axis, abs)
-        return SupNormEstimate(v, (hi - lo) / (samples_per_axis - 1), (x,))
-    grids = [np.linspace(lo, hi, samples_per_axis) for lo, hi in dom.intervals]
+        x, v = _scan_1d(e, (lo, hi), _SCAN_SAMPLES_1D, abs)
+        return SupNormEstimate(v, (hi - lo) / (_SCAN_SAMPLES_1D - 1), (x,))
+    n = _SCAN_SAMPLES_2D
+    grids = [np.linspace(lo, hi, n) for lo, hi in dom.intervals]
     xx, yy = np.meshgrid(grids[0], grids[1], indexing="ij")
-    vals = np.abs(np.broadcast_to(fn([xx, yy]), xx.shape))
+    vals = np.abs(eval_array(e, [xx, yy]))
     if not np.all(np.isfinite(vals)):
         raise EvalOverflowError("non-finite sample during sup-norm scan")
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    spacings = [(hi - lo) / (samples_per_axis - 1) for lo, hi in dom.intervals]
+    spacings = [(hi - lo) / (n - 1) for lo, hi in dom.intervals]
     best = [float(grids[0][i]), float(grids[1][j])]
     best_val = float(vals[i, j])
+    fn = compile_expr(e)
     for _ in range(3):  # coordinate-wise refinement sweeps
         for axis in range(2):
             lo = max(dom.intervals[axis][0], best[axis] - spacings[axis])
@@ -1038,9 +1042,8 @@ def scan_supnorm(e: Expr, dom: Domain, samples_per_axis: int | None = None) -> S
     return SupNormEstimate(best_val, max(spacings), tuple(best))
 
 
-def scan_argmin(e: Expr, dom: Domain, samples_per_axis: int | None = None) -> tuple:
+def scan_argmin(e: Expr, dom: Domain) -> tuple:
     """Location of the minimum of e on a 1-D domain (dense scan + refinement)."""
     if dom.dim != 1:
         raise ExprError("scan_argmin scans 1-D domains")
-    samples = 20001 if samples_per_axis is None else samples_per_axis
-    return (_scan_1d(compile_expr(e), dom.intervals[0], samples, lambda v: -v)[0],)
+    return (_scan_1d(e, dom.intervals[0], _SCAN_SAMPLES_1D, lambda v: -v)[0],)

@@ -1,4 +1,5 @@
 """Tests for the gain meta-optimization solvers and tuners."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from esgain.averaging import average
-from esgain.contraction import BoundsLedger
+from esgain.contraction import BoundsLedger, build_ledger
 from esgain.metaopt import (_SUP_BLOCK_ELEMS, _SUP_TILE, InfeasibleError, MetaOptError,
                             MetaOptProblem, MetaOptSolution, RemainderTables, _bisect_up,
                             _constraints_for, consistency_report,
@@ -147,9 +148,7 @@ class TestSolveNumeric:
         assert sol.active_constraints  # at least one constraint binds
         tables = None
         if strategy in (1, 2, 4):
-            from esgain.metaopt import RemainderTables
-            tables = RemainderTables(worked_ledger, worked_h,
-                                     safety=prob.remainder_safety)
+            tables = RemainderTables(worked_ledger, worked_h)
         cons = _constraints_for(prob, worked_ledger, tables)
         by_name = {name: (fn, bound) for name, fn, bound in cons}
         a, eta = sol.gains["a"], sol.gains["eta"]
@@ -218,6 +217,144 @@ class TestSolveNumeric:
             MetaOptProblem(worked_ledger, strategy=1)  # missing total tolerance
         with pytest.raises(MetaOptError):
             MetaOptProblem(worked_ledger, strategy=2, delta1=0.01)  # missing delta2
+
+
+# The three audit objectives on [-1, 1] with x* = 0, and the solver calls
+# frozen on them: solve_numeric's keyword arguments, or None for
+# tune_filtered(ledger, 0.01, 0.01).
+AUDIT_OBJECTIVES = (
+    "-cos(x) + 0.16666666666666666*x^3",
+    "0.5*x^2 + 0.1*x^3 + 0.25*x^4",
+    "exp(x) - x - 1",
+)
+ORACLE_CALLS = {
+    "s1": {"strategy": 1, "delta": 0.02},
+    "s2": {"strategy": 2, "delta1": 0.01, "delta2": 0.01},
+    "s2_inf": {"strategy": 2, "delta1": math.inf, "delta2": 0.01},
+    "s4": {"strategy": 4, "delta": 0.5},
+    "s3": {"strategy": 3, "delta1": 0.01, "delta2": 0.01},
+    "s3_m3": {"strategy": 3, "delta1": 0.01, "delta2": 0.01, "m": 3, "n": 1},
+    "filtered": None,
+}
+# (objective, call) -> (gains, budget (k1, k2, k3, k4, delta1, delta2),
+# active constraints), recorded when each solver still had its own search
+SOLVER_ORACLE = {
+    ('-cos(x) + 0.16666666666666666*x^3', 's1'): (
+        {'a': 0.1173963744975024, 'eta': 0.012581281926901665, 'p': 0.1071692544233496},
+        (0.013611624987822573, 2.4009517405577473e-06, 4.7178049957978665e-06, 0.0, 0.009639501355569043, 0.013611624987822573),
+        ('delta_total',)),
+    ('-cos(x) + 0.16666666666666666*x^3', 's2'): (
+        {'a': 0.1464971398307287, 'eta': 0.009086465012914364, 'p': 0.06202486289775618},
+        (0.01, 3.315306065934725e-06, 6.5910779434550325e-06, 0.0, 0.014884047596039325, 0.01),
+        ('delta2',)),
+    ('-cos(x) + 0.16666666666666666*x^3', 's2_inf'): (
+        {'a': 10.0, 'eta': 0.0012974072498560974, 'p': 0.00012974072498560973},
+        (0.01, 0.14932111831330974, 0.29864222877086744, 0.0, 69.05516323172439, 0.01),
+        ('delta2',)),
+    ('-cos(x) + 0.16666666666666666*x^3', 's4'): (
+        {'a': 0.2849273570150831, 'eta': 0.3362305783402503, 'p': 1.1800571972541456},
+        (0.4355934092747933, 0.003589354204548018, 0.005542574632016873, 0.0, 0.19064312877854941, 0.4355934092747933),
+        ('delta_realtime',)),
+    ('-cos(x) + 0.16666666666666666*x^3', 's3'): (
+        {'a': 0.2079119665082619, 'eta': 0.01, 'p': 0.04809727967054087},
+        (0.01, 1.0395598325413098e-05, 0.0, 0.0, 0.010000000000000002, 0.01),
+        ('delta1_truncated', 'delta2')),
+    ('-cos(x) + 0.16666666666666666*x^3', 's3_m3'): (
+        {'a': 0.20843111575497159, 'eta': 0.01, 'p': 1.1043642513125902},
+        (0.01, 1.047340605893934e-05, 0.0, 0.0, 0.010049752908535704, 0.01),
+        ('delta1_dominant', 'delta2')),
+    ('-cos(x) + 0.16666666666666666*x^3', 'filtered'): (
+        {'a': 0.06939163423384372, 'eta': 0.0029050882803401666, 'mu': 0.0001, 'gamma': 30.0},
+        (0.0001615997909254443, 0.0, 0.0, 0.0, 0.0001615997909254443, 0.009999999999999998),
+        ('estimate_tube',)),
+    ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's1'): (
+        {'a': 0.06089749106616883, 'eta': 0.014910728785557104, 'p': 0.2448496403465241},
+        (0.013939357082415395, 1.4023148289039228e-06, 2.7516105911485086e-06, 0.0, 0.009149353748746588, 0.013939357082415395),
+        ('delta_total',)),
+    ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's2'): (
+        {'a': 0.07707875183839608, 'eta': 0.010538057231191434, 'p': 0.13671805756903807},
+        (0.01, 1.996543072954715e-06, 3.969396836664227e-06, 0.0, 0.01468972427428307, 0.01),
+        ('delta2',)),
+    ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's2_inf'): (
+        {'a': 9.882139360468917, 'eta': 0.0008186481168920097, 'p': 8.284118317201753e-05},
+        (0.01, 0.32589233271321333, 0.6517846640025288, 0.0, 241.70027880282575, 0.01),
+        ('delta2',)),
+    ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's4'): (
+        {'a': 0.20328549780421384, 'eta': 0.3387436429131143, 'p': 1.6663443608720259},
+        (0.5354069207054161, 0.00169264976185693, 0.0016953632294289223, 0.0, 0.0984005467037802, 0.5354069207054161),
+        ('delta_realtime',)),
+    ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's3'): (
+        {'a': 0.10999628235875132, 'eta': 0.011764705882352943, 'p': 0.10695548640437247},
+        (0.01, 6.470369550514784e-06, 0.0, 0.0, 0.009999999999999998, 0.01),
+        ('delta1_truncated', 'delta2')),
+    ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's3_m3'): (
+        {'a': 0.11009637651263607, 'eta': 0.011764705882352943, 'p': 8.815805442813284},
+        (0.01, 6.488027871751495e-06, 0.0, 0.0, 0.01001817474048443, 0.01),
+        ('delta1_dominant', 'delta2')),
+    ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 'filtered'): (
+        {'a': 0.04046150455289851, 'eta': 0.0004189783907333079, 'mu': 0.0001, 'gamma': 30.0},
+        (2.3664360635649936e-05, 0.0, 0.0, 0.0, 2.3664360635649936e-05, 0.01),
+        ('estimate_tube',)),
+    ('exp(x) - x - 1', 's1'): (
+        {'a': 0.09575514290140774, 'eta': 0.016997842364631026, 'p': 0.17751362328530484},
+        (0.013785903694167195, 2.5423313321832466e-06, 5.057127347330143e-06, 0.0, 0.009338061880451656, 0.013785903694167195),
+        ('delta_total',)),
+    ('exp(x) - x - 1', 's2'): (
+        {'a': 0.1213000232719715, 'eta': 0.012049190664003733, 'p': 0.09933378691105256},
+        (0.01, 3.6566559155471616e-06, 7.300887268896253e-06, 0.0, 0.014994238888964813, 0.01),
+        ('delta2',)),
+    ('exp(x) - x - 1', 's2_inf'): (
+        {'a': 9.559327451231928, 'eta': 0.0011195974026837893, 'p': 0.00011712093851743772},
+        (0.01, 0.16615690630690602, 0.33231381182828784, 0.0, 93.14947818865332, 0.01),
+        ('delta2',)),
+    ('exp(x) - x - 1', 's4'): (
+        {'a': 0.23449096723251467, 'eta': 0.41204467725576466, 'p': 1.7571878444562545},
+        (0.5335198233097721, 0.001142733372421413, 0.0013504399643257021, 0.0, 0.05160740751817615, 0.5335198233097721),
+        ('delta_realtime',)),
+    ('exp(x) - x - 1', 's3'): (
+        {'a': 0.17150409636037783, 'eta': 0.013922111911773331, 'p': 0.081176556171108},
+        (0.01, 1.1938496114283684e-05, 0.0, 0.0, 0.009999999999999997, 0.01),
+        ('delta1_truncated', 'delta2')),
+    ('exp(x) - x - 1', 's3_m3'): (
+        {'a': 0.17155277699214136, 'eta': 0.013922111911773331, 'p': 2.7574767723870965},
+        (0.01, 1.1948661210744241e-05, 0.0, 0.0, 0.010005674489879223, 0.01),
+        ('delta1_dominant', 'delta2')),
+    ('exp(x) - x - 1', 'filtered'): (
+        {'a': 0.05275656606423098, 'eta': 0.0011681622980153183, 'mu': 0.0001, 'gamma': 30.0},
+        (6.628449771833901e-05, 0.0, 0.0, 0.0, 6.628449771833901e-05, 0.01),
+        ('estimate_tube',)),
+}
+
+
+class TestSolverOracle:
+    @pytest.fixture(scope="class")
+    def ledgers(self):
+        out = {}
+        for text in AUDIT_OBJECTIVES:
+            h = parse_expr(text)
+            out[text] = (h, build_ledger(h, Domain1D(-1.0, 1.0), x_star=0.0))
+        return out
+
+    @pytest.mark.parametrize("text,call", list(SOLVER_ORACLE))
+    def test_solution_equals_frozen(self, ledgers, text, call):
+        h, led = ledgers[text]
+        kw = ORACLE_CALLS[call]
+        if kw is None:
+            sol = tune_filtered(led, 0.01, 0.01)
+        else:
+            sol = solve_numeric(MetaOptProblem(led, **kw), h=h)
+        gains, budget, active = SOLVER_ORACLE[text, call]
+        assert sol.active_constraints == active
+        assert list(sol.gains) == list(gains)
+        got = (tuple(sol.gains.values()), dataclasses.astuple(sol.budget))
+        want = (tuple(gains.values()), budget)
+        if kw is None or kw["strategy"] == 3:
+            assert got == want
+        else:
+            # RemainderTables solve through BLAS, whose last bits may differ
+            # from host to host
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-12, abs=0.0)
 
 
 def bisect_up_reference(feasible, lo, hi_cap):
@@ -419,6 +556,15 @@ class TestFilteredTuner:
     def test_mu_lower_bound_positive(self, worked_ledger):
         sol = tune_filtered(worked_ledger, 0.01, 0.01)
         assert sol.gains["mu"] > 0.0
+
+    def test_infeasible_names_the_estimate_tube(self, worked_ledger):
+        with pytest.raises(InfeasibleError) as exc:
+            tune_filtered(worked_ledger, 1e-7, 1e-7)
+        assert exc.value.most_violated == "estimate_tube"
+
+    def test_infinite_bound_is_never_active(self, worked_ledger):
+        sol = tune_filtered(worked_ledger, math.inf, 0.01)
+        assert sol.active_constraints == ("estimate_tube",)
 
 
 class TestConsistencyReport:
