@@ -3,8 +3,8 @@ deterministic grid searches under error-budget constraints.
 
 All searches are deterministic (log grids + local re-gridding + bisection
 polish); no stochastic optimizers. Remainder magnitudes, where a strategy
-needs them, are estimated from the averaging engine's next-order term with
-a fixed safety factor.
+needs them, are sups of the averaging engine's next-order term, taken over
+the dominance front of its tables, with a fixed safety factor.
 """
 
 from __future__ import annotations
@@ -129,9 +129,6 @@ def solve_monomial(p1: float, q1: float, k1: float,
 # ---------------------------------------------------------------------------
 # engine-based remainder tables (basic scheme, m = n = 1 grading)
 
-_SUP_BLOCK_ELEMS = 1 << 21  # doubles in one sample-by-p block of RemainderTables._sup
-_SUP_TILE = 8  # p columns per BLAS tile; blocks are whole tiles
-
 class RemainderTables:
     """First-neglected engine terms as polynomials in the fine-tuning factor
     p, tabulated on a state grid so sup norms can be queried for any gains.
@@ -146,15 +143,16 @@ class RemainderTables:
     taking (eps, p) to (-eps, -p) negates the averaged field, so only the
     powers in G_POWERS and U_POWERS occur.
 
-    A sup query evaluates the polynomial at every tabulated sample for every
-    distinct queried p: a geometric gain grid repeats eta / a, and its
-    200 x 200 cells hold 2 428 distinct p. The distinct values are evaluated
-    block-wise, so the temporary sample-by-p array never exceeds
-    `_SUP_BLOCK_ELEMS` doubles (16 MB) whatever the grid size. Blocks are
-    padded to whole `_SUP_TILE`-column tiles, because OpenBLAS computes the
-    columns of a partial tile with another kernel whose last bits differ; so
-    the result for a p does not depend on the other values in its query. A
-    scalar p is a matrix-vector product."""
+    A sup query needs only the dominance front of each table's signed rows
+    +-(c0, c1) (Kung, Luccio & Preparata, JACM 1975): the rows that no other
+    row matches or beats in both coefficients. For p >= 0 both monomials are
+    non-negative and round-to-nearest is monotone, so a dominated row never
+    rounds above the row that dominates it, and negation is exact; the max
+    over the front of c0 p^k0 + c1 p^k1 is therefore the max over all rows
+    of |c0 p^k0 + c1 p^k1|, bit for bit. The fronts are built once, here; a
+    query evaluates them with plain elementwise arithmetic, once per distinct
+    p (a geometric gain grid repeats eta / a: its 200 x 200 cells hold 2 428
+    distinct p), and a scalar p goes through the same formula."""
 
     G_DEGREE = 4  # first neglected averaged degree beyond the modeled one
     U_DEGREE = 2  # first transform degree beyond the modeled leading term
@@ -183,31 +181,36 @@ class RemainderTables:
                                          g_cols).T   # (ny, 2)
         self._u_coeffs = np.linalg.solve([[p ** k for k in self.U_POWERS] for p in nodes],
                                          u_cols).T   # (ny*nt, 2)
+        self._g_front = self._front(self._g_coeffs)
+        self._u_front = self._front(self._u_coeffs)
 
     @staticmethod
-    def _sup(coeffs: np.ndarray, powers: tuple, p) -> np.ndarray:
+    def _front(coeffs: np.ndarray) -> np.ndarray:
+        """The rows of +-coeffs that no other row matches or beats in both columns."""
+        signed = np.concatenate([coeffs, -coeffs])
+        signed = signed[np.lexsort((-signed[:, 1], -signed[:, 0]))]  # by c0, then c1, descending
+        best_before = np.maximum.accumulate(np.concatenate([[-np.inf], signed[:-1, 1]]))
+        return signed[signed[:, 1] > best_before]
+
+    @staticmethod
+    def _sup(front: np.ndarray, powers: tuple, p) -> np.ndarray:
+        """max over the front rows of c0 p^k0 + c1 p^k1 for each p >= 0."""
         p = np.asarray(p, dtype=float)
-        if p.ndim == 0:
-            monomials = np.stack([p ** k for k in powers])
-            return np.max(np.abs(np.tensordot(coeffs, monomials, axes=(1, 0))))
-        distinct, inverse = np.unique(p.ravel(), return_inverse=True)
-        distinct = np.pad(distinct, (0, -distinct.size % _SUP_TILE), mode="edge")
-        monomials = np.stack([distinct ** k for k in powers])  # (k, n)
-        cols = max(1, _SUP_BLOCK_ELEMS // coeffs.shape[0] // _SUP_TILE) * _SUP_TILE
-        out = np.empty(distinct.size)
-        for c0 in range(0, distinct.size, cols):
-            vals = np.tensordot(coeffs, monomials[:, c0:c0 + cols], axes=(1, 0))
-            np.abs(vals, out=vals)
-            np.max(vals, axis=0, out=out[c0:c0 + cols])
-        return out[inverse].reshape(p.shape)
+        if p.ndim == 0:  # a polish probe: nothing to share
+            distinct, inverse = p.reshape(1), 0
+        else:
+            distinct, inverse = np.unique(p.ravel(), return_inverse=True)
+        vals = front[:, :1] * distinct ** powers[0] + front[:, 1:] * distinct ** powers[1]
+        # + 0.0 makes the sup of an all-zero table +0.0, as |.| would
+        return (np.max(vals, axis=0) + 0.0)[inverse].reshape(p.shape)
 
     def g_remainder(self, eps, p) -> np.ndarray:
         return self.SAFETY * np.asarray(eps, float) ** self.G_DEGREE * self._sup(
-            self._g_coeffs, self.G_POWERS, p)
+            self._g_front, self.G_POWERS, p)
 
     def u_remainder(self, eps, p) -> np.ndarray:
         return self.SAFETY * np.asarray(eps, float) ** self.U_DEGREE * self._sup(
-            self._u_coeffs, self.U_POWERS, p)
+            self._u_front, self.U_POWERS, p)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +242,17 @@ def _constraints_for(prob: MetaOptProblem, ledger: BoundsLedger, tables):
     def delta2(a, e):
         return e * h0 + tables.u_remainder(a, e / a)
 
+    # the dither probes x* +- a, which must stay where the norms were scanned
+    lo, hi = ledger.domain.intervals[0]
+    in_domain = ("a_in_domain", lambda a, e: a, min(ledger.x_star - lo, hi - ledger.x_star))
     if prob.strategy == 2:
-        return [("delta1", delta1, prob.delta1), ("delta2", delta2, prob.delta2)]
+        return [("delta1", delta1, prob.delta1), ("delta2", delta2, prob.delta2), in_domain]
     if prob.strategy == 1:
-        return [("delta_total", lambda a, e: delta1(a, e) + delta2(a, e), prob.delta)]
+        return [("delta_total", lambda a, e: delta1(a, e) + delta2(a, e), prob.delta),
+                in_domain]
     return [("delta_realtime",
              lambda a, e: a + 2.0 * tables.g_remainder(a, e / a) / (a * e * kap)
-             + tables.u_remainder(a, e / a), prob.delta)]
+             + tables.u_remainder(a, e / a), prob.delta), in_domain]
 
 
 def _bisect_up(feasible, lo: float, hi_cap: float) -> float:
@@ -457,8 +464,11 @@ def tune_filtered(ledger: BoundsLedger, delta1: float, delta2: float) -> MetaOpt
     budget = ErrorBudget(
         k1=osc(a_v, eta_v, mu_v, gamma_v), k2=0.0, k3=0.0, k4=0.0,
         delta1=osc(a_v, eta_v, mu_v, gamma_v), delta2=tube(a_v, eta_v, mu_v, gamma_v))
+    gains = {"a": a_v, "eta": eta_v, "mu": mu_v, "gamma": gamma_v}
+    edges = [f"{name}_{end}" for (name, v), box in zip(gains.items(), _FILTERED_RANGES)
+             for end, bound in zip(("lo", "hi"), box) if v == bound]  # set by the box
     return MetaOptSolution(
-        gains={"a": a_v, "eta": eta_v, "mu": mu_v, "gamma": gamma_v},
+        gains=gains,
         budget=budget,
         active_constraints=active,
         provenance={
@@ -471,6 +481,7 @@ def tune_filtered(ledger: BoundsLedger, delta1: float, delta2: float) -> MetaOpt
             },
             "norms": {"h1": h1, "h2": h2, "h3": h3, "kappa": kap},
             "domain": [list(iv) for iv in ledger.domain.intervals],
+            "range_edges": edges,
         })
 
 

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from esgain.averaging import average
 from esgain.contraction import BoundsLedger, build_ledger
-from esgain.metaopt import (_SUP_BLOCK_ELEMS, _SUP_TILE, InfeasibleError, MetaOptError,
-                            MetaOptProblem, MetaOptSolution, RemainderTables, _bisect_up,
+from esgain.metaopt import (InfeasibleError, MetaOptError, MetaOptProblem,
+                            MetaOptSolution, RemainderTables, _bisect_up,
                             _constraints_for, consistency_report,
                             solve_monomial, solve_numeric,
                             solve_strategy3_closed_form, tune_filtered,
@@ -113,6 +114,18 @@ class TestSolveNumeric:
         # delta2 = eta |h| + transform remainder sits exactly at its bound,
         # so the bare eta |h| part stays strictly below it
         assert sol.gains["eta"] * worked_ledger.norm(0) <= 0.01
+
+    @pytest.mark.parametrize("kw", [{"strategy": 1, "delta": 1.0},
+                                    {"strategy": 2, "delta1": math.inf, "delta2": 0.01},
+                                    {"strategy": 4, "delta": 5.0}])
+    def test_dither_amplitude_stays_on_the_ledger_domain(self, worked_ledger, worked_h,
+                                                         kw):
+        # the dither probes x* +- a, and the norms were scanned on [-1, 1]
+        x_star = worked_ledger.x_star
+        half_width = min(x_star + 1.0, 1.0 - x_star)
+        sol = solve_numeric(MetaOptProblem(worked_ledger, **kw), h=worked_h)
+        assert sol.gains["a"] <= half_width
+        assert sol.provenance["constraints"]["a_in_domain"] == f"bound {half_width}"
 
     def test_gains_shrink_with_tolerances(self, worked_ledger):
         big = solve_numeric(MetaOptProblem(worked_ledger, strategy=3,
@@ -237,7 +250,9 @@ ORACLE_CALLS = {
     "filtered": None,
 }
 # (objective, call) -> (gains, budget (k1, k2, k3, k4, delta1, delta2),
-# active constraints), recorded when each solver still had its own search
+# active constraints), recorded when each solver still had its own search;
+# the s2_inf rows were recorded again once a_in_domain kept the dither
+# amplitude on the ledger domain (at a = 10, 9.88 and 9.56 before)
 SOLVER_ORACLE = {
     ('-cos(x) + 0.16666666666666666*x^3', 's1'): (
         {'a': 0.1173963744975024, 'eta': 0.012581281926901665, 'p': 0.1071692544233496},
@@ -248,8 +263,8 @@ SOLVER_ORACLE = {
         (0.01, 3.315306065934725e-06, 6.5910779434550325e-06, 0.0, 0.014884047596039325, 0.01),
         ('delta2',)),
     ('-cos(x) + 0.16666666666666666*x^3', 's2_inf'): (
-        {'a': 10.0, 'eta': 0.0012974072498560974, 'p': 0.00012974072498560973},
-        (0.01, 0.14932111831330974, 0.29864222877086744, 0.0, 69.05516323172439, 0.01),
+        {'a': 0.9884959046625587, 'eta': 0.006007720330626151, 'p': 0.006077638058275009},
+        (0.01, 0.0006679037781737252, 0.0013357304548518854, 0.0, 0.6747825718036328, 0.01),
         ('delta2',)),
     ('-cos(x) + 0.16666666666666666*x^3', 's4'): (
         {'a': 0.2849273570150831, 'eta': 0.3362305783402503, 'p': 1.1800571972541456},
@@ -276,8 +291,8 @@ SOLVER_ORACLE = {
         (0.01, 1.996543072954715e-06, 3.969396836664227e-06, 0.0, 0.01468972427428307, 0.01),
         ('delta2',)),
     ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's2_inf'): (
-        {'a': 9.882139360468917, 'eta': 0.0008186481168920097, 'p': 8.284118317201753e-05},
-        (0.01, 0.32589233271321333, 0.6517846640025288, 0.0, 241.70027880282575, 0.01),
+        {'a': 0.9942313134590756, 'eta': 0.005004359368106458, 'p': 0.005033395448686446},
+        (0.01, 0.002028787241269919, 0.004057541758344952, 0.0, 2.4465240755004416, 0.01),
         ('delta2',)),
     ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's4'): (
         {'a': 0.20328549780421384, 'eta': 0.3387436429131143, 'p': 1.6663443608720259},
@@ -304,8 +319,8 @@ SOLVER_ORACLE = {
         (0.01, 3.6566559155471616e-06, 7.300887268896253e-06, 0.0, 0.014994238888964813, 0.01),
         ('delta2',)),
     ('exp(x) - x - 1', 's2_inf'): (
-        {'a': 9.559327451231928, 'eta': 0.0011195974026837893, 'p': 0.00011712093851743772},
-        (0.01, 0.16615690630690602, 0.33231381182828784, 0.0, 93.14947818865332, 0.01),
+        {'a': 0.9942313134590756, 'eta': 0.006343642778409713, 'p': 0.0063804495920966875},
+        (0.01, 0.0010591977590757471, 0.0021183806570782377, 0.0, 1.0076277425492146, 0.01),
         ('delta2',)),
     ('exp(x) - x - 1', 's4'): (
         {'a': 0.23449096723251467, 'eta': 0.41204467725576466, 'p': 1.7571878444562545},
@@ -351,8 +366,9 @@ class TestSolverOracle:
         if kw is None or kw["strategy"] == 3:
             assert got == want
         else:
-            # RemainderTables solve through BLAS, whose last bits may differ
-            # from host to host
+            # RemainderTables fit its two-node tables with a 2 x 2 LAPACK
+            # solve, the only BLAS/LAPACK call on this path, whose last bits
+            # may differ from host to host
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-12, abs=0.0)
 
@@ -408,67 +424,82 @@ class TestBisectUp:
         assert got == min(t, hi_cap)  # the largest feasible float
 
 
-def sup_by_column(coeffs, powers, p):
-    """sup over the samples for each entry of p on its own, without
-    deduplication: each p is evaluated as a whole tile of copies of itself."""
-    out = np.empty(p.size)
-    for j, v in enumerate(p.ravel()):
-        monomials = np.stack([np.full(_SUP_TILE, v) ** k for k in powers])
-        out[j] = np.max(np.abs(np.tensordot(coeffs, monomials, axes=(1, 0))[:, 0]))
-    return out.reshape(p.shape)
+def sup_all_rows(coeffs, powers, p):
+    """max over every row of |c0 p^k0 + c1 p^k1| for each entry of p, with
+    no dominance front and no sharing of repeated p."""
+    p = np.asarray(p, dtype=float)
+    m0, m1 = (p.reshape(-1) ** k for k in powers)
+    vals = coeffs[:, :1] * m0 + coeffs[:, 1:] * m1
+    return np.max(np.abs(vals), axis=0).reshape(p.shape)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+# few distinct values, so tables draw duplicate rows and ties in each coefficient
+COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+                  st.floats(-1e3, 1e3, allow_subnormal=False))
+P_VALUE = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 1e3))
 
 
 class TestRemainderTablesMemory:
-    """`RemainderTables._sup` on the solver's 200 x 200 gain grid: block-wise
-    evaluation of the distinct p keeps memory bounded and changes no bit of
-    the result."""
+    """`RemainderTables._sup` answers from the dominance front of the signed
+    rows: the same bits as the max over all rows, for every p >= 0, whether
+    p comes alone or in an array, in memory far below the 200 x 200 grid's
+    all-rows evaluation."""
 
     @pytest.fixture(scope="class")
     def tables(self, worked_ledger, worked_h):
         return RemainderTables(worked_ledger, worked_h)
 
-    @pytest.mark.parametrize("name", ["_g_coeffs", "_u_coeffs"])
-    def test_blocked_sup_equals_one_shot(self, tables, name):
-        coeffs = getattr(tables, name)
-        powers = tables.G_POWERS if name == "_g_coeffs" else tables.U_POWERS
-        grid = np.geomspace(1e-4, 10.0, 200)
-        p = grid[None, :] / grid[:, None]   # e / a over the solver's grid
-        assert p.size > _SUP_BLOCK_ELEMS // coeffs.shape[0]  # more than one block
-        vals = np.tensordot(coeffs, np.stack([p ** k for k in powers]),
-                            axes=(1, 0))  # 1 GB for the u table
-        ref = np.max(np.abs(vals, out=vals), axis=0)
-        del vals
-        assert np.array_equal(tables._sup(coeffs, powers, p), ref)
-
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.sampled_from([0, 1, 2]),
-           offset=st.integers(-200, 200), extra=st.integers(1, 300),
-           rows=st.sampled_from([1, 2, 3]))
-    def test_deduplicated_sup_equals_sup_by_column(self, tables, seed, blocks,
-                                                    offset, extra, rows):
-        # distinct counts cluster around 0, 1 and 2 blocks of the u table;
-        # every distinct p repeats at least once when extra >= its count
-        coeffs = tables._u_coeffs
-        block = _SUP_BLOCK_ELEMS // coeffs.shape[0]
-        n_distinct = max(1, blocks * block + offset)
-        rng = np.random.default_rng(seed)
-        pool = np.unique(np.exp(rng.uniform(-3.0, 3.0, n_distinct)))  # p near 1
-        size = -(-(pool.size + extra) // rows) * rows
-        p = np.concatenate([pool, rng.choice(pool, size - pool.size)])
-        p = rng.permutation(p).reshape((rows, -1) if rows > 1 else (-1,))
-        got = tables._sup(coeffs, tables.U_POWERS, p)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(rows=st.lists(st.tuples(COEFF, COEFF), min_size=1, max_size=24),
+           zero=st.booleans(),
+           powers=st.sampled_from([RemainderTables.G_POWERS, RemainderTables.U_POWERS]),
+           p=st.sampled_from([(), (7,), (3, 4)]).flatmap(
+               lambda shape: hnp.arrays(float, shape, elements=P_VALUE)))
+    def test_deduplicated_sup_equals_sup_by_column(self, rows, zero, powers, p):
+        coeffs = np.zeros((len(rows), 2)) if zero else np.array(rows)
+        front = RemainderTables._front(coeffs)
+        signed = {tuple(r) for r in np.concatenate([coeffs, -coeffs])}
+        assert all(tuple(r) in signed for r in front)
+        got = RemainderTables._sup(front, powers, p)
         assert got.shape == p.shape
-        assert np.array_equal(got, sup_by_column(coeffs, tables.U_POWERS, p))
+        assert np.array_equal(got, sup_all_rows(coeffs, powers, p))
+        assert not np.signbit(got).any()  # +0.0, as |.| gives, where the sup is zero
+        if zero:
+            assert not got.any()
+        for idx, v in np.ndenumerate(p):
+            assert bits(RemainderTables._sup(front, powers, float(v))) == bits(got[idx])
 
     def test_scalar_p_is_zero_dimensional(self, tables):
-        for coeffs, powers in ((tables._g_coeffs, tables.G_POWERS),
-                               (tables._u_coeffs, tables.U_POWERS)):
-            got = tables._sup(coeffs, powers, 0.7)
-            assert np.ndim(got) == 0
-            monomials = np.array([0.7 ** k for k in powers])
-            assert got == np.max(np.abs(np.tensordot(coeffs, monomials, axes=(1, 0))))
+        grid = np.geomspace(1e-4, 10.0, 200)
+        p = grid[None, :] / grid[:, None]   # e / a over the solver's grid
+        for front, powers in ((tables._g_front, tables.G_POWERS),
+                              (tables._u_front, tables.U_POWERS)):
+            arr = tables._sup(front, powers, p)
+            for i, j in ((0, 199), (57, 58), (120, 31), (199, 0)):
+                got = tables._sup(front, powers, p[i, j])
+                assert np.ndim(got) == 0
+                assert bits(got) == bits(arr[i, j])
 
-    def test_strategy1_solve_peak_below_64mb(self, worked_ledger, worked_h):
+    @pytest.mark.parametrize("text", AUDIT_OBJECTIVES)
+    def test_front_within_4_ulp_of_tensordot(self, text):
+        # the all-rows BLAS product the fronts replaced; its FMA rounding
+        # differs from plain IEEE arithmetic by at most 2 ulp on these tables
+        h = parse_expr(text)
+        tables = RemainderTables(synthetic_ledger(), h)
+        grid = np.geomspace(1e-4, 10.0, 200)
+        p = np.unique(grid[None, :] / grid[:, None])
+        for front, coeffs, powers in ((tables._g_front, tables._g_coeffs, tables.G_POWERS),
+                                      (tables._u_front, tables._u_coeffs, tables.U_POWERS)):
+            blas = np.tensordot(coeffs, np.stack([p ** k for k in powers]), axes=(1, 0))
+            ref = np.max(np.abs(blas), axis=0)
+            got = tables._sup(front, powers, p)
+            assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
+
+    def test_strategy1_solve_peak_below_8mb(self, worked_ledger, worked_h):
         prob = MetaOptProblem(worked_ledger, strategy=1, delta=0.05, grid_points=200)
         tracemalloc.start()
         try:
@@ -476,7 +507,7 @@ class TestRemainderTablesMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 8 * 2 ** 20
 
 
 class TestRemainderTablesFit:
@@ -565,6 +596,14 @@ class TestFilteredTuner:
     def test_infinite_bound_is_never_active(self, worked_ledger):
         sol = tune_filtered(worked_ledger, math.inf, 0.01)
         assert sol.active_constraints == ("estimate_tube",)
+
+    @pytest.mark.parametrize("text", AUDIT_OBJECTIVES)
+    def test_range_edges_name_the_box_corner(self, text):
+        # on the audit objectives the box, not a constraint, stops mu and gamma
+        led = build_ledger(parse_expr(text), Domain1D(-1.0, 1.0), x_star=0.0)
+        sol = tune_filtered(led, 0.01, 0.01)
+        assert sol.provenance["range_edges"] == ["mu_lo", "gamma_hi"]
+        assert sol.gains["mu"] == 1e-4 and sol.gains["gamma"] == 30.0
 
 
 class TestConsistencyReport:
