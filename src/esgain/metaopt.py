@@ -151,8 +151,9 @@ class RemainderTables:
     over the front of c0 p^k0 + c1 p^k1 is therefore the max over all rows
     of |c0 p^k0 + c1 p^k1|, bit for bit. The fronts are built once, here; a
     query evaluates them with plain elementwise arithmetic, once per distinct
-    p (a geometric gain grid repeats eta / a: its 200 x 200 cells hold 2 428
-    distinct p), and a scalar p goes through the same formula."""
+    p over the tables' life (a geometric gain grid repeats eta / a: its
+    200 x 200 cells hold 2 428 distinct p, its 2000 x 2000 cells 37 379), and
+    a scalar p goes through the same formula."""
 
     G_DEGREE = 4  # first neglected averaged degree beyond the modeled one
     U_DEGREE = 2  # first transform degree beyond the modeled leading term
@@ -183,6 +184,10 @@ class RemainderTables:
                                          u_cols).T   # (ny*nt, 2)
         self._g_front = self._front(self._g_coeffs)
         self._u_front = self._front(self._u_coeffs)
+        self._tables = ((self._g_front, self.G_POWERS), (self._u_front, self.U_POWERS))
+        # the sorted distinct p of past array queries, and the g and u sups there
+        self._memo = [np.empty(0)] * 3
+        self._last_p = self._last_at = None  # the last array query and its memo indices
 
     @staticmethod
     def _front(coeffs: np.ndarray) -> np.ndarray:
@@ -194,23 +199,47 @@ class RemainderTables:
 
     @staticmethod
     def _sup(front: np.ndarray, powers: tuple, p) -> np.ndarray:
-        """max over the front rows of c0 p^k0 + c1 p^k1 for each p >= 0."""
+        """max over the front rows of c0 p^k0 + c1 p^k1 for each p >= 0,
+        elementwise: a p gets the same bits alone or in any array."""
+        p = np.asarray(p, dtype=float)
+        flat = p.reshape(-1)
+        vals = front[:, :1] * flat ** powers[0] + front[:, 1:] * flat ** powers[1]
+        # + 0.0 makes the sup of an all-zero table +0.0, as |.| would
+        return (np.max(vals, axis=0) + 0.0).reshape(p.shape)
+
+    def _table_sup(self, k: int, p) -> np.ndarray:
+        """The sup of table k (0: g, 1: u) at p.
+
+        The sups for an array of p come from a memo of the distinct p that
+        earlier arrays brought, and only new values are evaluated, so a grid
+        walked slab by slab costs one evaluation per distinct p, as the whole
+        grid at once would. A query equal to the last one reuses its lookup,
+        so the g and u remainders of one e / a share it."""
         p = np.asarray(p, dtype=float)
         if p.ndim == 0:  # a polish probe: nothing to share
-            distinct, inverse = p.reshape(1), 0
-        else:
-            distinct, inverse = np.unique(p.ravel(), return_inverse=True)
-        vals = front[:, :1] * distinct ** powers[0] + front[:, 1:] * distinct ** powers[1]
-        # + 0.0 makes the sup of an all-zero table +0.0, as |.| would
-        return (np.max(vals, axis=0) + 0.0)[inverse].reshape(p.shape)
+            return self._sup(*self._tables[k], p)
+        if not np.array_equal(p, self._last_p):
+            self._last_p, self._last_at = p.copy(), self._memo_index(p.ravel()).reshape(p.shape)
+        return self._memo[1 + k][self._last_at]
 
     def g_remainder(self, eps, p) -> np.ndarray:
-        return self.SAFETY * np.asarray(eps, float) ** self.G_DEGREE * self._sup(
-            self._g_front, self.G_POWERS, p)
+        return self.SAFETY * np.asarray(eps, float) ** self.G_DEGREE * self._table_sup(0, p)
 
     def u_remainder(self, eps, p) -> np.ndarray:
-        return self.SAFETY * np.asarray(eps, float) ** self.U_DEGREE * self._sup(
-            self._u_front, self.U_POWERS, p)
+        return self.SAFETY * np.asarray(eps, float) ** self.U_DEGREE * self._table_sup(1, p)
+
+    def _memo_index(self, flat: np.ndarray) -> np.ndarray:
+        """Where each entry of flat sits in the memo, once the memo holds it."""
+        distinct, inverse = np.unique(flat, return_inverse=True)
+        known = self._memo[0]
+        at = np.searchsorted(known, distinct)
+        new = at == known.size
+        new[~new] = known[at[~new]] != distinct[~new]
+        if new.any():
+            fresh = distinct[new]
+            self._memo = [np.insert(m, at[new], v) for m, v in zip(
+                self._memo, [fresh] + [self._sup(f, k, fresh) for f, k in self._tables])]
+        return (at + np.cumsum(new) - new)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -278,52 +307,66 @@ def _bisect_up(feasible, lo: float, hi_cap: float) -> float:
     return lo_b
 
 
+_SLAB = 1 << 12  # mesh points _maximize evaluates at once (at least one row)
+
+
 def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: float,
               polish) -> tuple[list, tuple]:
     """Maximize objective(*x) subject to fn(*x) <= bound for every
     (name, fn, bound) in `cons`, over the box `ranges` (one (lo, hi) per axis).
 
-    The constraints are evaluated on a sparse mesh of the log-grid `axes`, and
-    the first (lexicographically smallest-index) maximizer is kept. Then
-    `rounds` local log grids of `points` per axis, each inside `ranges`, follow
-    it; their half-width, a ratio that starts at the first axis's spacing,
-    shrinks to sqrt(width) * widen after each. Last, each axis in `polish` is
-    bisected in turn toward the active boundary. Returns the point and the
-    names of the constraints active there."""
+    The constraints are evaluated on a sparse mesh of the log-grid `axes`, one
+    slab of the first axis at a time: a slab holds as many rows as fit in
+    _SLAB mesh points, and at least one, so memory is bounded by the slab,
+    not the grid. Every constraint is elementwise, so a point gets the same
+    bits in any slab. The first (lexicographically smallest-index) maximizer
+    is kept: a later slab replaces it only with a strictly larger objective.
+    Then `rounds` local log grids of `points` per axis, each inside `ranges`,
+    follow it; their half-width, a ratio that starts at the first axis's
+    spacing, shrinks to sqrt(width) * widen after each. Last, each axis in
+    `polish` is bisected in turn toward the active boundary. Returns the point
+    and the names of the constraints active there. If no grid point is
+    feasible, InfeasibleError names the constraint hardest to satisfy at the
+    first point whose worst constraint ratio is least."""
 
-    def evaluate(ax):
-        mesh = np.meshgrid(*ax, indexing="ij", sparse=True)
-        feas = np.ones(tuple(a.size for a in ax), dtype=bool)
-        worst = np.zeros(feas.shape)
-        for _, fn, bound in cons:
-            v = fn(*mesh)
-            feas &= v <= bound
-            if math.isfinite(bound):
-                worst = np.maximum(worst, v / bound)
-        return mesh, feas, worst
+    def search(ax):
+        """The first feasible maximizer on the mesh of `ax` (None if no point
+        is feasible) and the first point of least worst ratio."""
+        rows = max(1, _SLAB // math.prod(a.size for a in ax[1:]))
+        best = least = None  # (value, point), replaced only by a strictly better value
+        found = False
+        for start in range(0, ax[0].size, rows):
+            slab = [ax[0][start:start + rows], *ax[1:]]
+            mesh = np.meshgrid(*slab, indexing="ij", sparse=True)
+            feas = np.ones(tuple(a.size for a in slab), dtype=bool)
+            worst = np.zeros(feas.shape)
+            for _, fn, bound in cons:
+                v = fn(*mesh)
+                feas &= v <= bound
+                if math.isfinite(bound):
+                    worst = np.maximum(worst, v / bound)
+            found |= bool(feas.any())
+            obj = np.where(feas, objective(*mesh), -np.inf)
+            idx = np.unravel_index(int(np.argmax(obj)), obj.shape)
+            if best is None or obj[idx] > best[0]:
+                best = (obj[idx], [float(a[i]) for a, i in zip(slab, idx)])
+            idx = np.unravel_index(int(np.argmin(worst)), worst.shape)
+            if least is None or worst[idx] < least[0]:
+                least = (worst[idx], [a[i] for a, i in zip(slab, idx)])
+        return (best[1] if found else None), least[1]
 
-    def first_maximizer(ax, mesh, feas):
-        obj = np.where(feas, objective(*mesh), -np.inf)
-        idx = np.unravel_index(int(np.argmax(obj)), obj.shape)
-        return [float(a[i]) for a, i in zip(ax, idx)]
-
-    mesh, feas, worst = evaluate(axes)
-    if not feas.any():
+    best, least = search(axes)
+    if best is None:
         # name the constraint that is hardest to satisfy at the least-bad point
-        idx = np.unravel_index(int(np.argmin(worst)), worst.shape)
-        pt = [a[i] for a, i in zip(axes, idx)]
-        ratios = [(fn(*pt) / bound if math.isfinite(bound) else 0.0, name)
+        ratios = [(fn(*least) / bound if math.isfinite(bound) else 0.0, name)
                   for name, fn, bound in cons]
         raise InfeasibleError(max(ratios)[1])
-    best = first_maximizer(axes, mesh, feas)
 
     width = axes[0][1] / axes[0][0]
     for _ in range(rounds):
         local = [np.geomspace(max(b / width, lo), min(b * width, hi), points)
                  for b, (lo, hi) in zip(best, ranges)]
-        mesh, feas, _ = evaluate(local)
-        if feas.any():
-            best = first_maximizer(local, mesh, feas)
+        best = search(local)[0] or best
         width = width ** 0.5 * widen
 
     def feasible(pt):

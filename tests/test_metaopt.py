@@ -2,17 +2,19 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from esgain import metaopt
 from esgain.averaging import average
 from esgain.contraction import BoundsLedger, build_ledger
 from esgain.metaopt import (InfeasibleError, MetaOptError, MetaOptProblem,
                             MetaOptSolution, RemainderTables, _bisect_up,
-                            _constraints_for, consistency_report,
+                            _constraints_for, _maximize, consistency_report,
                             solve_monomial, solve_numeric,
                             solve_strategy3_closed_form, tune_filtered,
                             tune_frequency)
@@ -424,6 +426,159 @@ class TestBisectUp:
         assert got == min(t, hi_cap)  # the largest feasible float
 
 
+def maximize_full_mesh(cons, objective, axes, ranges, points, rounds, widen, polish):
+    """`_maximize` as it was before it walked the mesh in slabs: every
+    constraint over the whole mesh at once."""
+
+    def evaluate(ax):
+        mesh = np.meshgrid(*ax, indexing="ij", sparse=True)
+        feas = np.ones(tuple(a.size for a in ax), dtype=bool)
+        worst = np.zeros(feas.shape)
+        for _, fn, bound in cons:
+            v = fn(*mesh)
+            feas &= v <= bound
+            if math.isfinite(bound):
+                worst = np.maximum(worst, v / bound)
+        return mesh, feas, worst
+
+    def first_maximizer(ax, mesh, feas):
+        obj = np.where(feas, objective(*mesh), -np.inf)
+        idx = np.unravel_index(int(np.argmax(obj)), obj.shape)
+        return [float(a[i]) for a, i in zip(ax, idx)]
+
+    mesh, feas, worst = evaluate(axes)
+    if not feas.any():
+        idx = np.unravel_index(int(np.argmin(worst)), worst.shape)
+        pt = [a[i] for a, i in zip(axes, idx)]
+        ratios = [(fn(*pt) / bound if math.isfinite(bound) else 0.0, name)
+                  for name, fn, bound in cons]
+        raise InfeasibleError(max(ratios)[1])
+    best = first_maximizer(axes, mesh, feas)
+
+    width = axes[0][1] / axes[0][0]
+    for _ in range(rounds):
+        local = [np.geomspace(max(b / width, lo), min(b * width, hi), points)
+                 for b, (lo, hi) in zip(best, ranges)]
+        mesh, feas, _ = evaluate(local)
+        if feas.any():
+            best = first_maximizer(local, mesh, feas)
+        width = width ** 0.5 * widen
+
+    def feasible(pt):
+        return all(float(fn(*pt)) <= bound for _, fn, bound in cons)
+
+    for k in polish:
+        best[k] = _bisect_up(lambda v: feasible(best[:k] + [v] + best[k + 1:]),
+                             best[k], ranges[k][1])
+
+    active = tuple(name for name, fn, bound in cons
+                   if math.isfinite(bound)
+                   and abs(float(fn(*best)) - bound) <= 1e-9 * abs(bound))
+    return best, active
+
+
+def monomial(coef, exps):
+    """coef * prod(x_i ** k_i): non-decreasing in every axis for k_i >= 0."""
+    def fn(*x):
+        v = coef
+        for xi, k in zip(x, exps):
+            v = v * xi ** k
+        return v
+    return fn
+
+
+@st.composite
+def grid_problems(draw):
+    """A random monotone constraint set on 2-D or 4-D log axes. Exponents of
+    0 and axes that share one grid make exact ties in the objective and in
+    the worst constraint ratio; tight bounds make whole grids infeasible."""
+    dim = draw(st.sampled_from([2, 4]))
+    size = st.integers(2, 40) if dim == 2 else st.integers(2, 6)
+    lo = 10.0 ** draw(st.floats(-3.0, 0.0))
+    hi = lo * 10.0 ** draw(st.floats(0.5, 3.0))
+    if draw(st.booleans()):  # every axis the same grid
+        axes = [np.geomspace(lo, hi, draw(size))] * dim
+    else:
+        axes = [np.geomspace(lo, hi, draw(size)) for _ in range(dim)]
+    exps = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=dim, max_size=dim)
+    cons = [(f"c{j}", monomial(draw(st.sampled_from([0.5, 1.0, 3.0])), draw(exps)),
+             draw(st.one_of(st.just(math.inf), st.floats(1e-6, 1e3))))
+            for j in range(draw(st.integers(1, 3)))]
+    weights = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=dim, max_size=dim))
+    return dict(cons=cons, objective=monomial(1.0, weights), axes=axes,
+                ranges=[(float(a[0]), float(a[-1])) for a in axes],
+                points=draw(st.integers(2, 6)), rounds=draw(st.integers(0, 3)),
+                widen=draw(st.sampled_from([1.1, 1.12])),
+                polish=draw(st.lists(st.integers(0, dim - 1), max_size=3)))
+
+
+def search_outcome(search, problem):
+    try:
+        return search(**problem)
+    except InfeasibleError as exc:
+        return "infeasible", exc.most_violated
+
+
+class TestSlabbedGridSearch:
+    """`_maximize` walks its mesh one slab of the first axis at a time. It
+    must answer exactly as the whole mesh at once did: the same point bit for
+    bit, the same active set, and the same most violated constraint when no
+    grid point is feasible."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(problem=grid_problems(), slab=st.one_of(st.none(), st.integers(1, 64)))
+    def test_slabs_answer_as_the_full_mesh(self, problem, slab):
+        want = search_outcome(maximize_full_mesh, problem)
+        with mock.patch.object(metaopt, "_SLAB", metaopt._SLAB if slab is None else slab):
+            got = search_outcome(_maximize, problem)
+        assert got == want
+
+    def test_the_first_of_tied_maximizers_wins_across_slabs(self):
+        # the objective ignores the first axis, so every row ties; the
+        # first row must win however many slabs the rows are split into
+        axes = [np.geomspace(0.1, 1.0, 7), np.geomspace(0.1, 1.0, 5)]
+        cons = [("c", lambda a, e: e, 0.5)]
+        for slab in (1, 5, 10, 35, 1 << 12):
+            with mock.patch.object(metaopt, "_SLAB", slab):
+                (a, e), active = _maximize(cons, lambda a, e: e, axes, [(0.1, 1.0)] * 2,
+                                           points=3, rounds=0, widen=1.1, polish=())
+            assert a == axes[0][0] and e == axes[1][2] and active == ()
+
+    def test_the_first_least_bad_point_names_the_infeasibility(self):
+        # every point's worst ratio is 2, from c0 on the first row and from
+        # c1 on the second; the first row must name it in any slab split
+        axes = [np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])]
+        cons = [("c0", lambda a, e: 3.0 - a + 0.0 * e, 1.0),
+                ("c1", lambda a, e: a + 0.0 * e, 1.0)]
+        for slab in (1, 3, 6, 1 << 12):
+            with mock.patch.object(metaopt, "_SLAB", slab):
+                with pytest.raises(InfeasibleError) as exc:
+                    _maximize(cons, lambda a, e: a * e, axes, [(1.0, 3.0)] * 2,
+                              points=3, rounds=0, widen=1.1, polish=())
+            assert exc.value.most_violated == "c0"
+
+    def test_filtered_tune_peak_below_2mb(self, worked_ledger):
+        # the 24^4 mesh at once allocated 10.45 MB; one 24^3 row is 0.1 MB
+        tracemalloc.start()
+        try:
+            tune_filtered(worked_ledger, 0.01, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    def test_strategy1_2000_grid_solve_peak_below_8mb(self, worked_ledger, worked_h):
+        # the 2000 x 2000 mesh at once allocated 252 MB
+        prob = MetaOptProblem(worked_ledger, strategy=1, delta=0.05, grid_points=2000)
+        tracemalloc.start()
+        try:
+            solve_numeric(prob, h=worked_h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
 def sup_all_rows(coeffs, powers, p):
     """max over every row of |c0 p^k0 + c1 p^k1| for each entry of p, with
     no dominance front and no sharing of repeated p."""
@@ -483,6 +638,36 @@ class TestRemainderTablesMemory:
                 got = tables._sup(front, powers, p[i, j])
                 assert np.ndim(got) == 0
                 assert bits(got) == bits(arr[i, j])
+
+    def test_memo_answers_with_the_bits_of_a_direct_sup(self, tables):
+        # overlapping slabs, repeats, scalars and an array changed in place
+        # after its query must all read what the fronts give directly
+        grid = np.geomspace(1e-4, 10.0, 200)
+        p = grid[None, :] / grid[:, None]
+        changed = p[30:40].copy()
+        queries = [p[120:140], p[0:20], p[110:130], p[0:20], p[57, 58], p[57, 58],
+                   p[57:58, 58:59], changed, changed, p]
+        for k, q in enumerate(queries):
+            if k == len(queries) - 2:
+                changed *= 1.5  # the same array object, new values
+            for k, (front, powers) in enumerate(tables._tables):
+                got = tables._table_sup(k, q)
+                assert np.shape(got) == np.shape(q)
+                assert np.array_equal(bits(got), bits(tables._sup(front, powers, q)))
+
+    def test_g_and_u_of_one_p_share_one_lookup(self, tables, monkeypatch):
+        grid = np.geomspace(1e-4, 10.0, 200)
+        a, e = grid[:20, None], grid[None, :]
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *x, **kw: calls.append(1) or unique(*x, **kw))
+        g = tables.g_remainder(a, e / a)
+        u = tables.u_remainder(a, e / a)
+        assert len(calls) <= 1
+        assert np.array_equal(bits(g), bits(tables.SAFETY * a ** tables.G_DEGREE * tables._sup(
+            tables._g_front, tables.G_POWERS, e / a)))
+        assert np.array_equal(bits(u), bits(tables.SAFETY * a ** tables.U_DEGREE * tables._sup(
+            tables._u_front, tables.U_POWERS, e / a)))
 
     @pytest.mark.parametrize("text", AUDIT_OBJECTIVES)
     def test_front_within_4_ulp_of_tensordot(self, text):
