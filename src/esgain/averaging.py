@@ -36,6 +36,7 @@ from .fourieralg import (
 from .symexpr import Const, add, differentiate, is_zero, mul
 
 CONVENTIONS = ("u-zero-mean", "w-zero-mean", "match-at-t0")
+_TERM_CAP = 20000  # terms of one degree's transformed field before averaging gives up
 
 
 class AveragingError(Exception):
@@ -89,8 +90,7 @@ def _mean_exprs(f: GradedField) -> tuple:
     return tuple(comps)
 
 
-def average(f: GradedField, n: int, convention: str = "u-zero-mean",
-            term_cap: int = 20000) -> AveragingResult:
+def average(f: GradedField, n: int, convention: str = "u-zero-mean") -> AveragingResult:
     """Run the averaging recursion up to order n, one eps degree at a time.
 
     Two Lie triangles share the generator's parts w_j: the rows of exp(L_w)
@@ -112,8 +112,8 @@ def average(f: GradedField, n: int, convention: str = "u-zero-mean",
     for i in range(1, n + 1):
         lf = f_tri.apply(fs, i)  # L_w f at degree i; w_i is not known yet
         e_i = f_tri.part(i, fs[i].add(lf))
-        if len(e_i.terms) > term_cap:
-            raise TermExplosionError(i, len(e_i.terms), term_cap)
+        if len(e_i.terms) > _TERM_CAP:
+            raise TermExplosionError(i, len(e_i.terms), _TERM_CAP)
         g_list.append(_mean_exprs(e_i))
         w_i = GradedField.build(dim, n, [SeparableTerm(t.space, t.time.antiderivative(), i)
                                          for t in e_i.terms])

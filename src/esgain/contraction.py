@@ -48,10 +48,6 @@ class BoundsLedger:
     def norm(self, i: int) -> float:
         return self.norms[i]
 
-    @property
-    def n_derivatives(self) -> int:
-        return len(self.norms) - 1
-
     def to_dict(self) -> dict:
         return {
             "domain": [list(iv) for iv in self.domain.intervals],
@@ -102,8 +98,10 @@ class ContractionEstimate:
         return self.beta > 0.0
 
 
-def contraction_rate(fields, dom: Domain, metric=None,
-                     samples_per_axis: int = 201) -> ContractionEstimate:
+_CONTRACTION_SAMPLES = 201  # samples per axis of the Jacobian grid
+
+
+def contraction_rate(fields, dom: Domain, metric=None) -> ContractionEstimate:
     """Estimate the contraction rate of an autonomous field on a domain under
     a constant diagonal metric: beta = -max_x lambda_max(sym(Theta J Theta^-1))."""
     fields = tuple(fields)
@@ -116,7 +114,7 @@ def contraction_rate(fields, dom: Domain, metric=None,
     if any(m <= 0 for m in metric):
         raise BoundsError("metric entries must be positive")
     jac = [[differentiate(fields[c], d) for d in range(dim)] for c in range(dim)]
-    grids = [np.linspace(lo, hi, samples_per_axis) for lo, hi in dom.intervals]
+    grids = [np.linspace(lo, hi, _CONTRACTION_SAMPLES) for lo, hi in dom.intervals]
     mesh = np.meshgrid(*grids, indexing="ij")
     axes = [m.ravel() for m in mesh]
     ns = axes[0].size

@@ -160,12 +160,14 @@ class RemainderTables:
     G_POWERS = (1, 3)  # the powers of p in the degree-G_DEGREE averaged term
     U_POWERS = (1, 2)  # and in the degree-U_DEGREE transform term
     SAFETY = 2.0  # factor on the first neglected terms, standing in for the tail
+    Y_SAMPLES = 101  # samples of the domain in both tables
+    T_SAMPLES = 32  # samples of the dither period in the u table
 
-    def __init__(self, ledger: BoundsLedger, h, y_samples: int = 101, t_samples: int = 32):
+    def __init__(self, ledger: BoundsLedger, h):
         nodes = (1.0, 2.0)
         lo, hi = ledger.domain.intervals[0]
-        ys = np.linspace(lo, hi, y_samples)
-        ts = np.linspace(0.0, 2.0 * math.pi, t_samples, endpoint=False)
+        ys = np.linspace(lo, hi, self.Y_SAMPLES)
+        ts = np.linspace(0.0, 2.0 * math.pi, self.T_SAMPLES, endpoint=False)
         mesh_y, mesh_t = np.meshgrid(ys, ts, indexing="ij")  # rows of the u table
         g_cols = []
         u_cols = []

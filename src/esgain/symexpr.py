@@ -638,25 +638,6 @@ def _float_valued(ufunc):
 _FLOAT_NAMESPACE = {name: _float_valued(fn) for name, fn in _NAMESPACE.items()}
 
 
-_UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.USub: "negative"}
-
-
-def _reads_no_state(node, state) -> bool:
-    """Whether `node` is arithmetic and `_NAMESPACE` calls over names outside
-    `state`."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            if n.id in state:
-                return False
-        elif isinstance(n, ast.Call):
-            if not (isinstance(n.func, ast.Name) and n.func.id in _NAMESPACE) or n.keywords:
-                return False
-        elif not isinstance(n, (ast.BinOp, ast.UnaryOp, ast.Constant, ast.operator,
-                                ast.unaryop, ast.expr_context)):
-            return False
-    return True
-
-
 def _in_place(source: str, cells, outs) -> str:
     """A generated march for cells in which every operation on arrays writes
     into a buffer allocated once per march: the binding of a name writes
@@ -669,6 +650,7 @@ def _in_place(source: str, cells, outs) -> str:
     name's buffer gets a copy in its own, so a later write never changes a
     value that is still read. The operations, and so the bits, are those of
     `source`. `cells` names the parameters and states that hold cells."""
+    ufuncs = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.USub: "negative"}
     tree = ast.parse(source)
     make = tree.body[0]
     f = make.body[0]
@@ -712,10 +694,10 @@ def _in_place(source: str, cells, outs) -> str:
         if isinstance(node, ast.NamedExpr):
             node.value = bind(node.target.id, node.value)
             return node, kinds.get(node.target.id), None
-        if isinstance(node, ast.BinOp) and type(node.op) in _UFUNCS:
-            ufunc, args = _UFUNCS[type(node.op)], [node.left, node.right]
-        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UFUNCS:
-            ufunc, args = _UFUNCS[type(node.op)], [node.operand]
+        if isinstance(node, ast.BinOp) and type(node.op) in ufuncs:
+            ufunc, args = ufuncs[type(node.op)], [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in ufuncs:
+            ufunc, args = ufuncs[type(node.op)], [node.operand]
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id in _NAMESPACE and not node.keywords:
             ufunc, args = node.func.id, node.args
@@ -773,7 +755,8 @@ def _compile_factory(source: str, flavour: str, cells=(), outs=()):
     place (`_in_place`, with `cells` and `outs`)."""
     namespace = dict(_FLOAT_NAMESPACE if flavour == "float" else _NAMESPACE,
                      asarray=np.asarray, broadcast_to=np.broadcast_to, empty=np.empty,
-                     positive=np.positive, **{u: getattr(np, u) for u in _UFUNCS.values()})
+                     **{u: getattr(np, u) for u in ("add", "subtract", "multiply", "negative",
+                                                    "positive")})
     if flavour == "cells":
         source = _in_place(source, cells, dict(outs))
     exec(source, namespace)  # noqa: S102 - generated from our own sources
@@ -789,20 +772,29 @@ class Field:
     """A right-hand side f(t, x) written as Python source, from which both
     f itself and its classical RK4 march are generated.
 
-    `dither` holds (name, source) bindings that depend on the time `t` only,
-    `body` holds bindings over the state `x0, x1, ...`, the dither names and
-    the parameters, in order, and `comps` are the sources of the components
-    of xdot. Parameter values are bound when a function is built: floats,
-    or arrays of one shape with one element per cell. The generated code
-    runs the sources' operations, and the transcendentals are numpy's
-    ufuncs also on floats, so a float state and an array state give the
-    same bits."""
+    `dither` holds (name, source) bindings that read only the time `t`, the
+    parameters, the earlier dither names and sin, cos, exp; a march
+    computes them once per distinct stage time. `body` holds bindings over
+    the state `x0, x1, ...`, the dither names and the parameters, in order,
+    and `comps` are the sources of the components of xdot; a march
+    computes both at every stage, so a product of dither values and
+    parameters belongs in the dither. Parameter values are bound when a
+    function is built: floats, or arrays of one shape with one element per
+    cell. The generated code runs the sources' operations, and the
+    transcendentals are numpy's ufuncs also on floats, so a float state and
+    an array state give the same bits."""
 
     def __init__(self, comps, body=(), dither=(), **params):
         self.comps = tuple(comps)
         self.body = tuple(body)
         self.dither = tuple(dither)
         self.params = params
+        known = {"t", *params, *_NAMESPACE}
+        for name, src in self.dither:
+            stray = set(compile(src, "<dither>", "eval").co_names) - known
+            if stray:
+                raise ExprError(f"dither {name!r} reads {sorted(stray)}, not only t and parameters")
+            known.add(name)
 
     @classmethod
     def scaled(cls, coeff, exprs) -> "Field":
@@ -843,15 +835,13 @@ class Field:
         whose row k is the state after step k + 1, and the march allocates
         nothing per step (`_in_place`).
 
-        What reads no state (the dither, and body bindings and
-        subexpressions such as `a*u` in `x0 + a*u`) is computed once per
-        distinct stage time: stages 2 and 3 share it, and stage 4's values
-        serve the next step's stage 1, since `_time + _dt` there and
-        `_time += _dt` give the same double."""
+        The dither is computed once per distinct stage time: stages 2 and 3
+        share it, and stage 4's values serve the next step's stage 1, since
+        `_time + _dt` there and `_time += _dt` give the same double. The
+        body and the components are computed at every stage."""
         n = range(self.dim)
         cells = any(isinstance(v, np.ndarray) for v in self.params.values())
-        timed, staged, comps = self._split()
-        at_time = [f"{name} = {src}" for name, src in timed]
+        at_time = [f"{name} = {src}" for name, src in self.dither]
         ys = "".join(f"_y{i}, " for i in n)
         lines = [f"{ys}= _y", f"_states = empty((_n, {self.dim}, *_shape))" if cells
                  else "_states = []", "t = _time", *at_time, "for _j in range(_n):"]
@@ -861,56 +851,13 @@ class Field:
                 body += [f"t = {time}", *at_time]
             body += [f"x{i} = _y{i}" if scale is None else f"x{i} = _y{i} + {scale}*_k{s - 1}_{i}"
                      for i in n]
-            body += [f"{name} = {src}" for name, src in staged]
-            body += [f"_k{s}_{i} = {c}" for i, c in enumerate(comps)]
+            body += [f"{name} = {src}" for name, src in self.body]
+            body += [f"_k{s}_{i} = {c}" for i, c in enumerate(self.comps)]
         body += [f"_y{i} = _y{i} + _dt6*(_k1_{i} + 2.0*_k2_{i} + 2.0*_k3_{i} + _k4_{i})" for i in n]
         body += ["_time += _dt"] + ([] if cells else [f"_states.append(({ys}))"])
         lines += ["    " + line for line in body] + ["return _states, _time"]
         return self._build("_time, _y, _n", lines, (dt, 0.5 * dt, dt / 6.0),
                            "cells" if cells else "float")
-
-    def _split(self):
-        """(timed, staged, comps): the bindings that read no state, in
-        order, each state-free subexpression of the rest bound to a name
-        `_w0`, `_w1`, ... among them; the bindings that read the state; and
-        the components, over those names. Walrus temporaries and names bound
-        twice count as state."""
-        trees = [ast.parse(src, mode="eval").body for _, src in self.body]
-        comps = [ast.parse(c, mode="eval").body for c in self.comps]
-        bound = [name for name, _ in self.dither + self.body]
-        state = {f"x{i}" for i in range(self.dim)} | {n for n in bound if bound.count(n) > 1}
-        state |= {n.target.id for tree in trees + comps
-                  for n in ast.walk(tree) if isinstance(n, ast.NamedExpr)}
-        timed, staged, hoisted = list(self.dither), [], {}
-
-        def hoist(node):
-            if not _reads_no_state(node, state):
-                # into expressions that bind no names of their own
-                if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call, ast.keyword,
-                                     ast.NamedExpr, ast.Subscript, ast.List, ast.Tuple)):
-                    for field, value in ast.iter_fields(node):
-                        if isinstance(value, ast.expr):
-                            setattr(node, field, hoist(value))
-                        elif isinstance(value, list):
-                            setattr(node, field, [hoist(v) if isinstance(v, ast.AST) else v
-                                                  for v in value])
-                return node
-            if isinstance(node, ast.Name) or not any(isinstance(n, ast.Name)
-                                                      for n in ast.walk(node)):
-                return node
-            src = ast.unparse(node)
-            if src not in hoisted:
-                hoisted[src] = f"_w{len(hoisted)}"
-                timed.append((hoisted[src], src))
-            return ast.Name(hoisted[src], ast.Load())
-
-        for (name, src), tree in zip(self.body, trees):
-            if _reads_no_state(tree, state):
-                timed.append((name, src))
-            else:
-                state.add(name)
-                staged.append((name, ast.unparse(hoist(tree))))
-        return timed, staged, [ast.unparse(hoist(c)) for c in comps]
 
     def _build(self, args: str, lines, consts, flavour: str):
         names = ["_dt", "_dt2", "_dt6"][:len(consts)] + list(self.params)
@@ -964,13 +911,13 @@ class SupNormEstimate:
         return self.value
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -1005,6 +952,7 @@ def _scan_1d(e: Expr, interval, samples: int, score) -> tuple[float, float]:
 
 _SCAN_SAMPLES_1D = 20001  # samples of a 1-D scan
 _SCAN_SAMPLES_2D = 501  # samples per axis of a 2-D scan
+_GOLDEN_ITERS = 80  # golden-section steps of a scan's refinement
 
 
 def scan_supnorm(e: Expr, dom: Domain) -> SupNormEstimate:

@@ -1,4 +1,5 @@
 """Tests for trajectory integration, error metrics, and the gain-plane map."""
+import ast
 import math
 
 import numpy as np
@@ -519,3 +520,45 @@ class TestCellsMarchBuffers:
             field.rk4(0.05)
         states, _ = Field(["_f[0]"], [("_f", "asarray([a*x0])")], a=0.5).rk4(0.05)(0.0, (1.0,), 2)
         assert len(states) == 2   # on floats it runs
+
+
+def scheme_field_of(kind):
+    """The exact field of a catalog scheme, or of plant1d's slow reduction."""
+    slow = kind == "plant_slow"
+    s = SchemeInstance("plant1d" if slow else kind, ORACLE_H2 if kind == "planar" else ORACLE_H,
+                       **TestStepperOracle.GAINS["plant1d" if slow else kind])
+    return plant_slow_rhs(s) if slow else scheme_rhs(s)
+
+
+FIELD_KINDS = ["basic1d", "plant1d", "filtered1d", "planar", "plant_slow"]
+
+
+class TestDitherContract:
+    """A march computes the dither once per stage time and the body and the
+    components at every stage: a dither may read only the time, the
+    parameters and earlier dither names, and an operation on those alone
+    belongs in the dither."""
+
+    @pytest.mark.parametrize("dither", [
+        [("u", "x0*sin(t)")],                      # the state
+        [("u", "sin(t)"), ("au", "a*g")],          # a body name
+        [("au", "a*u"), ("u", "sin(t)")],          # a later dither name
+        [("u", "sin(t)"), ("au", "b*u")],          # no such parameter
+    ], ids=["state", "body", "later", "unknown"])
+    def test_dither_reading_more_than_time_refused(self, dither):
+        with pytest.raises(ExprError):
+            Field(["g*u"], [("g", "x0 + u")], dither, a=0.5)
+
+    @pytest.mark.parametrize("kind", FIELD_KINDS)
+    def test_no_time_only_operation_left_to_the_stages(self, kind):
+        # the field's dither passes the guard; an operation whose names are
+        # all dither names and parameters would be recomputed at every stage
+        # instead of once per stage time
+        field = scheme_field_of(kind)
+        timed = {name for name, _ in field.dither} | set(field.params)
+        for src in [src for _, src in field.body] + list(field.comps):
+            for node in ast.walk(ast.parse(src, mode="eval")):
+                if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call)):
+                    calls = {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call)}
+                    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} - calls
+                    assert not names or not names <= timed, ast.unparse(node)

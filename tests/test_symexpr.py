@@ -181,7 +181,7 @@ class TestPowerCodegen:
         assert len(sources) == 2
         for source in sources:
             assert "-1.0 *" not in source
-            assert source.count("_v0 * _v0") == 4
+            assert source.count("_v0*_v0") == 4
 
     def test_powers_of_one_variable_share_its_square(self):
         src = codegen(parse_expr("x^3 + x^4 + 2*x^2"))
