@@ -638,6 +638,10 @@ def _float_valued(ufunc):
 _FLOAT_NAMESPACE = {name: _float_valued(fn) for name, fn in _NAMESPACE.items()}
 
 
+# the numpy ufuncs a march over cells runs for +, -, * and unary -
+_UFUNCS = ("add", "subtract", "multiply", "negative")
+
+
 def _in_place(source: str, cells, outs) -> str:
     """A generated march for cells in which every operation on arrays writes
     into a buffer allocated once per march: the binding of a name writes
@@ -650,7 +654,7 @@ def _in_place(source: str, cells, outs) -> str:
     name's buffer gets a copy in its own, so a later write never changes a
     value that is still read. The operations, and so the bits, are those of
     `source`. `cells` names the parameters and states that hold cells."""
-    ufuncs = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.USub: "negative"}
+    ufuncs = dict(zip((ast.Add, ast.Sub, ast.Mult, ast.USub), _UFUNCS))
     tree = ast.parse(source)
     make = tree.body[0]
     f = make.body[0]
@@ -755,8 +759,7 @@ def _compile_factory(source: str, flavour: str, cells=(), outs=()):
     place (`_in_place`, with `cells` and `outs`)."""
     namespace = dict(_FLOAT_NAMESPACE if flavour == "float" else _NAMESPACE,
                      asarray=np.asarray, broadcast_to=np.broadcast_to, empty=np.empty,
-                     **{u: getattr(np, u) for u in ("add", "subtract", "multiply", "negative",
-                                                    "positive")})
+                     **{u: getattr(np, u) for u in (*_UFUNCS, "positive")})
     if flavour == "cells":
         source = _in_place(source, cells, dict(outs))
     exec(source, namespace)  # noqa: S102 - generated from our own sources

@@ -180,7 +180,7 @@ class TestPowerCodegen:
         dithered_field(h, 0.2, 0.01).rk4(0.05)
         assert len(sources) == 2
         for source in sources:
-            assert "-1.0 *" not in source
+            assert "-1.0*" not in source
             assert source.count("_v0*_v0") == 4
 
     def test_powers_of_one_variable_share_its_square(self):
