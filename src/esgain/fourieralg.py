@@ -21,7 +21,7 @@ from .symexpr import (
     Expr,
     ZERO,
     add,
-    compile_expr,
+    compile_exprs,
     differentiate,
     is_zero,
     mul,
@@ -304,15 +304,19 @@ class GradedField:
         """Numeric value sum_terms eps^deg * space(y) * time(t), at one point
         (y of shape (dim,), scalar t; returns (dim,)) or for a batch (y of
         shape (n, dim), t of shape (n,) or scalar; returns (n, dim)). The sum
-        is added in place into `base` if one is given, else into zeros."""
+        is added in place into `base` if one is given, else into zeros, term
+        by term in order. One generated function (`compile_exprs`) gives
+        the values of all the nonzero space components, so a subtree shared
+        by several terms runs once."""
         ys = np.atleast_2d(np.asarray(y, dtype=float))
         out = np.zeros(ys.shape) if base is None else np.atleast_2d(base)
-        axes = [ys[:, d] for d in range(self.dim)]
+        space = tuple(e for term in self.terms for e in term.space if not is_zero(e))
+        values = iter(compile_exprs(space)([ys[:, d] for d in range(self.dim)]))
         for term in self.terms:
             tv = eps ** term.eps_degree * term.time.eval(t)
             for c in range(self.dim):
                 if not is_zero(term.space[c]):
-                    out[:, c] += tv * compile_expr(term.space[c])(axes)
+                    out[:, c] += tv * next(values)
         return out[0] if np.ndim(y) == 1 else out
 
     def debug_lines(self) -> list[str]:

@@ -526,83 +526,156 @@ def _negated(e: Expr):
     return None
 
 
-def _codegen(e: Expr, fresh, var, squares) -> str:
-    """`squares` maps a variable or constant base to the temporary holding
-    its square, bound where the square is first evaluated; so all powers of
-    one base in an expression share one square, the first in evaluation
-    order (left to right) binding it."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return var(e.index)
+def _sum_parts(e: Sum) -> list:
+    """(sign, operand) pairs in the order the source of a sum evaluates them:
+    a term -b after the first is subtracted as b, and a sum that starts
+    -b + c starts c - b."""
+    terms = e.terms
+    if len(terms) > 1 and _negated(terms[0]) is not None and _negated(terms[1]) is None:
+        terms = (terms[1], terms[0], *terms[2:])   # -b + c is c - b: addition commutes
+    parts = [("", terms[0])]
+    for t in terms[1:]:
+        b = _negated(t)
+        parts.append(("+", t) if b is None else ("-", b))
+    return parts
+
+
+def _operands(e: Expr) -> tuple:
+    """The nodes the source of `e` reads, one entry per read."""
     if isinstance(e, Sum):
-        terms = e.terms
-        if len(terms) > 1 and _negated(terms[0]) is not None and _negated(terms[1]) is None:
-            terms = (terms[1], terms[0], *terms[2:])   # -b + c is c - b: addition commutes
-        parts = [_codegen(terms[0], fresh, var, squares)]
-        for t in terms[1:]:
-            b = _negated(t)
-            parts.append("+" + _codegen(t, fresh, var, squares) if b is None
-                         else "-" + _codegen(b, fresh, var, squares))
-        return "(" + "".join(parts) + ")"
+        return tuple(u for _, u in _sum_parts(e))
     if isinstance(e, Prod):
-        return "(" + "*".join(_codegen(f, fresh, var, squares) for f in e.factors) + ")"
-    if isinstance(e, Neg):
-        return "(-" + _codegen(e.arg, fresh, var, squares) + ")"
+        return e.factors
     if isinstance(e, Pow):
-        # a node built directly, not through powi: fold and reject as it does
-        if e.exponent < 0:
-            raise ExprError("negative exponents are outside the grammar")
-        if e.exponent == 0:
-            return repr(ONE.value)
-        base = _codegen(e.base, fresh, var, squares)
-        if e.exponent == 1:
-            return "(" + base + ")"
-        # numpy's power takes libm's slow path on negative bases; products
-        # do not. A compound base is bound to a temporary and evaluated once
-        # per power.
-        if isinstance(e.base, (Var, Const)):
-            name, sq = base, squares.get(e.base)
+        if e.exponent <= 0:
+            return ()
+        if e.exponent == 1 or isinstance(e.base, (Var, Const)):
+            return (e.base,)
+        return (e.base, e.base)   # the square b*b reads a compound base twice
+    if isinstance(e, (Neg, Sin, Cos, Exp)):
+        return (e.arg,)
+    return ()
+
+
+def _shared(roots) -> set:
+    """The non-leaf nodes that the source of `roots` reads more than once,
+    counting the reads of a node's operands once per distinct node."""
+    counts: dict = {}
+    stack = list(roots)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (Const, Var)):
+            continue
+        n = counts[e] = counts.get(e, 0) + 1
+        if n == 1:
+            stack.extend(_operands(e))
+    return {e for e, n in counts.items() if n > 1}
+
+
+def _sources(exprs, names=None) -> list:
+    """The sources of `exprs`, evaluated in order, sharing one set of
+    temporaries (see `expr_source`). The temporary of a power base's square
+    also holds the base's power 2."""
+    var = names.__getitem__ if names is not None else "p[{}]".format
+    shared = _shared(exprs)
+    temps: dict = {}     # shared node -> the temporary holding it
+    squares: dict = {}   # power base -> the temporary holding its square
+    counter = itertools.count()
+
+    def fresh() -> str:
+        return f"_t{next(counter)}"
+
+    def source(e: Expr) -> str:
+        name = temps.get(e)
+        if name is not None:
+            return name
+        src = node(e)
+        if e in shared:
+            if isinstance(e, Pow) and e.exponent == 2:
+                temps[e] = squares[e.base]
+            else:
+                name = temps[e] = fresh()
+                src = f"({name}:={src})"
+        return src
+
+    def node(e: Expr) -> str:
+        if isinstance(e, Const):
+            return repr(e.value)
+        if isinstance(e, Var):
+            return var(e.index)
+        if isinstance(e, Sum):
+            return "(" + "".join(sign + source(u) for sign, u in _sum_parts(e)) + ")"
+        if isinstance(e, Prod):
+            return "(" + "*".join(source(f) for f in e.factors) + ")"
+        if isinstance(e, Neg):
+            return "(-" + source(e.arg) + ")"
+        if isinstance(e, Pow):
+            # a node built directly, not through powi: fold and reject as it does
+            if e.exponent < 0:
+                raise ExprError("negative exponents are outside the grammar")
+            if e.exponent == 0:
+                return repr(ONE.value)
+            base = source(e.base)
+            if e.exponent == 1:
+                return "(" + base + ")"
+            # numpy's power takes libm's slow path on negative bases; products
+            # do not. A compound base is read twice, so it is shared: the
+            # chain reads its temporary.
+            name = base if isinstance(e.base, (Var, Const)) else temps[e.base]
+            sq = squares.get(e.base)
             if sq is None:
                 sq = squares[e.base] = fresh()
-                square = f"({sq}:={base}*{base})"
+                square = f"({sq}:={base}*{name})"
             else:
                 square = sq
-        else:
-            name, sq = fresh(), fresh()
-            square = f"({sq}:=({name}:={base})*{name})"
-        return "(" + _pow_chain(e.exponent, square, sq, name, fresh) + ")"
-    if isinstance(e, Sin):
-        return "sin(" + _codegen(e.arg, fresh, var, squares) + ")"
-    if isinstance(e, Cos):
-        return "cos(" + _codegen(e.arg, fresh, var, squares) + ")"
-    if isinstance(e, Exp):
-        return "exp(" + _codegen(e.arg, fresh, var, squares) + ")"
-    raise TypeError(type(e).__name__)
+            return "(" + _pow_chain(e.exponent, square, sq, name, fresh) + ")"
+        if isinstance(e, Sin):
+            return "sin(" + source(e.arg) + ")"
+        if isinstance(e, Cos):
+            return "cos(" + source(e.arg) + ")"
+        if isinstance(e, Exp):
+            return "exp(" + source(e.arg) + ")"
+        raise TypeError(type(e).__name__)
+
+    return [source(e) for e in exprs]
 
 
 def expr_source(e: Expr, names=None) -> str:
     """Python source of `e`. Variable i reads `names[i]`, or `p[i]` without
-    names. Integer powers become multiplication chains, and the powers of
-    one variable share its square; a term -b of a sum is subtracted, and a
-    sum that starts -b + c starts c - b.
+    names. Each distinct non-leaf subtree is evaluated once: a subtree the
+    source reads more than once is bound to a temporary where it is first
+    evaluated (left to right), and later reads name it. Every occurrence
+    runs the same operations on the same operands, so sharing keeps the
+    bits. Integer powers become multiplication chains, and the powers of
+    one base share its square; a term -b of a sum is subtracted, and a sum
+    that starts -b + c starts c - b.
     Temporaries are named `_t0`, `_t1`, ... from a counter local to the
     call, so the source is deterministic."""
-    counter = itertools.count()
-    var = names.__getitem__ if names is not None else "p[{}]".format
-    return _codegen(e, lambda: f"_t{next(counter)}", var, {})
+    return _sources((e,), names)[0]
 
 
-def codegen(e: Expr) -> str:
-    """Python source of the lambda that `compile_expr` compiles."""
-    return "lambda p: " + expr_source(e)
+def codegen(e) -> str:
+    """Python source of the lambda that `compile_expr` compiles from an
+    expression, or that `compile_exprs` compiles from a tuple of them."""
+    if isinstance(e, Expr):
+        return "lambda p: " + expr_source(e)
+    return "lambda p: (" + "".join(s + ", " for s in _sources(e)) + ")"
 
 
 @lru_cache(maxsize=None)
 def compile_expr(e: Expr):
     """Compile to a callable f(p) where p is an indexable point (scalars or
-    numpy arrays per axis). Safe on both; results are numpy scalars/arrays."""
+    numpy arrays per axis). Safe on both; results are numpy scalars/arrays.
+    Its source is `codegen(e)`, so each distinct subtree runs once."""
     return eval(codegen(e), dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
+
+
+@lru_cache(maxsize=None)
+def compile_exprs(exprs: tuple):
+    """Compile a tuple of expressions to one callable f(p) that returns the
+    tuple of their values, each the bits `compile_expr` gives. A subtree
+    shared across the tuple runs once."""
+    return eval(codegen(exprs), dict(_NAMESPACE))  # noqa: S307 - generated from our own AST
 
 
 def eval_expr(e: Expr, point) -> float:

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import WORKED_H_TEXT, random_expr
+from esgain import fourieralg
+from esgain.averaging import average
 from esgain.fourieralg import (DimensionMismatchError, GradedField,
                                HarmonicOverflowError, SeparableTerm, TrigPoly,
                                exp_operator_apply, lie_bracket, transform_part,
                                unit_term)
 from esgain.schemes import SchemeInstance, scheme_graded_field
-from esgain.symexpr import (Const, Var, cos_of, differentiate, eval_expr, mul, parse_expr,
-                            sin_of)
+from esgain.symexpr import (Const, Cos, Exp, Expr, Sin, Var, codegen, compile_expr, cos_of,
+                            differentiate, eval_expr, is_zero, mul, parse_expr, sin_of)
 
 
 def tp_sin(k=1, amp=1.0):
@@ -96,6 +98,35 @@ class TestMeanAndAntiderivative:
         p = TrigPoly(0.0, (0.3, -1.0, 0.25), (2.0,))
         anti = p.antiderivative()
         assert anti.ddt() == p
+
+
+def per_term_eval(f, y, t, eps):
+    """f's value with one compiled function per term and component, summed
+    in term order: the reference for the one function per field."""
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
+    out = np.zeros(ys.shape)
+    axes = [ys[:, d] for d in range(f.dim)]
+    for term in f.terms:
+        tv = eps ** term.eps_degree * term.time.eval(t)
+        for c in range(f.dim):
+            if not is_zero(term.space[c]):
+                out[:, c] += tv * compile_expr(term.space[c])(axes)
+    return out[0] if np.ndim(y) == 1 else out
+
+
+def transcendentals(exprs) -> set:
+    """The distinct sin, cos and exp subtrees of `exprs`."""
+    seen, stack, found = set(), list(exprs), set()
+    while stack:
+        e = stack.pop()
+        if e in seen:
+            continue
+        seen.add(e)
+        if isinstance(e, (Sin, Cos, Exp)):
+            found.add(e)
+        for v in vars(e).values():
+            stack.extend(v if isinstance(v, tuple) else [v] if isinstance(v, Expr) else [])
+    return found
 
 
 def field_1d(*terms):
@@ -253,6 +284,36 @@ class TestGradedField:
         base = ys.copy()
         f.eval(ys, ts, 0.4, base)
         assert np.allclose(base, ys + batch, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("kind, order, extra", [
+        ("basic1d", 4, {}),
+        ("basic1d", 6, {}),
+        ("planar", 4, {}),
+        ("filtered1d", 3, {"mu": 0.09, "gamma": 3.8}),
+    ])
+    def test_one_function_per_field_equals_per_term_sum(self, kind, order, extra, monkeypatch):
+        # the averaged fields evaluate bit for bit as the per-term sum, and
+        # the one generated function of a field calls each of its distinct
+        # sin, cos and exp subtrees once
+        dim2 = kind == "planar"
+        h = parse_expr("sin(x1) + 0.5*x2^2" if dim2 else WORKED_H_TEXT, dim=2 if dim2 else 1)
+        s = SchemeInstance(kind, h, a=0.3, eta=0.2, **extra)
+        res = average(scheme_graded_field(s, order), order)
+        compiled = []
+        real = fourieralg.compile_exprs
+        monkeypatch.setattr(fourieralg, "compile_exprs",
+                            lambda exprs: compiled.append(exprs) or real(exprs))
+        rng = np.random.default_rng(order)
+        ys = rng.uniform(-0.9, 0.9, (17, res.dim))
+        ts = rng.uniform(0.0, 2 * math.pi, 17)
+        for f in (res.g_field, res.w, *res.u):
+            assert np.array_equal(f.eval(ys, ts, 0.3), per_term_eval(f, ys, ts, 0.3))
+            assert np.array_equal(f.eval(ys[4], ts[4], 0.3), per_term_eval(f, ys[4], ts[4], 0.3))
+            space = compiled[-1]
+            assert compiled[-2] == space and len(space) >= len(f.terms)
+            src = codegen(space)
+            calls = sum(src.count(fn + "(") for fn in ("sin", "cos", "exp"))
+            assert calls == len(transcendentals(space)) > 0
 
     def test_degree_must_be_positive(self):
         with pytest.raises(Exception):

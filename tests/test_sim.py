@@ -11,6 +11,7 @@ from esgain.schemes import SchemeInstance, ideal_flow, plant_slow_rhs, scheme_rh
     scheme_graded_field
 from esgain.sim import (PerfMap, SimError, SimulationOverflowError, Trajectory,
                         compare, convergence_time, integrate, performance_map)
+from esgain import symexpr
 from esgain.symexpr import ExprError, Field, compile_expr, differentiate, parse_expr
 
 
@@ -333,6 +334,17 @@ def oracle_h2(v, w):
     return -1.0 * np.cos(v) + 0.5 * (w * w) + 0.1 * (v * v * v) + 0.2 * np.exp(w)
 
 
+# repeats cos(x), exp(x) and a power's base, so its source binds temporaries
+REPEAT_H = parse_expr("-cos(x) + 0.1*cos(x)^2*exp(x) + 0.2*(exp(x) - 1 - x)^2")
+
+
+def oracle_repeat_h(v):
+    # REPEAT_H with the operations of its compiled form, each shared value once
+    c, e = np.cos(v), np.exp(v)
+    b = e - v + -1.0
+    return 0.1 * (c * c) * e - c + 0.2 * (b * b)
+
+
 def oracle_rhs(kind, a, eta, mu=None, gamma=None, omega=None):
     """Each scheme's right-hand side as its closed form reads."""
     def f(t, x):
@@ -403,6 +415,43 @@ class TestStepperOracle:
         # a plain callable takes the generic array path, with the same bits
         got = integrate(lambda t, x: scheme_rhs(s)(t, x), self.X0[kind], n * dt, dt)
         assert np.array_equal(got.states, want)
+
+    def test_repeated_subtrees_march_equals_hand_rk4(self, monkeypatch):
+        # each stage evaluates cos(x) and exp(x) once, the float and cells
+        # marches equal the hand RK4 bit for bit, and a lone-cell map (on
+        # floats) equals its row of a 2x1 map (on cells)
+        compiled = []
+        real = symexpr._compile_factory
+        monkeypatch.setattr(symexpr, "_compile_factory",
+                            lambda *args: compiled.append(args) or real(*args))
+        dt, n = 2.0 * math.pi / 200, 600
+        cells = [dict(a=0.3, eta=0.05, x0=0.8), dict(a=0.45, eta=0.02, x0=-0.6)]
+        fields = [scheme_rhs(SchemeInstance("basic1d", REPEAT_H, a=c["a"], eta=c["eta"]))
+                  for c in cells]
+        gains = {k: np.array([f.params[k] for f in fields]) for k in fields[0].params}
+        on_cells, _ = Field(fields[0].comps, fields[0].body, fields[0].dither,
+                            **gains).rk4(dt)(0.0, (np.array([c["x0"] for c in cells]),), n)
+        for i, (c, field) in enumerate(zip(cells, fields)):
+            def f(t, x, a=c["a"], eta=c["eta"]):
+                u = np.sin(t)
+                return np.array([-eta * oracle_repeat_h(x[0] + a * u) * u])
+            want = oracle_rk4(f, [c["x0"]], n, dt)
+            assert np.array_equal(integrate(field, [c["x0"]], n * dt, dt).states, want)
+            assert np.array_equal(on_cells[:, :, i], want[1:])
+        for source, flavour, *rest in compiled:
+            if flavour == "cells":
+                source = symexpr._in_place(source, rest[0], dict(rest[1]))
+                assert "positive(" not in source   # no temporary aliases another
+            stages = [line for line in source.splitlines() if line.strip().startswith("v = ")]
+            assert len(stages) == 4
+            assert all(line.count("cos(") == line.count("exp(") == 1 for line in stages)
+        a_grid, p_grid = np.array([0.3, 0.9]), np.array([2.0])
+        grid = performance_map(REPEAT_H, a_grid, p_grid, horizon_periods=12)
+        for i in range(a_grid.size):
+            one = performance_map(REPEAT_H, a_grid[i:i + 1], p_grid, horizon_periods=12)
+            assert (one.speed[0, 0], one.error[0, 0], one.feasible[0, 0]) == \
+                (grid.speed[i, 0], grid.error[i, 0], grid.feasible[i, 0])
+        assert {flavour for _, flavour, *_ in compiled} == {"float", "cells"}
 
     def test_ideal_flow_equals_hand_rk4(self):
         s = SchemeInstance("basic1d", ORACLE_H, a=0.3, eta=0.05)

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import functools
@@ -15,7 +16,7 @@ from esgain.schemes import dithered_field
 from esgain.symexpr import (Const, Domain1D, Domain2D, EvalOverflowError,
                             Cos, Exp, Expr, ExprError, Neg, ParseError, Pow, Prod,
                             Sin, Sum, Var, add, codegen,
-                            compile_expr, differentiate, eval_array,
+                            compile_expr, compile_exprs, differentiate, eval_array,
                             eval_expr, exp_of, max_var_index, mul,
                             nth_derivative, parse_expr, powi, scan_supnorm,
                             sin_of, to_string)
@@ -139,7 +140,7 @@ class TestPowerCodegen:
     def test_compound_base_evaluated_once(self):
         e = parse_expr("(exp(x) - 1 - x)^3 + 2*(exp(x) - 1 - x)^6", dim=1)
         src = codegen(e)
-        assert src.count("exp(") == 2  # once per power, not once per factor
+        assert src.count("exp(") == 1  # the shared base once, not once per power
         assert src == codegen(parse_expr("(exp(x) - 1 - x)^3 + 2*(exp(x) - 1 - x)^6"))
         y = math.exp(0.7) - 1 - 0.7
         assert eval_expr(e, [0.7]) == pytest.approx(y ** 3 + 2 * y ** 6, rel=1e-14)
@@ -290,6 +291,27 @@ class TestRandomCorpus:
                     one = [compile_expr(f)([float(x[i]) for x in xs]) for i in range(6)]
                 assert np.array_equal(arr, want, equal_nan=True), to_string(f)
                 assert np.array_equal(np.array(one, dtype=float), want, equal_nan=True)
+
+    def test_shared_subtrees_keep_bits_and_are_not_aliased(self):
+        # an expression and its first two derivatives compiled together share
+        # their subtrees; each value equals plain recursion bit for bit, and
+        # no temporary is bound to another temporary's value (a march over
+        # cells would have to copy it)
+        rng = random.Random(4242)
+        for _ in range(300):
+            dim = rng.choice([1, 2])
+            e = random_expr(rng, dim=dim, depth=5)
+            exprs = (e, differentiate(e), differentiate(differentiate(e)))
+            tree = ast.parse(codegen(exprs))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.NamedExpr):
+                    assert not isinstance(node.value, (ast.Name, ast.NamedExpr)), ast.unparse(node)
+            xs = [np.array([rng.uniform(-1.5, 1.5) for _ in range(6)]) for _ in range(dim)]
+            with np.errstate(all="ignore"):
+                got = compile_exprs(exprs)(xs)
+                for f, v in zip(exprs, got):
+                    want = np.broadcast_to(plain_eval(f, xs), xs[0].shape)
+                    assert np.array_equal(np.broadcast_to(v, want.shape), want, equal_nan=True)
 
     def test_print_parse_round_trip(self):
         rng = random.Random(99)
