@@ -75,11 +75,6 @@ class AveragingResult:
                                   for i, comps in enumerate(self.g, start=1)])
 
 
-def _constant_field(f: GradedField, value) -> GradedField:
-    return GradedField.build(f.dim, f.max_order, [
-        SeparableTerm(t.space, TrigPoly.constant(value(t.time)), t.eps_degree) for t in f.terms])
-
-
 def _mean_exprs(f: GradedField) -> tuple:
     """The time mean of f as one Expr per component."""
     comps = []
@@ -115,14 +110,14 @@ def average(f: GradedField, n: int, convention: str = "u-zero-mean") -> Averagin
         if len(e_i.terms) > _TERM_CAP:
             raise TermExplosionError(i, len(e_i.terms), _TERM_CAP)
         g_list.append(_mean_exprs(e_i))
-        w_i = GradedField.build(dim, n, [SeparableTerm(t.space, t.time.antiderivative(), i)
-                                         for t in e_i.terms])
+        w_i = e_i.map_time(TrigPoly.antiderivative)
         if convention != "w-zero-mean":
             u_i = u_tri.part(i, w_i)
             if convention == "u-zero-mean":
-                w_i = w_i.add(_constant_field(u_i, lambda trig: -trig.mean))
+                offset = u_i.map_time(lambda trig: TrigPoly.constant(-trig.mean))
             else:
-                w_i = w_i.add(_constant_field(u_i, lambda trig: -trig.eval(0.0)))
+                offset = u_i.map_time(lambda trig: TrigPoly.constant(-trig.eval(0.0)))
+            w_i = w_i.add(offset)
         w[i] = w_i
         f_tri.rows[0][i] = lf.add(w_i.ddt().scale(-1.0))
         u_parts.append(u_tri.part(i, w_i))

@@ -282,23 +282,29 @@ class GradedField:
         order = min(self.max_order, other.max_order)
         return GradedField.build(self.dim, order, self.terms + other.terms)
 
+    def map_time(self, fn) -> "GradedField":
+        """The field with each term's time factor replaced by fn(time). Its
+        keys (degree, space) and their order stay those of this built field,
+        so zero terms are dropped and nothing is merged or sorted."""
+        return GradedField(self.dim, self.max_order, tuple(
+            SeparableTerm(t.space, trig, t.eps_degree)
+            for t in self.terms if not (trig := fn(t.time)).is_zero))
+
     def scale(self, c: float) -> "GradedField":
-        return GradedField.build(
-            self.dim, self.max_order,
-            [SeparableTerm(t.space, t.time.scale(c), t.eps_degree) for t in self.terms])
+        """c times the field, term by term (`map_time`: no merge, no sort)."""
+        return self.map_time(lambda trig: trig.scale(c))
 
     def degree_part(self, degree: int) -> "GradedField":
-        return GradedField.build(
-            self.dim, self.max_order,
-            [t for t in self.terms if t.eps_degree == degree])
+        """The terms of one eps degree, kept in order without a merge."""
+        return GradedField(self.dim, self.max_order,
+                           tuple(t for t in self.terms if t.eps_degree == degree))
 
     def degrees(self) -> tuple:
         return tuple(sorted({t.eps_degree for t in self.terms}))
 
     def ddt(self) -> "GradedField":
-        return GradedField.build(
-            self.dim, self.max_order,
-            [SeparableTerm(t.space, t.time.ddt(), t.eps_degree) for t in self.terms])
+        """The time derivative, term by term (`map_time`: no merge, no sort)."""
+        return self.map_time(TrigPoly.ddt)
 
     def eval(self, y, t, eps: float, base=None) -> np.ndarray:
         """Numeric value sum_terms eps^deg * space(y) * time(t), at one point
@@ -378,8 +384,8 @@ def lie_bracket(w: GradedField, f: GradedField, trunc_order: int) -> GradedField
 
 
 def degree_parts(f: GradedField, trunc_order: int) -> dict:
-    """{d: degree-d part of f} for d = 1..trunc_order."""
-    return {d: GradedField.build(f.dim, trunc_order, [t for t in f.terms if t.eps_degree == d])
+    """{d: degree-d part of f, of max order trunc_order} for d = 1..trunc_order."""
+    return {d: GradedField(f.dim, trunc_order, f.degree_part(d).terms)
             for d in range(1, trunc_order + 1)}
 
 
@@ -392,11 +398,25 @@ class LieTriangle:
     built from lower degrees only, so each bracket is taken once. The
     series' degree-d part is sum_k rows[k][d] / (k+1)!. Callers go up one
     degree at a time: part(d) builds the rows of degree d from the rows
-    that the calls for lower degrees built, and from rows[0] below d."""
+    that the calls for lower degrees built, and from rows[0] below d.
+
+    The same pair of space tuples recurs across rows and degrees, so
+    `component` answers from a memo that the triangle owns: each distinct
+    (w space, v space, c) is differentiated, multiplied and printed once per
+    triangle, and every repeat gets the same Expr. Nothing outlives it."""
 
     def __init__(self, component, w: dict, rows0: dict, dim: int, max_order: int):
-        self.component, self.w, self.dim, self.max_order = component, w, dim, max_order
+        self._component, self.w, self.dim, self.max_order = component, w, dim, max_order
         self.rows = defaultdict(dict, {0: rows0})
+        self.memo: dict = {}
+
+    def component(self, ws: tuple, vs: tuple, c: int):
+        key = (ws, vs, c)
+        try:
+            return self.memo[key]
+        except KeyError:
+            expr = self.memo[key] = self._component(ws, vs, c)
+            return expr
 
     def apply(self, row: dict, d: int) -> GradedField:
         """Degree-d part of op_w(row), its pairs taken in the order
@@ -408,14 +428,18 @@ class LieTriangle:
         return GradedField.build(self.dim, self.max_order, terms)
 
     def part(self, d: int, first: GradedField) -> GradedField:
-        """first + sum_{k>=1} rows[k][d] / (k+1)!, added in order of k."""
+        """first + sum_{k>=1} rows[k][d] / (k+1)!, in one build that sums
+        each key in order of k."""
+        terms = []
         fact = 1.0
         for k in range(1, d):
             if d not in self.rows[k]:
                 self.rows[k][d] = self.apply(self.rows[k - 1], d)
             fact *= k + 1
-            first = first.add(self.rows[k][d].scale(1.0 / fact))
-        return first
+            terms += self.rows[k][d].scale(1.0 / fact).terms
+        if not terms:
+            return first
+        return GradedField.build(self.dim, self.max_order, first.terms + tuple(terms))
 
     def series(self, first) -> GradedField:
         """The whole series up to max_order, `first(d)` giving each k = 0 term."""

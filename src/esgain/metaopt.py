@@ -151,9 +151,13 @@ class RemainderTables:
     over the front of c0 p^k0 + c1 p^k1 is therefore the max over all rows
     of |c0 p^k0 + c1 p^k1|, bit for bit. The fronts are built once, here; a
     query evaluates them with plain elementwise arithmetic, once per distinct
-    p over the tables' life (a geometric gain grid repeats eta / a: its
-    200 x 200 cells hold 2 428 distinct p, its 2000 x 2000 cells 37 379), and
-    a scalar p goes through the same formula."""
+    p since the memo was last cleared (a geometric gain grid repeats eta / a:
+    its 200 x 200 cells hold 2 428 distinct p, its 2000 x 2000 cells 37 379),
+    and a scalar p goes through the same formula.
+
+    The tables read only `ledger.domain` and `h`. `solve_numeric` shares one
+    instance among the strategies and tolerances of an objective (see
+    `_remainder_tables`); an instance built directly works the same."""
 
     G_DEGREE = 4  # first neglected averaged degree beyond the modeled one
     U_DEGREE = 2  # first transform degree beyond the modeled leading term
@@ -187,6 +191,11 @@ class RemainderTables:
         self._g_front = self._front(self._g_coeffs)
         self._u_front = self._front(self._u_coeffs)
         self._tables = ((self._g_front, self.G_POWERS), (self._u_front, self.U_POWERS))
+        self.clear_memo()
+
+    def clear_memo(self) -> None:
+        """Forget the p of past queries. Answers keep their bits; only the
+        memory the memo holds is given back."""
         # the sorted distinct p of past array queries, and the g and u sups there
         self._memo = [np.empty(0)] * 3
         self._last_p = self._last_at = None  # the last array query and its memo indices
@@ -242,6 +251,30 @@ class RemainderTables:
             self._memo = [np.insert(m, at[new], v) for m, v in zip(
                 self._memo, [fresh] + [self._sup(f, k, fresh) for f, k in self._tables])]
         return (at + np.cumsum(new) - new)[inverse]
+
+
+_TABLES: dict = {}  # (domain, h) -> RemainderTables, least recently used first
+_TABLES_KEPT = 4  # objectives whose tables solve_numeric keeps
+
+
+def _remainder_tables(ledger: BoundsLedger, h) -> RemainderTables:
+    """The RemainderTables of (ledger.domain, h), built on the first request
+    and kept for the _TABLES_KEPT objectives asked for last, so strategies
+    1, 2 and 4 on one objective share one build. Sharing keeps every bit:
+    the tables read nothing of the ledger but its domain, and their memo
+    gives a p the same sup whatever queries came before. The memo is
+    cleared for each solve, so a kept instance holds no more than one
+    solve's queries."""
+    key = (ledger.domain, h)
+    tables = _TABLES.pop(key, None)
+    if tables is None:
+        tables = RemainderTables(ledger, h)
+    else:
+        tables.clear_memo()
+    _TABLES[key] = tables
+    while len(_TABLES) > _TABLES_KEPT:
+        del _TABLES[next(iter(_TABLES))]
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +419,12 @@ def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: fl
 
 def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
     """Maximize eta*a over a deterministic log grid with local refinement and
-    bisection polish; ties broken by the lexicographically smallest grid index."""
+    bisection polish; ties broken by the lexicographically smallest grid index.
+
+    Strategies 1, 2 and 4 take their RemainderTables from a cache keyed by
+    (ledger.domain, h) that holds the last _TABLES_KEPT objectives, so
+    solving one objective under several strategies or tolerances runs the
+    engine once."""
     ledger = prob.ledger
     tables = None
     if prob.strategy in (1, 2, 4):
@@ -395,7 +433,7 @@ def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
                                "to estimate remainders")
         if prob.m != 1 or prob.n != 1:
             raise MetaOptError("remainder-bearing strategies are implemented for m = n = 1")
-        tables = RemainderTables(ledger, h)
+        tables = _remainder_tables(ledger, h)
     cons = _constraints_for(prob, ledger, tables)
     grid = np.geomspace(prob.gain_lo, prob.gain_hi, prob.grid_points)
     (a_best, e_best), active = _maximize(

@@ -4,11 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from esgain.averaging import (AveragingError, ResidualPreconditionError, average,
-                              autonomy_residual, transform_points)
-from esgain.fourieralg import GradedField, TrigPoly, unit_term
+from esgain import averaging, fourieralg
+from esgain.averaging import (CONVENTIONS, AveragingError, ResidualPreconditionError,
+                              average, autonomy_residual, transform_points)
+from esgain.fourieralg import GradedField, SeparableTerm, TrigPoly, unit_term
 from esgain.schemes import SchemeInstance, reference_averaged, scheme_graded_field
-from esgain.symexpr import Var, compile_expr, eval_expr, is_zero, parse_expr, sin_of
+from esgain.symexpr import (Var, compile_expr, eval_expr, is_zero, parse_expr, sin_of,
+                            to_string)
 
 
 def basic_scheme(worked_h, a=1.0, eta=1.0, order=6):
@@ -214,3 +216,119 @@ class TestResidual:
         # every Jacobian has condition number >= 1; sample 0 is (y, t) = (-0.9, 0)
         with pytest.raises(ResidualPreconditionError, match=r"y=\[-0\.9\], t=0\.0, eps=0\.2"):
             autonomy_residual(f, res, [0.2, 0.1], samples=5, cond_threshold=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the engine against its chained-add reference
+
+def reference_part(self, d, first):
+    """`LieTriangle.part` as a chain of d - 1 `add`s, each of which merges
+    and sorts the running sum again."""
+    fact = 1.0
+    for k in range(1, d):
+        if d not in self.rows[k]:
+            self.rows[k][d] = self.apply(self.rows[k - 1], d)
+        fact *= k + 1
+        first = first.add(self.rows[k][d].scale(1.0 / fact))
+    return first
+
+
+def reference_map_time(self, fn):
+    return GradedField.build(self.dim, self.max_order,
+                             [SeparableTerm(t.space, fn(t.time), t.eps_degree)
+                              for t in self.terms])
+
+
+def reference_degree_part(self, degree):
+    return GradedField.build(self.dim, self.max_order,
+                             [t for t in self.terms if t.eps_degree == degree])
+
+
+def reference_degree_parts(f, trunc_order):
+    return {d: GradedField.build(f.dim, trunc_order, [t for t in f.terms if t.eps_degree == d])
+            for d in range(1, trunc_order + 1)}
+
+
+def unmemoized(self, ws, vs, c):
+    return self._component(ws, vs, c)
+
+
+def engine_case(kind, order):
+    """A scheme field of `kind` with its Taylor expansion to `order`."""
+    if kind == "planar":
+        s = SchemeInstance("planar", parse_expr("sin(x1) + 0.5*x2^2", dim=2), a=0.2,
+                           eta=0.25, taylor_order=order)
+    elif kind == "filtered1d":
+        s = SchemeInstance("filtered1d", parse_expr("-cos(x) + 0.16666666666666666*x^3"),
+                           a=0.3, eta=0.21, mu=0.09, gamma=3.8, taylor_order=order)
+    else:
+        s = SchemeInstance("basic1d", parse_expr("-cos(x) + 0.16666666666666666*x^3"),
+                           a=0.3, eta=0.21, taylor_order=order)
+    return scheme_graded_field(s, order)
+
+
+def engine_output(res, f):
+    """Everything an averaging result prints and evaluates to."""
+    rng = np.random.default_rng(7)
+    ys = rng.uniform(-0.9, 0.9, (64, f.dim))
+    ts = rng.uniform(0.0, 2.0 * math.pi, 64)
+    text = ([to_string(e) for comps in res.g for e in comps], res.w.debug_lines(),
+            [ui.debug_lines() for ui in res.u])
+    values = [part.eval(ys, ts, 0.3) for part in (res.g_field, res.w, *res.u)]
+    return text, values
+
+
+ENGINE_CASES = ([("basic1d", n, c) for n in (4, 5, 6, 7) for c in CONVENTIONS]
+                + [("planar", 4, "u-zero-mean"), ("planar", 5, "u-zero-mean"),
+                   ("filtered1d", 3, "u-zero-mean"), ("filtered1d", 4, "u-zero-mean")])
+
+
+class TestSingleBuildEngine:
+    """The component memo, one build per triangle part, and the merge-free
+    `map_time` and degree parts give the output of the engine that chained
+    `add`s, built every derived field in full and took each component anew."""
+
+    @pytest.mark.parametrize("kind,order,convention", ENGINE_CASES)
+    def test_equals_chained_add_reference(self, kind, order, convention, monkeypatch):
+        f = engine_case(kind, order)
+        text, values = engine_output(average(f, order, convention), f)
+        with monkeypatch.context() as m:
+            m.setattr(fourieralg.LieTriangle, "part", reference_part)
+            m.setattr(fourieralg.LieTriangle, "component", unmemoized)
+            m.setattr(GradedField, "map_time", reference_map_time)
+            m.setattr(GradedField, "degree_part", reference_degree_part)
+            m.setattr(averaging, "degree_parts", reference_degree_parts)
+            ref_text, ref_values = engine_output(average(f, order, convention), f)
+        assert text == ref_text
+        for got, want in zip(values, ref_values):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind,order,calls,distinct",
+                             [("basic1d", 6, 848, 549), ("planar", 4, 2008, 1216)])
+    def test_each_distinct_component_is_taken_once(self, kind, order, calls, distinct,
+                                                   monkeypatch):
+        f = engine_case(kind, order)
+        asked, taken = [], []
+        seen = {}  # (triangle, structural key) -> (printed key, the Expr handed out)
+        memoized = fourieralg.LieTriangle.component
+
+        def recording(self, ws, vs, c):
+            expr = memoized(self, ws, vs, c)
+            printed = (tuple(map(to_string, ws)), tuple(map(to_string, vs)), c)
+            first = seen.setdefault((self, ws, vs, c), (printed, expr))
+            # structural == takes Const(-0.0) for Const(0.0): a hit must print
+            # as the key a miss stored, and hand out that miss's Expr
+            assert first[0] == printed
+            assert first[1] is expr
+            asked.append(1)
+            return expr
+
+        def counted(fn):
+            return lambda ws, vs, c: taken.append(1) or fn(ws, vs, c)
+
+        for name in ("bracket_component", "derivative_component"):
+            monkeypatch.setattr(averaging, name, counted(getattr(averaging, name)))
+        monkeypatch.setattr(fourieralg.LieTriangle, "component", recording)
+        average(f, order)
+        assert len(asked) == calls
+        assert len(taken) == len(seen) == distinct

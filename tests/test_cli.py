@@ -444,3 +444,22 @@ class TestContract:
         gains = json.loads((out / "tune.json").read_text())["gains"]
         assert float(gains["a"]) == pytest.approx(0.2084, abs=1e-3)
         assert float(gains["p"]) == pytest.approx(1.104, abs=1e-3)
+
+
+class TestTuneSharedTables:
+    def test_strategy_order_keeps_tune_json_bytes(self, tmp_path, monkeypatch):
+        # strategies 1, 2 and 4 share one objective's remainder tables within
+        # a process; the artifacts must not depend on which job built them
+        tunings = {1: {"strategy": 1, "delta": 0.02},
+                   2: {"strategy": 2, "delta1": 0.01, "delta2": 0.01},
+                   4: {"strategy": 4, "delta": 0.5}}
+        configs = {s: write_config(tmp_path / f"s{s}.json", dict(BASE["tune"], tuning=t))
+                   for s, t in tunings.items()}
+        outputs = {}
+        for order in ((1, 2, 4), (4, 2, 1)):
+            monkeypatch.setattr(esgain.metaopt, "_TABLES", {})
+            for s in order:
+                out = tmp_path / f"{''.join(map(str, order))}-s{s}"
+                assert main(["tune", "--config", configs[s], "--out", str(out)]) == 0
+                outputs.setdefault(s, set()).add((out / "tune.json").read_bytes())
+        assert all(len(texts) == 1 for texts in outputs.values())

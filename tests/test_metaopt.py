@@ -861,3 +861,44 @@ class TestConsistencyReport:
                               provenance={"domain": [[-1.0, 1.0]] * 3})
         with pytest.raises(MetaOptError, match="1 or 2 axes"):
             consistency_report(sol, res)
+
+
+class TestTablesPerObjective:
+    """solve_numeric builds the RemainderTables of an objective once and
+    shares them among strategies 1, 2 and 4, with the bits of fresh tables."""
+
+    CALLS = {1: {"strategy": 1, "delta": 0.02},
+             2: {"strategy": 2, "delta1": 0.01, "delta2": 0.01},
+             4: {"strategy": 4, "delta": 0.5}}
+
+    def solve(self, ledger, h, strategy):
+        sol = solve_numeric(MetaOptProblem(ledger, **self.CALLS[strategy]), h=h)
+        return sol.gains, sol.budget, sol.active_constraints
+
+    def test_three_strategies_run_the_engine_twice(self, worked_ledger, worked_h,
+                                                   monkeypatch):
+        runs = []
+        monkeypatch.setattr(metaopt, "_TABLES", {})
+        monkeypatch.setattr(metaopt, "average",
+                            lambda *args, **kw: runs.append(1) or average(*args, **kw))
+        for strategy in (1, 2, 4):
+            self.solve(worked_ledger, worked_h, strategy)
+        assert len(runs) == 2  # the p = 1 and p = 2 runs of one build
+
+    def test_solving_order_keeps_the_bits(self, worked_ledger, worked_h, monkeypatch):
+        fresh = {}
+        for strategy in (1, 2, 4):
+            monkeypatch.setattr(metaopt, "_TABLES", {})
+            fresh[strategy] = self.solve(worked_ledger, worked_h, strategy)
+        for order in ((1, 2, 4), (4, 2, 1)):
+            monkeypatch.setattr(metaopt, "_TABLES", {})
+            for strategy in order:
+                assert self.solve(worked_ledger, worked_h, strategy) == fresh[strategy]
+
+    def test_cache_keeps_a_fixed_number_of_objectives(self, worked_ledger, monkeypatch):
+        monkeypatch.setattr(metaopt, "_TABLES", {})
+        hs = [parse_expr(f"0.5*x^2 + {c}*x^3") for c in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+        for h in hs:
+            solve_numeric(MetaOptProblem(worked_ledger, **self.CALLS[2]), h=h)
+        assert list(metaopt._TABLES) == [(worked_ledger.domain, h)
+                                         for h in hs[-metaopt._TABLES_KEPT:]]
