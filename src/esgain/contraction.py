@@ -48,22 +48,6 @@ class BoundsLedger:
     def norm(self, i: int) -> float:
         return self.norms[i]
 
-    def to_dict(self) -> dict:
-        return {
-            "domain": [list(iv) for iv in self.domain.intervals],
-            "norms": list(self.norms),
-            "kappa": self.kappa,
-            "x_star": self.x_star,
-            "composites": dict(self.composites),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundsLedger":
-        dom = Domain(tuple(tuple(float(v) for v in iv) for iv in d["domain"]))
-        return cls(dom, tuple(float(v) for v in d["norms"]), float(d["kappa"]),
-                   float(d.get("x_star", 0.0)),
-                   {k: float(v) for k, v in d.get("composites", {}).items()})
-
 
 def build_ledger(h: Expr, dom: Domain, x_star: float | None = None) -> BoundsLedger:
     """Scan sup norms of h .. h''' plus the composite |L_h^2 h'| and read
@@ -175,13 +159,12 @@ def plant_coupling_bound(a: float, eta: float, omega: float,
 @dataclass(frozen=True)
 class ErrorBudget:
     k1: float       # bound on the non-identity transform |dU|
-    k2: float       # bound on the computed departure from ideal descent
-    k3: float       # bound on the uncomputed averaging tail
-    k4: float       # bound on the fast-dynamics coupling error
+    k2: float       # norm bound of the first averaged term beyond descent
+    k3: float       # remainder-table estimate of that term (0 without tables)
     delta1: float   # DC error of the averaged system vs ideal descent
     delta2: float   # oscillatory error |x - y|
 
     def __post_init__(self):
-        for name in ("k1", "k2", "k3", "k4", "delta1", "delta2"):
+        for name in ("k1", "k2", "k3", "delta1", "delta2"):
             if getattr(self, name) < 0.0:
                 raise BoundsError(f"{name} must be >= 0")

@@ -34,15 +34,12 @@ class InfeasibleError(MetaOptError):
 class MetaOptProblem:
     ledger: BoundsLedger
     strategy: int
-    kind: str = "basic1d"
     delta: float | None = None     # strategies 1 and 4
     delta1: float | None = None    # strategies 2 and 3
     delta2: float | None = None
     m: int = 1
     n: int = 1
     grid_points: int = 200
-    gain_lo: float = 1e-4
-    gain_hi: float = 10.0
 
     def __post_init__(self):
         if self.strategy not in (1, 2, 3, 4):
@@ -55,8 +52,6 @@ class MetaOptProblem:
                 raise MetaOptError("strategies 2 and 3 need positive delta1 and delta2")
         if self.grid_points < 2:
             raise MetaOptError(f"grid_points must be at least 2, got {self.grid_points}")
-        if not 0 < self.gain_lo < self.gain_hi:
-            raise MetaOptError("gain bounds must satisfy 0 < gain_lo < gain_hi")
 
 
 @dataclass(frozen=True)
@@ -69,13 +64,49 @@ class MetaOptSolution:
 
 
 # ---------------------------------------------------------------------------
+# error models
+
+def _error_terms(ledger: BoundsLedger, tables):
+    """A strategy's error model, written once: delta1(a, eta), the DC offset
+    of the averaged system from ideal descent, and delta2(a, eta), the
+    oscillation |x - y|. The constraints bound these two functions and the
+    ErrorBudget reports them at the answer, so the two cannot disagree.
+
+    Strategy 3 and its closed form (no tables) model the truncated averaged
+    term, delta1 = (a^2 |h'''| + eta^2 |L_h^2 h'|) / (8 kappa), and
+    delta2 = eta |h|. Strategies 1, 2 and 4 read the first neglected engine
+    terms from their RemainderTables: delta1 = 2 g_remainder / (a eta kappa)
+    and delta2 = eta |h| + u_remainder."""
+    h0, kap = ledger.norm(0), ledger.kappa
+    if tables is None:
+        h3, l2 = ledger.norm(3), ledger.composites["L2h_hprime"]
+        return (lambda a, e: (a ** 2 * h3 + e ** 2 * l2) / (8.0 * kap),
+                lambda a, e: e * h0)
+    return (lambda a, e: 2.0 * tables.g_remainder(a, e / a) / (a * e * kap),
+            lambda a, e: e * h0 + tables.u_remainder(a, e / a))
+
+
+def _budget(ledger: BoundsLedger, tables, a: float, eta: float) -> ErrorBudget:
+    """The ErrorBudget at (a, eta): the model's delta1 and delta2 there, k2
+    the norm bound of the degree-4 averaged term and k3 its remainder-table
+    estimate (strategies 1, 2 and 4)."""
+    dc, osc = _error_terms(ledger, tables)
+    delta2 = float(osc(a, eta))
+    k2 = (eta * a ** 3 * ledger.norm(3) + a * eta ** 3 * ledger.composites["L2h_hprime"]) / 16.0
+    k3 = float(tables.g_remainder(a, eta / a)) if tables else 0.0
+    return ErrorBudget(k1=delta2, k2=k2, k3=k3, delta1=float(dc(a, eta)), delta2=delta2)
+
+
+# ---------------------------------------------------------------------------
 # closed forms
 
 def solve_strategy3_closed_form(ledger: BoundsLedger, delta1: float,
                                 delta2: float) -> MetaOptSolution:
     """Analytic solution of the truncated split-tolerance problem when the
     dither amplitude dominates the grading (eta one grading order higher):
-    a = sqrt(8 delta1 kappa / |h'''|), eta = delta2 / |h|."""
+    a = sqrt(8 delta1 kappa / |h'''|), eta = delta2 / |h|. It bounds the
+    dominant part a^2 |h'''| / (8 kappa) of the model's delta1; the budget
+    reports the whole truncated term."""
     h0, h3 = ledger.norm(0), ledger.norm(3)
     if h0 <= 0.0 or h3 <= 0.0:
         raise MetaOptError("degenerate objective: |h| and |h'''| must be positive")
@@ -84,13 +115,9 @@ def solve_strategy3_closed_form(ledger: BoundsLedger, delta1: float,
     a = math.sqrt(8.0 * delta1 * ledger.kappa / h3)
     eta = delta2 / h0
     p = eta / a ** 3  # bookkeeping for eta = p eps^3, a = eps
-    k2 = (eta * a ** 3 * h3 + a * eta ** 3 * ledger.composites["L2h_hprime"]) / 16.0
-    budget = ErrorBudget(
-        k1=eta * h0, k2=k2, k3=0.0, k4=0.0,
-        delta1=2.0 * k2 / (a * eta * ledger.kappa), delta2=eta * h0)
     return MetaOptSolution(
         gains={"a": a, "eta": eta, "p": p},
-        budget=budget,
+        budget=_budget(ledger, None, a, eta),
         active_constraints=("delta1_dominant", "delta2"),
         provenance={
             "method": "strategy3-closed-form",
@@ -281,42 +308,27 @@ def _remainder_tables(ledger: BoundsLedger, h) -> RemainderTables:
 # numeric solvers
 
 def _constraints_for(prob: MetaOptProblem, ledger: BoundsLedger, tables):
-    """Return list of (name, fn(a, eta) -> value, bound)."""
-    h0, h3 = ledger.norm(0), ledger.norm(3)
-    l2 = ledger.composites["L2h_hprime"]
-    kap = ledger.kappa
-
+    """Return list of (name, fn(a, eta) -> value, bound), each fn read from
+    the strategy's error model (`_error_terms`)."""
+    dc, osc = _error_terms(ledger, tables)
     if prob.strategy == 3:
         if prob.m == prob.n == 1:
-            return [
-                ("delta1_truncated",
-                 lambda a, e: (a ** 2 * h3 + e ** 2 * l2) / (8.0 * kap), prob.delta1),
-                ("delta2", lambda a, e: e * h0, prob.delta2),
-            ]
+            return [("delta1_truncated", dc, prob.delta1), ("delta2", osc, prob.delta2)]
         if prob.m > prob.n:
-            return [
-                ("delta1_dominant", lambda a, e: a ** 2 * h3 / (8.0 * kap), prob.delta1),
-                ("delta2", lambda a, e: e * h0, prob.delta2),
-            ]
+            # eta is graded finer than a, so only the a^2 part of dc is dominant
+            h3, kap = ledger.norm(3), ledger.kappa
+            return [("delta1_dominant", lambda a, e: a ** 2 * h3 / (8.0 * kap), prob.delta1),
+                    ("delta2", osc, prob.delta2)]
         raise MetaOptError("strategy 3 requires m >= n")
-
-    def delta1(a, e):
-        return 2.0 * tables.g_remainder(a, e / a) / (a * e * kap)
-
-    def delta2(a, e):
-        return e * h0 + tables.u_remainder(a, e / a)
 
     # the dither probes x* +- a, which must stay where the norms were scanned
     lo, hi = ledger.domain.intervals[0]
     in_domain = ("a_in_domain", lambda a, e: a, min(ledger.x_star - lo, hi - ledger.x_star))
     if prob.strategy == 2:
-        return [("delta1", delta1, prob.delta1), ("delta2", delta2, prob.delta2), in_domain]
+        return [("delta1", dc, prob.delta1), ("delta2", osc, prob.delta2), in_domain]
     if prob.strategy == 1:
-        return [("delta_total", lambda a, e: delta1(a, e) + delta2(a, e), prob.delta),
-                in_domain]
-    return [("delta_realtime",
-             lambda a, e: a + 2.0 * tables.g_remainder(a, e / a) / (a * e * kap)
-             + tables.u_remainder(a, e / a), prob.delta), in_domain]
+        return [("delta_total", lambda a, e: dc(a, e) + osc(a, e), prob.delta), in_domain]
+    return [("delta_realtime", lambda a, e: a + dc(a, e) + osc(a, e), prob.delta), in_domain]
 
 
 def _bisect_up(feasible, lo: float, hi_cap: float) -> float:
@@ -343,6 +355,7 @@ def _bisect_up(feasible, lo: float, hi_cap: float) -> float:
 
 
 _SLAB = 1 << 12  # mesh points _maximize evaluates at once (at least one row)
+_GAIN_RANGE = (1e-4, 10.0)  # the box of a and eta that solve_numeric searches
 
 
 def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: float,
@@ -435,25 +448,15 @@ def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
             raise MetaOptError("remainder-bearing strategies are implemented for m = n = 1")
         tables = _remainder_tables(ledger, h)
     cons = _constraints_for(prob, ledger, tables)
-    grid = np.geomspace(prob.gain_lo, prob.gain_hi, prob.grid_points)
+    grid = np.geomspace(*_GAIN_RANGE, prob.grid_points)
     (a_best, e_best), active = _maximize(
-        cons, lambda a, e: a * e, [grid, grid], [(prob.gain_lo, prob.gain_hi)] * 2,
+        cons, lambda a, e: a * e, [grid, grid], [_GAIN_RANGE] * 2,
         points=21, rounds=8, widen=1.12, polish=(1, 0) * 3)
 
     eps = a_best ** (1.0 / prob.n)
-    p_val = e_best / eps ** prob.m
-    h0 = ledger.norm(0)
-    k2 = (e_best * a_best ** 3 * ledger.norm(3)
-          + a_best * e_best ** 3 * ledger.composites["L2h_hprime"]) / 16.0
-    k3 = float(tables.g_remainder(a_best, e_best / a_best)) if tables else 0.0
-    ru = float(tables.u_remainder(a_best, e_best / a_best)) if tables else 0.0
-    budget = ErrorBudget(
-        k1=e_best * h0 + ru, k2=k2, k3=k3, k4=0.0,
-        delta1=2.0 * (k2 + k3) / (a_best * e_best * ledger.kappa),
-        delta2=e_best * h0 + ru)
     return MetaOptSolution(
-        gains={"a": a_best, "eta": e_best, "p": p_val},
-        budget=budget,
+        gains={"a": a_best, "eta": e_best, "p": e_best / eps ** prob.m},
+        budget=_budget(ledger, tables, a_best, e_best),
         active_constraints=active,
         provenance={
             "method": f"strategy{prob.strategy}-grid",
@@ -461,7 +464,7 @@ def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
             "constraints": {name: f"bound {bound}" for name, _, bound in cons},
             "domain": [list(iv) for iv in ledger.domain.intervals],
             "grid": {"points": prob.grid_points,
-                     "lo": prob.gain_lo, "hi": prob.gain_hi},
+                     "lo": _GAIN_RANGE[0], "hi": _GAIN_RANGE[1]},
         })
 
 
@@ -545,7 +548,7 @@ def tune_filtered(ledger: BoundsLedger, delta1: float, delta2: float) -> MetaOpt
         cons, lambda a, eta, mu, gamma: eta, axes, _FILTERED_RANGES,
         points=9, rounds=6, widen=1.1, polish=(1,))
     budget = ErrorBudget(
-        k1=osc(a_v, eta_v, mu_v, gamma_v), k2=0.0, k3=0.0, k4=0.0,
+        k1=osc(a_v, eta_v, mu_v, gamma_v), k2=0.0, k3=0.0,
         delta1=osc(a_v, eta_v, mu_v, gamma_v), delta2=tube(a_v, eta_v, mu_v, gamma_v))
     gains = {"a": a_v, "eta": eta_v, "mu": mu_v, "gamma": gamma_v}
     edges = [f"{name}_{end}" for (name, v), box in zip(gains.items(), _FILTERED_RANGES)

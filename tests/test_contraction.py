@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from esgain.contraction import (BoundsError, BoundsLedger, ErrorBudget,
+from esgain.contraction import (BoundsError, ErrorBudget,
                                 NonContractingError, SingularPerturbationInputs,
                                 build_ledger, contraction_rate, lie_along,
                                 plant_coupling_bound, robustness_tube,
@@ -39,12 +39,6 @@ class TestBuildLedger:
         small = build_ledger(worked_h, Domain1D(-0.4, 0.4))
         for i in range(4):
             assert small.norm(i) <= big.norm(i) + 1e-9
-
-    def test_round_trips_through_dict(self, worked_ledger):
-        again = BoundsLedger.from_dict(worked_ledger.to_dict())
-        assert again.kappa == worked_ledger.kappa
-        assert [again.norm(i) for i in range(4)] == \
-            [worked_ledger.norm(i) for i in range(4)]
 
     def test_lie_along_composite(self):
         # L_h v = v' h - h' v for h = x^2/2, v = x: L_h x = x*x^2/2*... check numerically
@@ -132,5 +126,5 @@ class TestClosedFormBounds:
 
     def test_budget_rejects_negative_entries(self):
         with pytest.raises(BoundsError):
-            ErrorBudget(k1=-1.0, k2=0.0, k3=0.0, k4=0.0, delta1=0.0, delta2=0.0)
-        ErrorBudget(k1=0.0, k2=0.0, k3=0.0, k4=0.0, delta1=0.1, delta2=0.2)
+            ErrorBudget(k1=-1.0, k2=0.0, k3=0.0, delta1=0.0, delta2=0.0)
+        ErrorBudget(k1=0.0, k2=0.0, k3=0.0, delta1=0.1, delta2=0.2)
