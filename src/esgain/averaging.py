@@ -3,6 +3,8 @@
 Produces autonomous averaged dynamics g_1..g_n, periodic generators
 w_1..w_n, and the non-identity transform terms u_1..u_n, together with a
 numeric certificate that the residual non-autonomy scales like eps^(n+1).
+The transform (w and u) is built on its first read, so callers that need
+only g skip its largest parts.
 Order i is summed from Lie-triangle rows of the lower orders (Deprit 1969),
 so each bracket is taken once. On the basic scheme at a = 1, g_4 is exactly
 c1 p + c3 p^3 and u_2 exactly c1 p + c2 p^2 in the fine-tuning factor p, so
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -55,13 +59,34 @@ class ResidualPreconditionError(AveragingError):
 
 @dataclass(frozen=True)
 class AveragingResult:
+    """The averaged dynamics g of `average` and the near-identity transform
+    x = y + sum_i eps^i u_i(y, t) back to the original coordinates.
+
+    g is built with the result. The transform, w (the full generator,
+    2*pi-periodic by construction) and u (u[i-1]: a GradedField holding only
+    the degree-i transform terms), is built on the first read of either, by
+    the closure `average` leaves in `build_transform`. That read drops the
+    closure and the Lie triangle it holds."""
     order: int
     dim: int
     g: tuple          # g[i-1]: tuple[Expr] per component, autonomous
-    w: GradedField    # full generator, 2*pi-periodic by construction
-    u: tuple          # u[i-1]: GradedField holding only degree-i transform terms
     convention: str
+    build_transform: Callable | None = field(repr=False, compare=False)
     diagnostics: dict = field(default_factory=dict)
+
+    @cached_property
+    def _transform(self) -> tuple:
+        w, u = self.build_transform()
+        object.__setattr__(self, "build_transform", None)
+        return w, u
+
+    @property
+    def w(self) -> GradedField:
+        return self._transform[0]
+
+    @property
+    def u(self) -> tuple:
+        return self._transform[1]
 
     def g_exprs(self, degree: int) -> tuple:
         return self.g[degree - 1]
@@ -92,8 +117,10 @@ def average(f: GradedField, n: int, convention: str = "u-zero-mean") -> Averagin
     on L_w f - dw/dt and of exp(D_w) on w. At degree i the rows of lower
     degree give e_i, the degree-i part of the transformed field. Its mean
     is g_i; the antiderivative of its oscillation is w_i, less the time
-    constant the convention reads off u_i. That w_i completes the degree-i
-    first rows, and u_i is summed again with it first."""
+    constant the convention reads off u_i. Below degree n that w_i completes
+    the degree-i first rows that higher degrees read. The top-degree w_n and
+    the transform parts u_i, each summed again with its final w_i first, are
+    left to the result's first read of w or u."""
     if convention not in CONVENTIONS:
         raise AveragingError(f"unknown convention {convention!r}")
     if not 1 <= n <= f.max_order:
@@ -103,13 +130,8 @@ def average(f: GradedField, n: int, convention: str = "u-zero-mean") -> Averagin
     w: dict = {}
     f_tri = LieTriangle(bracket_component, w, {}, dim, n)   # exp(L_w) on L_w f - dw/dt
     u_tri = LieTriangle(derivative_component, w, w, dim, n)  # exp(D_w) on w
-    g_list, u_parts, term_counts, mean_residual = [], [], {}, {}
-    for i in range(1, n + 1):
-        lf = f_tri.apply(fs, i)  # L_w f at degree i; w_i is not known yet
-        e_i = f_tri.part(i, fs[i].add(lf))
-        if len(e_i.terms) > _TERM_CAP:
-            raise TermExplosionError(i, len(e_i.terms), _TERM_CAP)
-        g_list.append(_mean_exprs(e_i))
+
+    def set_generator(i: int, e_i: GradedField) -> None:
         w_i = e_i.map_time(TrigPoly.antiderivative)
         if convention != "w-zero-mean":
             u_i = u_tri.part(i, w_i)
@@ -119,16 +141,29 @@ def average(f: GradedField, n: int, convention: str = "u-zero-mean") -> Averagin
                 offset = u_i.map_time(lambda trig: TrigPoly.constant(-trig.eval(0.0)))
             w_i = w_i.add(offset)
         w[i] = w_i
-        f_tri.rows[0][i] = lf.add(w_i.ddt().scale(-1.0))
-        u_parts.append(u_tri.part(i, w_i))
+
+    g_list, term_counts = [], {}
+    for i in range(1, n + 1):
+        lf = f_tri.apply(fs, i)  # L_w f at degree i; w_i is not known yet
+        e_i = f_tri.part(i, fs[i].add(lf))
+        if len(e_i.terms) > _TERM_CAP:
+            raise TermExplosionError(i, len(e_i.terms), _TERM_CAP)
+        g_list.append(_mean_exprs(e_i))
         term_counts[i] = len(e_i.terms)
-        mean_residual[i] = max((abs(t.time.mean) for t in u_parts[-1].terms), default=0.0)
-    return AveragingResult(
-        order=n, dim=dim, g=tuple(g_list),
-        w=GradedField.build(dim, n, [t for part in w.values() for t in part.terms]),
-        u=tuple(u_parts), convention=convention,
-        diagnostics={"term_counts": term_counts, "u_mean_residual": mean_residual},
-    )
+        if i < n:
+            set_generator(i, e_i)
+            f_tri.rows[0][i] = lf.add(w[i].ddt().scale(-1.0))
+
+    e_n = e_i
+
+    def build_transform() -> tuple:
+        set_generator(n, e_n)
+        u = tuple(u_tri.part(i, w[i]) for i in range(1, n + 1))
+        return GradedField.build(dim, n, [t for part in w.values() for t in part.terms]), u
+
+    return AveragingResult(order=n, dim=dim, g=tuple(g_list), convention=convention,
+                           build_transform=build_transform,
+                           diagnostics={"term_counts": term_counts})
 
 
 # ---------------------------------------------------------------------------

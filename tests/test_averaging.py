@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -303,10 +305,11 @@ class TestSingleBuildEngine:
         for got, want in zip(values, ref_values):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("kind,order,calls,distinct",
-                             [("basic1d", 6, 848, 549), ("planar", 4, 2008, 1216)])
-    def test_each_distinct_component_is_taken_once(self, kind, order, calls, distinct,
-                                                   monkeypatch):
+    @pytest.mark.parametrize("kind,order,g_calls,g_distinct,calls,distinct",
+                             [("basic1d", 6, 517, 279, 848, 549),
+                              ("planar", 4, 1256, 648, 2008, 1216)])
+    def test_each_distinct_component_is_taken_once(self, kind, order, g_calls, g_distinct,
+                                                   calls, distinct, monkeypatch):
         f = engine_case(kind, order)
         asked, taken = [], []
         seen = {}  # (triangle, structural key) -> (printed key, the Expr handed out)
@@ -329,6 +332,67 @@ class TestSingleBuildEngine:
         for name in ("bracket_component", "derivative_component"):
             monkeypatch.setattr(averaging, name, counted(getattr(averaging, name)))
         monkeypatch.setattr(fourieralg.LieTriangle, "component", recording)
-        average(f, order)
+        res = average(f, order)
+        assert len(asked) == g_calls
+        assert len(taken) == len(seen) == g_distinct
+        res.u  # the transform adds its components to the same memos
         assert len(asked) == calls
         assert len(taken) == len(seen) == distinct
+
+
+class TestTransformOnFirstRead:
+    """`average` leaves the transform to the first read of w or u."""
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_read_order_does_not_matter(self, convention):
+        f = engine_case("basic1d", 5)
+        w_first = average(f, 5, convention)
+        w_first.w
+        u_first = average(f, 5, convention)
+        u_first.u
+        text, values = engine_output(w_first, f)
+        u_text, u_values = engine_output(u_first, f)
+        assert text == u_text
+        for got, want in zip(values, u_values):
+            assert np.array_equal(got, want)
+
+    def test_g_alone_takes_no_derivative_component(self, monkeypatch):
+        taken = []
+        fn = averaging.derivative_component
+        monkeypatch.setattr(averaging, "derivative_component",
+                            lambda ws, vs, c: taken.append(1) or fn(ws, vs, c))
+        res = average(engine_case("basic1d", 5), 5, "w-zero-mean")
+        res.g_field
+        assert taken == []
+        res.w
+        assert taken
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_term_cap_stops_at_the_same_degree(self, convention, monkeypatch):
+        f = engine_case("basic1d", 5)
+        counts = average(f, 5, convention).diagnostics["term_counts"]
+        for cap in sorted(set(counts.values()))[:-1]:
+            first_over = min(i for i, c in counts.items() if c > cap)
+            monkeypatch.setattr(averaging, "_TERM_CAP", cap)
+            with pytest.raises(averaging.TermExplosionError) as err:
+                average(f, 5, convention)
+            assert err.value.degree == first_over
+        assert counts[5] > max(counts[i] for i in range(1, 5))  # the top degree is among them
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_first_read_drops_the_triangles(self, convention, monkeypatch):
+        made = []
+        init = fourieralg.LieTriangle.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            made.append(weakref.ref(self))
+        monkeypatch.setattr(fourieralg.LieTriangle, "__init__", recording)
+        res = average(engine_case("basic1d", 4), 4, convention)
+        gc.collect()
+        assert len(made) == 2
+        assert [ref() is None for ref in made] == [True, False]  # the u triangle waits
+        res.u
+        gc.collect()
+        assert all(ref() is None for ref in made)
+        assert res.build_transform is None
