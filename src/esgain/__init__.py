@@ -26,6 +26,5 @@ from .schemes import (DitherSpec, SchemeInstance, ideal_flow,
 from .sim import (ErrorMetrics, PerfMap, SimulationOverflowError, Trajectory,
                   compare, convergence_time, integrate, performance_map)
 from .symexpr import (Domain, Domain1D, Domain2D, EvalOverflowError, Field,
-                      ParseError, SupNormEstimate, compile_expr,
-                      differentiate, eval_expr, parse_expr, scan_supnorm,
-                      to_string)
+                      ParseError, compile_expr, differentiate, eval_expr,
+                      parse_expr, scan_supnorm, to_string)

@@ -55,7 +55,7 @@ _KEYS = {
     "scheme.gains": ("a", "eta", "mu", "gamma", "omega"),
     "ledger": ("domain", "h", "x_star"),
     "tuning": ("target", "strategy", "method", "delta", "delta1", "delta2", "a", "eta",
-               "m", "n", "grid_points", "consistency"),
+               "grid_points", "consistency"),
     "sim": ("dt", "horizon_periods", "x0", "metrics", "avg_order",
             "a_range", "p_range", "a_points", "p_points", "x_star"),
 }
@@ -226,7 +226,7 @@ def _cmd_tune(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
             prob = MetaOptProblem(
                 ledger=ledger, strategy=strategy, delta=blk("delta", NUMBER, None),
                 delta1=blk("delta1", NUMBER, None), delta2=blk("delta2", NUMBER, None),
-                m=blk("m", COUNT, 1), n=blk("n", COUNT, 1), grid_points=grid_points)
+                grid_points=grid_points)
             sol = solve_numeric(prob, h=h)
         payload = dataclasses.asdict(sol)
         if blk("consistency", FLAG, True) and "p" in sol.gains:

@@ -57,7 +57,7 @@ def build_ledger(h: Expr, dom: Domain, x_star: float | None = None) -> BoundsLed
     norms = []
     d = h
     for _ in range(4):
-        norms.append(scan_supnorm(d, dom).value)
+        norms.append(scan_supnorm(d, dom))
         d = differentiate(d)
     if x_star is None:
         x_star = scan_argmin(h, dom)[0]
@@ -66,7 +66,7 @@ def build_ledger(h: Expr, dom: Domain, x_star: float | None = None) -> BoundsLed
         raise NonContractingError(
             f"h''({x_star}) = {kappa}; the declared optimum is not locally convex")
     composite = lie_along(h, lie_along(h, differentiate(h)))
-    composites = {"L2h_hprime": scan_supnorm(composite, dom).value}
+    composites = {"L2h_hprime": scan_supnorm(composite, dom)}
     return BoundsLedger(dom, tuple(norms), float(kappa), float(x_star), composites)
 
 
@@ -158,13 +158,10 @@ def plant_coupling_bound(a: float, eta: float, omega: float,
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    k1: float       # bound on the non-identity transform |dU|
-    k2: float       # norm bound of the first averaged term beyond descent
-    k3: float       # remainder-table estimate of that term (0 without tables)
     delta1: float   # DC error of the averaged system vs ideal descent
     delta2: float   # oscillatory error |x - y|
 
     def __post_init__(self):
-        for name in ("k1", "k2", "k3", "delta1", "delta2"):
+        for name in ("delta1", "delta2"):
             if getattr(self, name) < 0.0:
                 raise BoundsError(f"{name} must be >= 0")

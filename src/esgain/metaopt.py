@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import AveragingResult, average
-from .contraction import BoundsLedger, ErrorBudget
+from .contraction import BoundsLedger, ErrorBudget, plant_coupling_bound
 from .schemes import SchemeInstance, scheme_graded_field
 
 
@@ -37,8 +37,6 @@ class MetaOptProblem:
     delta: float | None = None     # strategies 1 and 4
     delta1: float | None = None    # strategies 2 and 3
     delta2: float | None = None
-    m: int = 1
-    n: int = 1
     grid_points: int = 200
 
     def __post_init__(self):
@@ -59,7 +57,6 @@ class MetaOptSolution:
     gains: dict
     budget: ErrorBudget
     active_constraints: tuple
-    consistency: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
 
@@ -74,8 +71,9 @@ def _error_terms(ledger: BoundsLedger, tables):
 
     Strategy 3 and its closed form (no tables) model the truncated averaged
     term, delta1 = (a^2 |h'''| + eta^2 |L_h^2 h'|) / (8 kappa), and
-    delta2 = eta |h|. Strategies 1, 2 and 4 read the first neglected engine
-    terms from their RemainderTables: delta1 = 2 g_remainder / (a eta kappa)
+    delta2 = eta |h|; the closed form bounds only the a^2 part of delta1.
+    Strategies 1, 2 and 4 read the first neglected engine terms from their
+    RemainderTables: delta1 = 2 g_remainder / (a eta kappa)
     and delta2 = eta |h| + u_remainder."""
     h0, kap = ledger.norm(0), ledger.kappa
     if tables is None:
@@ -86,15 +84,10 @@ def _error_terms(ledger: BoundsLedger, tables):
             lambda a, e: e * h0 + tables.u_remainder(a, e / a))
 
 
-def _budget(ledger: BoundsLedger, tables, a: float, eta: float) -> ErrorBudget:
-    """The ErrorBudget at (a, eta): the model's delta1 and delta2 there, k2
-    the norm bound of the degree-4 averaged term and k3 its remainder-table
-    estimate (strategies 1, 2 and 4)."""
-    dc, osc = _error_terms(ledger, tables)
-    delta2 = float(osc(a, eta))
-    k2 = (eta * a ** 3 * ledger.norm(3) + a * eta ** 3 * ledger.composites["L2h_hprime"]) / 16.0
-    k3 = float(tables.g_remainder(a, eta / a)) if tables else 0.0
-    return ErrorBudget(k1=delta2, k2=k2, k3=k3, delta1=float(dc(a, eta)), delta2=delta2)
+def _budget(terms, *gains) -> ErrorBudget:
+    """The ErrorBudget at `gains`: the model's two terms, delta1 and delta2, there."""
+    dc, osc = terms
+    return ErrorBudget(delta1=float(dc(*gains)), delta2=float(osc(*gains)))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +110,7 @@ def solve_strategy3_closed_form(ledger: BoundsLedger, delta1: float,
     p = eta / a ** 3  # bookkeeping for eta = p eps^3, a = eps
     return MetaOptSolution(
         gains={"a": a, "eta": eta, "p": p},
-        budget=_budget(ledger, None, a, eta),
+        budget=_budget(_error_terms(ledger, None), a, eta),
         active_constraints=("delta1_dominant", "delta2"),
         provenance={
             "method": "strategy3-closed-form",
@@ -312,14 +305,7 @@ def _constraints_for(prob: MetaOptProblem, ledger: BoundsLedger, tables):
     the strategy's error model (`_error_terms`)."""
     dc, osc = _error_terms(ledger, tables)
     if prob.strategy == 3:
-        if prob.m == prob.n == 1:
-            return [("delta1_truncated", dc, prob.delta1), ("delta2", osc, prob.delta2)]
-        if prob.m > prob.n:
-            # eta is graded finer than a, so only the a^2 part of dc is dominant
-            h3, kap = ledger.norm(3), ledger.kappa
-            return [("delta1_dominant", lambda a, e: a ** 2 * h3 / (8.0 * kap), prob.delta1),
-                    ("delta2", osc, prob.delta2)]
-        raise MetaOptError("strategy 3 requires m >= n")
+        return [("delta1_truncated", dc, prob.delta1), ("delta2", osc, prob.delta2)]
 
     # the dither probes x* +- a, which must stay where the norms were scanned
     lo, hi = ledger.domain.intervals[0]
@@ -433,6 +419,8 @@ def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: fl
 def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
     """Maximize eta*a over a deterministic log grid with local refinement and
     bisection polish; ties broken by the lexicographically smallest grid index.
+    Strategy 3 solves the truncated model under equal grading (m = n = 1);
+    `solve_strategy3_closed_form` solves the dominant one.
 
     Strategies 1, 2 and 4 take their RemainderTables from a cache keyed by
     (ledger.domain, h) that holds the last _TABLES_KEPT objectives, so
@@ -444,8 +432,6 @@ def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
         if h is None:
             raise MetaOptError("strategies 1, 2 and 4 need the objective expression "
                                "to estimate remainders")
-        if prob.m != 1 or prob.n != 1:
-            raise MetaOptError("remainder-bearing strategies are implemented for m = n = 1")
         tables = _remainder_tables(ledger, h)
     cons = _constraints_for(prob, ledger, tables)
     grid = np.geomspace(*_GAIN_RANGE, prob.grid_points)
@@ -453,14 +439,13 @@ def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
         cons, lambda a, e: a * e, [grid, grid], [_GAIN_RANGE] * 2,
         points=21, rounds=8, widen=1.12, polish=(1, 0) * 3)
 
-    eps = a_best ** (1.0 / prob.n)
     return MetaOptSolution(
-        gains={"a": a_best, "eta": e_best, "p": e_best / eps ** prob.m},
-        budget=_budget(ledger, tables, a_best, e_best),
+        gains={"a": a_best, "eta": e_best, "p": e_best / a_best},  # eta = p eps, a = eps
+        budget=_budget(_error_terms(ledger, tables), a_best, e_best),
         active_constraints=active,
         provenance={
             "method": f"strategy{prob.strategy}-grid",
-            "m": prob.m, "n": prob.n,
+            "m": 1, "n": 1,
             "constraints": {name: f"bound {bound}" for name, _, bound in cons},
             "domain": [list(iv) for iv in ledger.domain.intervals],
             "grid": {"points": prob.grid_points,
@@ -503,7 +488,8 @@ def tune_frequency(ledger: BoundsLedger, a: float, eta: float) -> FrequencyTunin
             "literal_stationary_omega": literal,
             "objective_at_returned": objective(omega),
             "objective_at_literal": objective(literal),
-            "coupling_bound_at_returned": eta * omega ** 2 * ledger.norm(1) * denom,
+            "coupling_bound_at_returned": plant_coupling_bound(a, eta, omega, h0,
+                                                               ledger.norm(1)),
         })
 
 
@@ -547,15 +533,12 @@ def tune_filtered(ledger: BoundsLedger, delta1: float, delta2: float) -> MetaOpt
     (a_v, eta_v, mu_v, gamma_v), active = _maximize(
         cons, lambda a, eta, mu, gamma: eta, axes, _FILTERED_RANGES,
         points=9, rounds=6, widen=1.1, polish=(1,))
-    budget = ErrorBudget(
-        k1=osc(a_v, eta_v, mu_v, gamma_v), k2=0.0, k3=0.0,
-        delta1=osc(a_v, eta_v, mu_v, gamma_v), delta2=tube(a_v, eta_v, mu_v, gamma_v))
     gains = {"a": a_v, "eta": eta_v, "mu": mu_v, "gamma": gamma_v}
     edges = [f"{name}_{end}" for (name, v), box in zip(gains.items(), _FILTERED_RANGES)
              for end, bound in zip(("lo", "hi"), box) if v == bound]  # set by the box
     return MetaOptSolution(
         gains=gains,
-        budget=budget,
+        budget=_budget((osc, tube), a_v, eta_v, mu_v, gamma_v),
         active_constraints=active,
         provenance={
             "method": "filtered-grid",

@@ -977,16 +977,6 @@ def Domain2D(lo1: float, hi1: float, lo2: float, hi2: float) -> Domain:
     return Domain(((float(lo1), float(hi1)), (float(lo2), float(hi2))))
 
 
-@dataclass(frozen=True)
-class SupNormEstimate:
-    value: float
-    grid_spacing: float
-    location: tuple
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -1027,43 +1017,16 @@ def _scan_1d(e: Expr, interval, samples: int, score) -> tuple[float, float]:
 
 
 _SCAN_SAMPLES_1D = 20001  # samples of a 1-D scan
-_SCAN_SAMPLES_2D = 501  # samples per axis of a 2-D scan
 _GOLDEN_ITERS = 80  # golden-section steps of a scan's refinement
 
 
-def scan_supnorm(e: Expr, dom: Domain) -> SupNormEstimate:
-    """Approximate sup |e| on the domain: dense uniform sampling followed by
+def scan_supnorm(e: Expr, dom: Domain) -> float:
+    """Approximate sup |e| on a 1-D domain: dense uniform sampling followed by
     local golden-section refinement around the best sample. The result is a
-    lower bound on the true sup, reported with the grid spacing."""
-    if dom.dim == 1:
-        (lo, hi), = dom.intervals
-        x, v = _scan_1d(e, (lo, hi), _SCAN_SAMPLES_1D, abs)
-        return SupNormEstimate(v, (hi - lo) / (_SCAN_SAMPLES_1D - 1), (x,))
-    n = _SCAN_SAMPLES_2D
-    grids = [np.linspace(lo, hi, n) for lo, hi in dom.intervals]
-    xx, yy = np.meshgrid(grids[0], grids[1], indexing="ij")
-    vals = np.abs(eval_array(e, [xx, yy]))
-    if not np.all(np.isfinite(vals)):
-        raise EvalOverflowError("non-finite sample during sup-norm scan")
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    spacings = [(hi - lo) / (n - 1) for lo, hi in dom.intervals]
-    best = [float(grids[0][i]), float(grids[1][j])]
-    best_val = float(vals[i, j])
-    fn = compile_expr(e)
-    for _ in range(3):  # coordinate-wise refinement sweeps
-        for axis in range(2):
-            lo = max(dom.intervals[axis][0], best[axis] - spacings[axis])
-            hi = min(dom.intervals[axis][1], best[axis] + spacings[axis])
-
-            def f1(x, axis=axis):
-                pt = list(best)
-                pt[axis] = x
-                return abs(float(fn(pt)))
-
-            xr, vr = _golden_max(f1, lo, hi)
-            if vr > best_val:
-                best[axis], best_val = xr, vr
-    return SupNormEstimate(best_val, max(spacings), tuple(best))
+    lower bound on the true sup."""
+    if dom.dim != 1:
+        raise ExprError("scan_supnorm scans 1-D domains")
+    return _scan_1d(e, dom.intervals[0], _SCAN_SAMPLES_1D, abs)[1]
 
 
 def scan_argmin(e: Expr, dom: Domain) -> tuple:

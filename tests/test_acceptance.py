@@ -11,9 +11,8 @@ import pytest
 
 from esgain.averaging import average, autonomy_residual
 from esgain.contraction import build_ledger, plant_coupling_bound, robustness_tube
-from esgain.metaopt import (MetaOptProblem, consistency_report, solve_monomial,
-                            solve_numeric, solve_strategy3_closed_form,
-                            tune_frequency)
+from esgain.metaopt import (MetaOptProblem, consistency_report, solve_numeric,
+                            solve_strategy3_closed_form, tune_frequency)
 from esgain.schemes import (SchemeInstance, plant_slow_rhs, reference_averaged,
                             scheme_graded_field, scheme_rhs)
 from esgain.sim import convergence_time, integrate, performance_map
@@ -203,7 +202,7 @@ def test_criterion_9_performance_map(h, ledger):
     assert time.perf_counter() - t0 < 300.0
 
 
-def test_criterion_10_representative_invariants(h, ledger, tmp_path):
+def test_criterion_10_representative_invariants(h, tmp_path):
     t0 = time.perf_counter()
     checks = {}
 
@@ -232,15 +231,6 @@ def test_criterion_10_representative_invariants(h, ledger, tmp_path):
     performance_map(h, grid_a, grid_p, horizon_periods=40).write_csv(f1)
     performance_map(h, grid_a, grid_p, horizon_periods=40).write_csv(f2)
     checks["map_determinism"] = f1.read_bytes() == f2.read_bytes()
-
-    # monomial closed form agrees with the grid solver
-    d1 = d2 = 0.01
-    prob = MetaOptProblem(ledger, strategy=3, delta1=d1, delta2=d2, m=3, n=1)
-    sol = solve_numeric(prob)
-    a_cf, eta_cf = solve_monomial(0.0, 2.0, 8.0 * d1 * ledger.kappa / ledger.norm(3),
-                                  1.0, 0.0, d2 / ledger.norm(0))
-    checks["monomial_vs_grid"] = (abs(sol.gains["a"] - a_cf) <= 1e-5 * a_cf
-                                  and abs(sol.gains["eta"] - eta_cf) <= 1e-5 * eta_cf)
 
     ok = all(checks.values())
     failed = [k for k, v in checks.items() if not v]

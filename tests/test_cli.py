@@ -336,6 +336,9 @@ class TestConfigHandling:
         ("tune", edited("tune", ledger={"domain": [-1.0, "abc"]})),
         # an unknown block used to be ignored
         ("average", edited("average", averaging={"order": 2})),
+        # tuning.method alone picks the strategy-3 model; the grading keys are gone
+        ("tune", edited("tune", tuning={"method": "numeric", "m": 3})),
+        ("tune", edited("tune", tuning={"method": "numeric", "n": 1})),
         # missing fields
         ("simulate", edited("simulate", scheme={"h": None})),
         ("tune", edited("tune", tuning=None)),
@@ -350,6 +353,7 @@ class TestConfigHandling:
             "avg_order_too_high", "unknown_convention", "strategy_not_a_number",
             "x_star_not_a_number", "avg_order_not_a_number", "grid_points_zero",
             "frequency_gain_not_a_number", "domain_end_not_a_number", "unknown_block",
+            "tuning_m", "tuning_n",
             "missing_objective", "missing_tuning_block", "map_points_past_numpy",
             "map_cells_over_cap", "grid_points_past_numpy", "grid_points_over_cap"])
     def test_probed_config_exits_two(self, tmp_path, command, cfg):

@@ -126,5 +126,7 @@ class TestClosedFormBounds:
 
     def test_budget_rejects_negative_entries(self):
         with pytest.raises(BoundsError):
-            ErrorBudget(k1=-1.0, k2=0.0, k3=0.0, delta1=0.0, delta2=0.0)
-        ErrorBudget(k1=0.0, k2=0.0, k3=0.0, delta1=0.1, delta2=0.2)
+            ErrorBudget(delta1=-1.0, delta2=0.0)
+        with pytest.raises(BoundsError):
+            ErrorBudget(delta1=0.0, delta2=-1.0)
+        ErrorBudget(delta1=0.1, delta2=0.2)

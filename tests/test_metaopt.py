@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from esgain import metaopt
 from esgain.averaging import average
-from esgain.contraction import BoundsLedger, build_ledger
+from esgain.contraction import BoundsLedger, build_ledger, plant_coupling_bound
 from esgain.metaopt import (InfeasibleError, MetaOptError, MetaOptProblem,
                             MetaOptSolution, RemainderTables, _bisect_up,
                             _constraints_for, _maximize, consistency_report,
@@ -162,39 +162,30 @@ class TestSolveNumeric:
         cons = _constraints_for(prob, worked_ledger, tables)
         by_name = {name: (fn, bound) for name, fn, bound in cons}
         a, eta = sol.gains["a"], sol.gains["eta"]
-        eps = a ** (1.0 / prob.n)
         for name in sol.active_constraints:
             fn, bound = by_name[name]
             val = float(fn(np.asarray(a), np.asarray(eta)))
             assert val == pytest.approx(bound, rel=1e-9)
 
-    @pytest.mark.parametrize("strategy,kw", [
-        (1, {"delta": 0.05}), (2, {"delta1": 0.01, "delta2": 0.01}), (4, {"delta": 0.5})])
-    @pytest.mark.parametrize("m,n", [(2, 1), (1, 2)])
-    def test_remainder_strategies_reject_grading_before_tables(
-            self, worked_ledger, worked_h, monkeypatch, strategy, kw, m, n):
-        def no_tables(*args, **kwargs):
-            raise AssertionError("RemainderTables built for an unsupported grading")
-
-        monkeypatch.setattr("esgain.metaopt.RemainderTables", no_tables)
-        prob = MetaOptProblem(worked_ledger, strategy=strategy, m=m, n=n, **kw)
-        with pytest.raises(MetaOptError, match="m = n = 1"):
-            solve_numeric(prob, h=worked_h)
-
-    def test_heavy_grading_matches_monomial_closed_form(self, worked_ledger):
-        # strategy 3 with m > n has two pure monomial constraints:
-        #   a^2 |h'''| / (8 kappa) <= delta1  and  eta |h| <= delta2
+    def test_grid_search_matches_monomial_closed_form(self, worked_ledger):
+        # the dominant strategy-3 model has two pure monomial constraints,
+        #   a^2 |h'''| / (8 kappa) <= delta1  and  eta |h| <= delta2;
+        # the grid search at solve_numeric's settings must find the optimum
+        # that solve_monomial and the strategy-3 closed form compute
         d1, d2 = 0.01, 0.01
-        prob = MetaOptProblem(worked_ledger, strategy=3, delta1=d1, delta2=d2,
-                              m=3, n=1)
-        sol = solve_numeric(prob)
-        k1 = 8.0 * d1 * worked_ledger.kappa / worked_ledger.norm(3)
-        k2 = d2 / worked_ledger.norm(0)
-        a_cf, eta_cf = solve_monomial(0.0, 2.0, k1, 1.0, 0.0, k2)
-        assert sol.gains["a"] == pytest.approx(a_cf, rel=1e-6)
-        assert sol.gains["eta"] == pytest.approx(eta_cf, rel=1e-6)
+        h0, h3, kap = worked_ledger.norm(0), worked_ledger.norm(3), worked_ledger.kappa
+        cons = [("delta1_dominant", lambda a, e: a ** 2 * h3 / (8.0 * kap), d1),
+                ("delta2", lambda a, e: e * h0, d2)]
+        grid = np.geomspace(*metaopt._GAIN_RANGE, 200)
+        (a, eta), active = _maximize(cons, lambda a, e: a * e, [grid, grid],
+                                     [metaopt._GAIN_RANGE] * 2, points=21, rounds=8,
+                                     widen=1.12, polish=(1, 0) * 3)
+        a_cf, eta_cf = solve_monomial(0.0, 2.0, 8.0 * d1 * kap / h3, 1.0, 0.0, d2 / h0)
+        assert a == pytest.approx(a_cf, rel=1e-6)
+        assert eta == pytest.approx(eta_cf, rel=1e-6)
         closed = solve_strategy3_closed_form(worked_ledger, d1, d2)
-        assert sol.gains["a"] == pytest.approx(closed.gains["a"], rel=1e-6)
+        assert a == pytest.approx(closed.gains["a"], rel=1e-6)
+        assert active == closed.active_constraints
 
     def test_monotone_in_tolerances_on_random_ledgers(self):
         rng = np.random.default_rng(7)
@@ -243,10 +234,9 @@ ORACLE_CALLS = {
     "s2_inf": {"strategy": 2, "delta1": math.inf, "delta2": 0.01},
     "s4": {"strategy": 4, "delta": 0.5},
     "s3": {"strategy": 3, "delta1": 0.01, "delta2": 0.01},
-    "s3_m3": {"strategy": 3, "delta1": 0.01, "delta2": 0.01, "m": 3, "n": 1},
     "filtered": None,
 }
-# (objective, call) -> (gains, budget (k1, k2, k3, delta1, delta2),
+# (objective, call) -> (gains, budget (delta1, delta2),
 # active constraints), recorded when each solver still had its own search;
 # the s2_inf rows were recorded again once a_in_domain kept the dither
 # amplitude on the ledger domain (at a = 10, 9.88 and 9.56 before). The
@@ -256,87 +246,75 @@ ORACLE_CALLS = {
 SOLVER_ORACLE = {
     ('-cos(x) + 0.16666666666666666*x^3', 's1'): (
         {'a': 0.1173963744975024, 'eta': 0.012581281926901665, 'p': 0.1071692544233496},
-        (0.013611624987822573, 2.4009517405577473e-06, 4.7178049957978665e-06, 0.006388375012177427, 0.013611624987822573),
+        (0.006388375012177427, 0.013611624987822573),
         ('delta_total',)),
     ('-cos(x) + 0.16666666666666666*x^3', 's2'): (
         {'a': 0.1464971398307287, 'eta': 0.009086465012914364, 'p': 0.06202486289775618},
-        (0.01, 3.315306065934725e-06, 6.5910779434550325e-06, 0.009902898749594593, 0.01),
+        (0.009902898749594593, 0.01),
         ('delta2',)),
     ('-cos(x) + 0.16666666666666666*x^3', 's2_inf'): (
         {'a': 0.9884959046625587, 'eta': 0.006007720330626151, 'p': 0.006077638058275009},
-        (0.01, 0.0006679037781737252, 0.0013357304548518854, 0.4498463924727076, 0.01),
+        (0.4498463924727076, 0.01),
         ('delta2',)),
     ('-cos(x) + 0.16666666666666666*x^3', 's4'): (
         {'a': 0.2313167386421353, 'eta': 0.190542272156952, 'p': 0.8237288545371352},
-        (0.23043570351221937, 0.0006695089992476545, 0.0008428923547985021, 0.03824755784564539, 0.23043570351221937),
+        (0.03824755784564539, 0.23043570351221937),
         ('delta_realtime',)),
     ('-cos(x) + 0.16666666666666666*x^3', 's3'): (
         {'a': 0.2079119665082619, 'eta': 0.01, 'p': 0.04809727967054087},
-        (0.01, 1.0395598325413098e-05, 0.0, 0.01, 0.01),
+        (0.01, 0.01),
         ('delta1_truncated', 'delta2')),
-    ('-cos(x) + 0.16666666666666666*x^3', 's3_m3'): (
-        {'a': 0.20843111575497159, 'eta': 0.01, 'p': 1.1043642513125902},
-        (0.01, 1.047340605893934e-05, 0.0, 0.010049752908535702, 0.01),
-        ('delta1_dominant', 'delta2')),
     ('-cos(x) + 0.16666666666666666*x^3', 'filtered'): (
         {'a': 0.06939163423384372, 'eta': 0.0029050882803401666, 'mu': 0.0001, 'gamma': 30.0},
-        (0.0001615997909254443, 0.0, 0.0, 0.0001615997909254443, 0.009999999999999998),
+        (0.0001615997909254443, 0.009999999999999998),
         ('estimate_tube',)),
     ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's1'): (
         {'a': 0.06089749106616883, 'eta': 0.014910728785557104, 'p': 0.2448496403465241},
-        (0.013939357082415395, 1.4023148289039228e-06, 2.7516105911485086e-06, 0.006060642917584604, 0.013939357082415395),
+        (0.006060642917584604, 0.013939357082415395),
         ('delta_total',)),
     ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's2'): (
         {'a': 0.07707875183839608, 'eta': 0.010538057231191434, 'p': 0.13671805756903807},
-        (0.01, 1.996543072954715e-06, 3.969396836664227e-06, 0.009773706398181486, 0.01),
+        (0.009773706398181486, 0.01),
         ('delta2',)),
     ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's2_inf'): (
         {'a': 0.9942313134590756, 'eta': 0.005004359368106458, 'p': 0.005033395448686446},
-        (0.01, 0.002028787241269919, 0.004057541758344952, 1.63101166561444, 0.01),
+        (1.63101166561444, 0.01),
         ('delta2',)),
     ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's4'): (
         {'a': 0.17692634790671127, 'eta': 0.20962896418505422, 'p': 1.1848374573106895},
-        (0.2816740142504591, 0.0005859182879265519, 0.000767733245905485, 0.041399637842829615, 0.2816740142504591),
+        (0.041399637842829615, 0.2816740142504591),
         ('delta_realtime',)),
     ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's3'): (
         {'a': 0.10999628235875132, 'eta': 0.011764705882352943, 'p': 0.10695548640437247},
-        (0.01, 6.470369550514784e-06, 0.0, 0.009999999999999998, 0.01),
+        (0.009999999999999998, 0.01),
         ('delta1_truncated', 'delta2')),
-    ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's3_m3'): (
-        {'a': 0.11009637651263607, 'eta': 0.011764705882352943, 'p': 8.815805442813284},
-        (0.01, 6.488027871751495e-06, 0.0, 0.010018174740484428, 0.01),
-        ('delta1_dominant', 'delta2')),
     ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 'filtered'): (
         {'a': 0.04046150455289851, 'eta': 0.0004189783907333079, 'mu': 0.0001, 'gamma': 30.0},
-        (2.3664360635649936e-05, 0.0, 0.0, 2.3664360635649936e-05, 0.01),
+        (2.3664360635649936e-05, 0.01),
         ('estimate_tube',)),
     ('exp(x) - x - 1', 's1'): (
         {'a': 0.09575514290140774, 'eta': 0.016997842364631026, 'p': 0.17751362328530484},
-        (0.013785903694167195, 2.5423313321832466e-06, 5.057127347330143e-06, 0.006214096305832806, 0.013785903694167195),
+        (0.006214096305832806, 0.013785903694167195),
         ('delta_total',)),
     ('exp(x) - x - 1', 's2'): (
         {'a': 0.1213000232719715, 'eta': 0.012049190664003733, 'p': 0.09933378691105256},
-        (0.01, 3.6566559155471616e-06, 7.300887268896253e-06, 0.009990492026228127, 0.01),
+        (0.009990492026228127, 0.01),
         ('delta2',)),
     ('exp(x) - x - 1', 's2_inf'): (
         {'a': 0.9942313134590756, 'eta': 0.006343642778409713, 'p': 0.0063804495920966875},
-        (0.01, 0.0010591977590757471, 0.0021183806570782377, 0.6717502575232206, 0.01),
+        (0.6717502575232206, 0.01),
         ('delta2',)),
     ('exp(x) - x - 1', 's4'): (
         {'a': 0.19503840199707134, 'eta': 0.25577373506322865, 'p': 1.3114019210794667},
-        (0.28294127909546835, 0.00037016900786678074, 0.0005492495176217308, 0.022020318907460354, 0.28294127909546835),
+        (0.022020318907460354, 0.28294127909546835),
         ('delta_realtime',)),
     ('exp(x) - x - 1', 's3'): (
         {'a': 0.17150409636037783, 'eta': 0.013922111911773331, 'p': 0.081176556171108},
-        (0.01, 1.1938496114283684e-05, 0.0, 0.009999999999999998, 0.01),
+        (0.009999999999999998, 0.01),
         ('delta1_truncated', 'delta2')),
-    ('exp(x) - x - 1', 's3_m3'): (
-        {'a': 0.17155277699214136, 'eta': 0.013922111911773331, 'p': 2.7574767723870965},
-        (0.01, 1.1948661210744241e-05, 0.0, 0.010005674489879225, 0.01),
-        ('delta1_dominant', 'delta2')),
     ('exp(x) - x - 1', 'filtered'): (
         {'a': 0.05275656606423098, 'eta': 0.0011681622980153183, 'mu': 0.0001, 'gamma': 30.0},
-        (6.628449771833901e-05, 0.0, 0.0, 6.628449771833901e-05, 0.01),
+        (6.628449771833901e-05, 0.01),
         ('estimate_tube',)),
 }
 
@@ -387,7 +365,7 @@ class TestBudgetIsTheModel:
         "delta_total": lambda a, d1, d2: d1 + d2,
         "delta_realtime": lambda a, d1, d2: a + d1 + d2,
     }
-    CLOSED_FORM = {"strategy": 3, "delta1": 0.01, "delta2": 0.01, "m": 3, "n": 1}
+    CLOSED_FORM = (0.01, 0.01)  # delta1, delta2
 
     @pytest.mark.parametrize("call", [c for c in ORACLE_CALLS if ORACLE_CALLS[c]]
                              + ["closed_form"])
@@ -395,28 +373,30 @@ class TestBudgetIsTheModel:
     def test_budget_is_the_model_at_the_answer(self, audit_ledgers, text, call):
         h, led = audit_ledgers[text]
         if call == "closed_form":
-            prob = MetaOptProblem(led, **self.CLOSED_FORM)
-            sol = solve_strategy3_closed_form(led, prob.delta1, prob.delta2)
+            sol = solve_strategy3_closed_form(led, *self.CLOSED_FORM)
+            tables = None
         else:
             prob = MetaOptProblem(led, **ORACLE_CALLS[call])
             sol = solve_numeric(prob, h=h)
-        # the tables the solve read: solve_numeric keeps them per objective
-        tables = None if prob.strategy == 3 else metaopt._remainder_tables(led, h)
+            # the tables the solve read: solve_numeric keeps them per objective
+            tables = None if prob.strategy == 3 else metaopt._remainder_tables(led, h)
         a, eta = sol.gains["a"], sol.gains["eta"]
         d1, d2 = sol.budget.delta1, sol.budget.delta2
         dc, osc = metaopt._error_terms(led, tables)
         assert (d1, d2) == (float(dc(a, eta)), float(osc(a, eta)))
-        cons = _constraints_for(prob, led, tables)
-        for name, fn, bound in cons:
+        if call == "closed_form":
+            # the dominant part of delta1 is bounded; delta1 exceeds it by
+            # the eta^2 |L_h^2 h'| / (8 kappa) that the dominant model neglects
+            tol1, tol2 = self.CLOSED_FORM
+            dominant = a ** 2 * led.norm(3) / (8.0 * led.kappa)
+            assert dominant <= tol1 and d2 <= tol2
+            neglected = eta ** 2 * led.composites["L2h_hprime"] / (8.0 * led.kappa)
+            assert d1 - dominant == pytest.approx(neglected, rel=1e-9)
+            return
+        for name, fn, bound in _constraints_for(prob, led, tables):
             value = float(fn(a, eta))
             if name in self.MODELED:
                 assert value == self.MODELED[name](a, d1, d2) <= bound, name
-            elif name == "delta1_dominant":
-                # the dominant part of delta1 is bounded; delta1 exceeds it by
-                # the eta^2 |L_h^2 h'| / (8 kappa) that the m > n model neglects
-                assert value <= bound
-                neglected = eta ** 2 * led.composites["L2h_hprime"] / (8.0 * led.kappa)
-                assert d1 - value == pytest.approx(neglected, rel=1e-9)
             else:
                 assert name == "a_in_domain" and value <= bound
 
@@ -790,6 +770,8 @@ class TestFrequencyTuner:
             want / 2.0, rel=1e-14)
         assert tun.diagnostics["literal_stationary_omega"] == pytest.approx(
             0.239, abs=1e-3)
+        assert tun.diagnostics["coupling_bound_at_returned"] == plant_coupling_bound(
+            0.209, 0.01, tun.omega, worked_ledger.norm(0), worked_ledger.norm(1))
 
     def test_small_eta_limit_is_one_half(self, worked_ledger):
         tun = tune_frequency(worked_ledger, a=1.0, eta=1e-10)

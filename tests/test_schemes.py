@@ -117,7 +117,7 @@ class TestGradedField:
         f = scheme_graded_field(s, T + 1)
         rhs = scheme_rhs(s)
         dom = Domain1D(-1.0, 1.0)
-        rem = scan_supnorm(nth_derivative(worked_h, T + 1), dom).value
+        rem = scan_supnorm(nth_derivative(worked_h, T + 1), dom)
         bound = eta * rem * a ** (T + 1) / math.factorial(T + 1)
         worst = 0.0
         for y in np.linspace(-0.7, 0.7, 9):

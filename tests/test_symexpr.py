@@ -201,10 +201,10 @@ class TestSupNorm:
         est = scan_supnorm(Const(-2.5), Domain1D(0.0, 1.0))
         assert float(est) == 2.5
 
-    def test_two_dimensional_domain(self):
+    def test_two_dimensional_domain_is_refused(self):
         e = parse_expr("x1^2 + x2^2", dim=2)
-        est = scan_supnorm(e, Domain2D(-1.0, 1.0, -1.0, 1.0))
-        assert float(est) == pytest.approx(2.0, abs=1e-6)
+        with pytest.raises(ExprError, match="1-D"):
+            scan_supnorm(e, Domain2D(-1.0, 1.0, -1.0, 1.0))
 
     def test_monotone_under_domain_inclusion(self, worked_h):
         d1 = differentiate(worked_h)
