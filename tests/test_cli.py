@@ -81,6 +81,17 @@ class TestTune:
                                                                          abs=2e-3)
         assert payload["consistency"]["p_near_unity"] is True
 
+    @pytest.mark.parametrize("tuning", [{}, {"method": "numeric"}, {"target": "filtered"}],
+                             ids=["closed_form", "numeric", "filtered"])
+    def test_budget_holds_the_two_bounded_terms(self, tmp_path, tuning):
+        cfg = tune_config(tmp_path, **tuning)
+        out = tmp_path / "out"
+        assert main(["tune", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "tune.json").read_text())
+        assert sorted(payload["budget"]) == ["delta1", "delta2"]
+        # only a tuner that reports the fine-tuning factor p is checked for it
+        assert ("consistency" in payload) == ("p" in payload["gains"])
+
     def test_artifact_embeds_hash_and_version(self, tmp_path):
         cfg = tune_config(tmp_path)
         out = tmp_path / "out"

@@ -39,6 +39,7 @@ class TestStrategy3ClosedForm:
                                                rel=1e-14)
         assert sol.gains["p"] == pytest.approx(1.104, abs=2e-3)
         assert set(sol.active_constraints) == {"delta1_dominant", "delta2"}
+        assert (sol.provenance["m"], sol.provenance["n"]) == (3, 1)
 
     def test_quadrupling_delta1_doubles_a(self, worked_ledger):
         s1 = solve_strategy3_closed_form(worked_ledger, 0.01, 0.01)
@@ -100,6 +101,14 @@ class TestMonomialClosedForm:
             solve_monomial(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)  # ratios equal 1
 
 
+WORKED_CALLS = [
+    (1, {"delta": 0.05}),
+    (2, {"delta1": 0.01, "delta2": 0.01}),
+    (3, {"delta1": 0.01, "delta2": 0.01}),
+    (4, {"delta": 0.05}),
+]
+
+
 class TestSolveNumeric:
     def test_strategy3_equal_grading_worked_values(self, worked_ledger):
         prob = MetaOptProblem(worked_ledger, strategy=3, delta1=0.01, delta2=0.01)
@@ -145,12 +154,7 @@ class TestSolveNumeric:
         with pytest.raises(MetaOptError):
             MetaOptProblem(worked_ledger, strategy=3, delta1=0.01, delta2=0.01, **kw)
 
-    @pytest.mark.parametrize("strategy,kw", [
-        (1, {"delta": 0.05}),
-        (2, {"delta1": 0.01, "delta2": 0.01}),
-        (3, {"delta1": 0.01, "delta2": 0.01}),
-        (4, {"delta": 0.05}),
-    ])
+    @pytest.mark.parametrize("strategy,kw", WORKED_CALLS)
     def test_active_constraint_certificate(self, worked_ledger, worked_h,
                                            strategy, kw):
         prob = MetaOptProblem(worked_ledger, strategy=strategy, **kw)
@@ -166,6 +170,26 @@ class TestSolveNumeric:
             fn, bound = by_name[name]
             val = float(fn(np.asarray(a), np.asarray(eta)))
             assert val == pytest.approx(bound, rel=1e-9)
+
+    @pytest.mark.parametrize("strategy,kw", WORKED_CALLS)
+    def test_grid_reports_equal_grading(self, worked_ledger, worked_h, strategy, kw):
+        # every strategy's grid solves the m = n = 1 model, so p = eta / a,
+        # and provenance names that grading for the consistency report
+        sol = solve_numeric(MetaOptProblem(worked_ledger, strategy=strategy, **kw),
+                            h=worked_h)
+        assert (sol.provenance["m"], sol.provenance["n"]) == (1, 1)
+        assert sol.gains["p"] == sol.gains["eta"] / sol.gains["a"]
+
+    def test_strategy3_builds_no_remainder_tables(self, worked_ledger, worked_h,
+                                                  monkeypatch):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("RemainderTables built for strategy 3")
+
+        monkeypatch.setattr("esgain.metaopt.RemainderTables", no_tables)
+        monkeypatch.setattr(metaopt, "_TABLES", {})  # no kept instance to reuse
+        prob = MetaOptProblem(worked_ledger, strategy=3, delta1=0.01, delta2=0.01)
+        assert solve_numeric(prob, h=worked_h).active_constraints
+        assert solve_strategy3_closed_form(worked_ledger, 0.01, 0.01).active_constraints
 
     def test_grid_search_matches_monomial_closed_form(self, worked_ledger):
         # the dominant strategy-3 model has two pure monomial constraints,
@@ -234,6 +258,7 @@ ORACLE_CALLS = {
     "s2_inf": {"strategy": 2, "delta1": math.inf, "delta2": 0.01},
     "s4": {"strategy": 4, "delta": 0.5},
     "s3": {"strategy": 3, "delta1": 0.01, "delta2": 0.01},
+    "s3_m3": None,  # solve_strategy3_closed_form(ledger, 0.01, 0.01)
     "filtered": None,
 }
 # (objective, call) -> (gains, budget (delta1, delta2),
@@ -242,7 +267,11 @@ ORACLE_CALLS = {
 # amplitude on the ledger domain (at a = 10, 9.88 and 9.56 before). The
 # budgets were recorded again once each reported the error model its
 # constraints bound, and the s4 gains once strategy 4 bounded the whole
-# model, eta |h| included (a = 0.285, 0.203 and 0.234 before)
+# model, eta |h| included (a = 0.285, 0.203 and 0.234 before). The s3_m3
+# rows were recorded by the grid search of the dominant model that the
+# closed form now answers; for the quartic the grid's eta was 1 ulp above
+# the closed form's 0.011764705882352941, every other number agrees bit
+# for bit
 SOLVER_ORACLE = {
     ('-cos(x) + 0.16666666666666666*x^3', 's1'): (
         {'a': 0.1173963744975024, 'eta': 0.012581281926901665, 'p': 0.1071692544233496},
@@ -264,6 +293,10 @@ SOLVER_ORACLE = {
         {'a': 0.2079119665082619, 'eta': 0.01, 'p': 0.04809727967054087},
         (0.01, 0.01),
         ('delta1_truncated', 'delta2')),
+    ('-cos(x) + 0.16666666666666666*x^3', 's3_m3'): (
+        {'a': 0.20843111575497159, 'eta': 0.01, 'p': 1.1043642513125902},
+        (0.010049752908535702, 0.01),
+        ('delta1_dominant', 'delta2')),
     ('-cos(x) + 0.16666666666666666*x^3', 'filtered'): (
         {'a': 0.06939163423384372, 'eta': 0.0029050882803401666, 'mu': 0.0001, 'gamma': 30.0},
         (0.0001615997909254443, 0.009999999999999998),
@@ -288,6 +321,10 @@ SOLVER_ORACLE = {
         {'a': 0.10999628235875132, 'eta': 0.011764705882352943, 'p': 0.10695548640437247},
         (0.009999999999999998, 0.01),
         ('delta1_truncated', 'delta2')),
+    ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 's3_m3'): (
+        {'a': 0.11009637651263607, 'eta': 0.011764705882352941, 'p': 8.815805442813284},
+        (0.010018174740484428, 0.01),
+        ('delta1_dominant', 'delta2')),
     ('0.5*x^2 + 0.1*x^3 + 0.25*x^4', 'filtered'): (
         {'a': 0.04046150455289851, 'eta': 0.0004189783907333079, 'mu': 0.0001, 'gamma': 30.0},
         (2.3664360635649936e-05, 0.01),
@@ -312,6 +349,10 @@ SOLVER_ORACLE = {
         {'a': 0.17150409636037783, 'eta': 0.013922111911773331, 'p': 0.081176556171108},
         (0.009999999999999998, 0.01),
         ('delta1_truncated', 'delta2')),
+    ('exp(x) - x - 1', 's3_m3'): (
+        {'a': 0.17155277699214136, 'eta': 0.013922111911773331, 'p': 2.7574767723870965},
+        (0.010005674489879225, 0.01),
+        ('delta1_dominant', 'delta2')),
     ('exp(x) - x - 1', 'filtered'): (
         {'a': 0.05275656606423098, 'eta': 0.0011681622980153183, 'mu': 0.0001, 'gamma': 30.0},
         (6.628449771833901e-05, 0.01),
@@ -333,8 +374,10 @@ class TestSolverOracle:
     def test_solution_equals_frozen(self, audit_ledgers, text, call):
         h, led = audit_ledgers[text]
         kw = ORACLE_CALLS[call]
-        if kw is None:
+        if call == "filtered":
             sol = tune_filtered(led, 0.01, 0.01)
+        elif call == "s3_m3":
+            sol = solve_strategy3_closed_form(led, 0.01, 0.01)
         else:
             sol = solve_numeric(MetaOptProblem(led, **kw), h=h)
         gains, budget, active = SOLVER_ORACLE[text, call]
