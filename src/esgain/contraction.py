@@ -35,23 +35,60 @@ def lie_along(h: Expr, v: Expr) -> Expr:
     return add(mul(differentiate(v), h), neg(mul(differentiate(h), v)))
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every write; it copies and pickles as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a ledger's composites are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class BoundsLedger:
     """Sup-norm estimates of an objective and its derivatives on a domain,
-    plus the local curvature kappa at the target optimum."""
+    plus the local curvature kappa at the target optimum. Like the other
+    fields, `composites` cannot be written to, so a ledger that
+    `build_ledger` hands to several callers stays as it was built."""
     domain: Domain
     norms: tuple          # norms[i] ~ sup |h^(i)| on domain, i = 0..N
     kappa: float
     x_star: float
     composites: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "composites", _ReadOnlyDict(self.composites))
+
     def norm(self, i: int) -> float:
         return self.norms[i]
 
 
+_LEDGERS: dict = {}  # (h, domain, x_star) -> BoundsLedger, least recently used first
+_LEDGERS_KEPT = 4  # objectives whose ledgers build_ledger keeps
+
+
 def build_ledger(h: Expr, dom: Domain, x_star: float | None = None) -> BoundsLedger:
     """Scan sup norms of h .. h''' plus the composite |L_h^2 h'| and read
-    off kappa = h''(x*) at the declared (or scanned) optimum."""
+    off kappa = h''(x*) at the declared (or scanned) optimum.
+
+    The scans are deterministic, so the ledgers of the _LEDGERS_KEPT
+    objectives asked for last are kept and handed out again: tuning one
+    objective under several strategies, such as `esgain tune` jobs run one
+    after another in a process, scans it once."""
+    # repr tells -0.0 from 0.0, which == does not, and the ledger prints both
+    key = (h, repr(dom), repr(x_star))
+    ledger = _LEDGERS.pop(key, None) or _scan_ledger(h, dom, x_star)
+    _LEDGERS[key] = ledger
+    while len(_LEDGERS) > _LEDGERS_KEPT:
+        del _LEDGERS[next(iter(_LEDGERS))]
+    return ledger
+
+
+def _scan_ledger(h: Expr, dom: Domain, x_star: float | None) -> BoundsLedger:
     if dom.dim != 1:
         raise BoundsError("ledgers are built for 1-D objectives")
     norms = []

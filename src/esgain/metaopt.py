@@ -173,7 +173,8 @@ class RemainderTables:
     query evaluates them with plain elementwise arithmetic, once per distinct
     p since the memo was last cleared (a geometric gain grid repeats eta / a:
     its 200 x 200 cells hold 2 428 distinct p, its 2000 x 2000 cells 37 379),
-    and a scalar p goes through the same formula.
+    and a scalar p or a 1-D batch of polish probes goes through the same
+    formula directly.
 
     The tables read only `ledger.domain` and `h`. `solve_numeric` shares one
     instance among the strategies and tolerances of an objective (see
@@ -241,13 +242,15 @@ class RemainderTables:
     def _table_sup(self, k: int, p) -> np.ndarray:
         """The sup of table k (0: g, 1: u) at p.
 
-        The sups for an array of p come from a memo of the distinct p that
-        earlier arrays brought, and only new values are evaluated, so a grid
+        The sups for a mesh of p come from a memo of the distinct p that
+        earlier meshes brought, and only new values are evaluated, so a grid
         walked slab by slab costs one evaluation per distinct p, as the whole
         grid at once would. A query equal to the last one reuses its lookup,
-        so the g and u remainders of one e / a share it."""
+        so the g and u remainders of one e / a share it. A scalar or 1-D p,
+        the polish's probes, repeats nothing and skips the memo, where an
+        array would cost twice a direct evaluation."""
         p = np.asarray(p, dtype=float)
-        if p.ndim == 0:  # a polish probe: nothing to share
+        if p.ndim <= 1:  # a polish probe or batch of them: nothing repeats
             return self._sup(*self._tables[k], p)
         if not np.array_equal(p, self._last_p):
             self._last_p, self._last_at = p.copy(), self._memo_index(p.ravel()).reshape(p.shape)
@@ -317,26 +320,53 @@ def _constraints_for(prob: MetaOptProblem, ledger: BoundsLedger, tables):
     return [("delta_realtime", lambda a, e: a + dc(a, e) + osc(a, e), prob.delta), in_domain]
 
 
+_DEPTH = 6  # halving levels whose midpoints one feasibility call answers
+_LEVELS = 200  # most halving levels a bisection walks
+
+
 def _bisect_up(feasible, lo: float, hi_cap: float) -> float:
-    """Largest value in [lo, hi_cap] with feasible(value) true; feasible(lo)
-    must hold and feasibility is monotone decreasing."""
-    hi = lo
-    step = lo * 0.5
-    while hi + step <= hi_cap and feasible(hi + step):
+    """Largest value in [lo, hi_cap] with feasible(value) true; lo > 0,
+    feasible(lo) must hold and feasibility is monotone decreasing.
+
+    The walk is sequential: steps from lo that double while they stay
+    feasible, then halvings of the last bracket until its ends are adjacent
+    floats or _LEVELS levels have passed. `feasible` takes a 1-D array and
+    answers each entry, so the walk asks in batches: one call for every
+    doubling step up to hi_cap plus hi_cap itself, then one call for every
+    midpoint the next _DEPTH halving levels can reach (2^_DEPTH - 1 of
+    them). It takes the path one probe at a time would take, through the
+    same midpoints, and returns its bits, as long as each entry gets the
+    answer it would get alone."""
+    ups = []  # lo + step + 2 step + ..., the values the doubling walk visits
+    hi, step = lo, lo * 0.5
+    while hi + step <= hi_cap:
         hi += step
+        ups.append(hi)
         step *= 2.0
-    top = min(hi + step, hi_cap)
-    if feasible(top):
-        return top
-    lo_b, hi_b = hi, top
-    for _ in range(200):
-        mid = 0.5 * (lo_b + hi_b)
-        if mid == lo_b or mid == hi_b:
-            break  # adjacent floats: every further halving leaves [lo_b, hi_b] as is
-        if feasible(mid):
-            lo_b = mid
-        else:
-            hi_b = mid
+    ok = feasible(np.array(ups + [hi_cap]))
+    n = int(np.argmin(np.append(ok[:-1], False)))  # the first infeasible step, or len(ups)
+    if n == len(ups) and ok[-1]:
+        return hi_cap
+    lo_b, hi_b = ([lo] + ups + [hi_cap])[n:n + 2]
+    for start in range(0, _LEVELS, _DEPTH):
+        # split [lo_b, hi_b] at its midpoint, then each half at its own,
+        # and so on for the next levels; the probes are the inner points
+        pts = np.array([lo_b, hi_b])
+        for _ in range(min(_DEPTH, _LEVELS - start)):
+            split = np.empty(2 * pts.size - 1)
+            split[0::2], split[1::2] = pts, 0.5 * (pts[:-1] + pts[1:])
+            pts = split
+        ok = feasible(pts[1:-1])
+        i, j = 0, pts.size - 1  # the bracket [pts[i], pts[j]], one level at a time
+        while j - i > 1:
+            mid = (i + j) // 2
+            if pts[mid] == pts[i] or pts[mid] == pts[j]:
+                return float(pts[i])  # adjacent floats: every further halving leaves them
+            if ok[mid - 1]:
+                i = mid
+            else:
+                j = mid
+        lo_b, hi_b = float(pts[i]), float(pts[j])
     return lo_b
 
 
@@ -403,12 +433,17 @@ def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: fl
         best = search(local)[0] or best
         width = width ** 0.5 * widen
 
-    def feasible(pt):
-        return all(float(fn(*pt)) <= bound for _, fn, bound in cons)
+    def feasible(k, vs):
+        """Whether each of the points `best` with axis k set to an entry of
+        vs meets every constraint, entry by entry."""
+        pt = best[:k] + [vs] + best[k + 1:]
+        ok = np.ones(vs.shape, dtype=bool)
+        for _, fn, bound in cons:
+            ok &= fn(*pt) <= bound
+        return ok
 
     for k in polish:
-        best[k] = _bisect_up(lambda v: feasible(best[:k] + [v] + best[k + 1:]),
-                             best[k], ranges[k][1])
+        best[k] = _bisect_up(lambda vs: feasible(k, vs), best[k], ranges[k][1])
 
     active = tuple(name for name, fn, bound in cons
                    if math.isfinite(bound)

@@ -35,13 +35,16 @@ class SimulationOverflowError(SimError):
 @dataclass(frozen=True)
 class Trajectory:
     t: np.ndarray           # uniform grid, shape (nt,)
-    states: np.ndarray      # shape (nt, dim)
+    states: np.ndarray      # shape (nt, dim), or (nt,) for one state
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
-        s = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if s.shape[0] != t.size:
-            s = s.T
+        s = np.asarray(self.states, dtype=float)
+        if s.ndim == 1:
+            s = s[:, None]
+        if t.ndim != 1 or s.ndim != 2 or s.shape[0] != t.size:
+            raise SimError(f"states of shape {np.shape(self.states)} do not fit "
+                           f"times of shape {t.shape}: need (nt, dim) or (nt,)")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "states", s)
         if t.size >= 3:

@@ -400,8 +400,16 @@ def _tokenize(text: str):
     return tokens
 
 
+_PARSES_KEPT = 64  # (text, dim) pairs whose trees parse_expr keeps
+
+
+@lru_cache(maxsize=_PARSES_KEPT)
 def parse_expr(text: str, dim: int = 1) -> Expr:
-    """Parse `text` over the fixed grammar; raises ParseError with offset."""
+    """Parse `text` over the fixed grammar; raises ParseError with offset.
+
+    The trees of the last _PARSES_KEPT (text, dim) pairs are kept, so
+    parsing a text again hands back the same tree, with the derivatives and
+    printed forms its nodes keep already computed."""
     if dim not in (1, 2):
         raise ExprError(f"dim must be 1 or 2, got {dim}")
     tokens = _tokenize(text)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -39,6 +41,34 @@ class TestBuildLedger:
         small = build_ledger(worked_h, Domain1D(-0.4, 0.4))
         for i in range(4):
             assert small.norm(i) <= big.norm(i) + 1e-9
+
+    def test_ledger_kept_per_objective_domain_and_optimum(self):
+        text = "-0.9*cos(x) + 0.12*x^3 + 0.04*x^4"
+        dom = Domain1D(-1.0, 1.0)
+        led = build_ledger(parse_expr(text), dom, x_star=0.0)
+        assert parse_expr(text) is parse_expr(text)  # parse_expr keeps the tree
+        # an equal tree built apart, as a process whose parses were evicted gets
+        fresh = parse_expr(text + " + 0*x")
+        assert fresh == parse_expr(text) and fresh is not parse_expr(text)
+        assert build_ledger(fresh, dom, x_star=0.0) is led
+        for other in (build_ledger(parse_expr(text), dom, x_star=0.01),
+                      build_ledger(parse_expr(text), dom, x_star=-0.0),
+                      build_ledger(parse_expr(text), Domain1D(-0.5, 1.0), x_star=0.0),
+                      build_ledger(parse_expr(text), dom)):
+            assert other is not led
+        assert str(build_ledger(parse_expr(text), dom, x_star=-0.0).x_star) == "-0.0"
+
+    def test_cached_ledger_cannot_be_changed(self, worked_h):
+        led = build_ledger(worked_h, Domain1D(-1.0, 1.0))
+        assert build_ledger(worked_h, Domain1D(-1.0, 1.0)) is led
+        before = dict(led.composites)
+        for write in (lambda c: c.__setitem__("L2h_hprime", 0.0),
+                      lambda c: c.update(extra=1.0), lambda c: c.pop("L2h_hprime"),
+                      lambda c: c.clear()):
+            with pytest.raises(TypeError, match="read-only"):
+                write(led.composites)
+        assert led.composites == before
+        assert copy.deepcopy(led) == led and pickle.loads(pickle.dumps(led)) == led
 
     def test_lie_along_composite(self):
         # L_h v = v' h - h' v for h = x^2/2, v = x: L_h x = x*x^2/2*... check numerically

@@ -464,6 +464,28 @@ def bisect_up_reference(feasible, lo, hi_cap):
     return lo_b
 
 
+def halving_levels(feasible, lo, hi_cap):
+    """The halving levels the scalar walk enters, the one that finds two
+    adjacent floats included; 0 when the walk ends at the cap."""
+    hi, step = lo, lo * 0.5
+    while hi + step <= hi_cap and feasible(hi + step):
+        hi += step
+        step *= 2.0
+    top = min(hi + step, hi_cap)
+    if feasible(top):
+        return 0
+    lo_b, hi_b = hi, top
+    for level in range(1, 201):
+        mid = 0.5 * (lo_b + hi_b)
+        if mid == lo_b or mid == hi_b:
+            return level
+        if feasible(mid):
+            lo_b = mid
+        else:
+            hi_b = mid
+    return 200
+
+
 class TestBisectUp:
     @settings(max_examples=400, derandomize=True)
     @given(lo=st.floats(1e-6, 1e3), cap_factor=st.floats(1.0, 1e6),
@@ -494,10 +516,44 @@ class TestBisectUp:
         assert got == bisect_up_reference(lambda x: x <= t, lo, hi_cap)
         assert got == min(t, hi_cap)  # the largest feasible float
 
+    @settings(max_examples=200, derandomize=True)
+    @given(lo=st.floats(1e-6, 1e3), cap_factor=st.floats(1.0, 1e6),
+           frac=st.floats(0.0, 1.2))
+    def test_one_call_per_batch_of_levels(self, lo, cap_factor, frac):
+        # one call answers the doubling steps and the cap, then one call
+        # each run of _DEPTH halving levels, every call on a 1-D array
+        hi_cap = lo * cap_factor
+        t = lo + frac * (hi_cap - lo)
+        calls = []
+
+        def feasible(x):
+            assert isinstance(x, np.ndarray) and x.ndim == 1
+            calls.append(x.size)
+            return x <= t
+
+        _bisect_up(feasible, lo, hi_cap)
+        levels = halving_levels(lambda x: x <= t, lo, hi_cap)
+        assert len(calls) == 1 + math.ceil(levels / metaopt._DEPTH)
+
+    def test_strategy2_polish_makes_at_most_70_calls(self, monkeypatch):
+        # one probe at a time made 321 calls on this objective
+        h = parse_expr("-1.0697*cos(x) - 0.1525*x^3 + 0.044*x^4 + 0.0512*(exp(x) - 1 - x)")
+        led = build_ledger(h, Domain1D(-1.0, 1.0), x_star=0.0)
+        calls = []
+
+        def counted(feasible, lo, hi_cap):
+            return _bisect_up(lambda x: calls.append(x.size) or feasible(x), lo, hi_cap)
+
+        monkeypatch.setattr(metaopt, "_bisect_up", counted)
+        tol = 0.010934100939936115
+        solve_numeric(MetaOptProblem(led, strategy=2, delta1=tol, delta2=tol), h=h)
+        assert 6 <= len(calls) <= 70  # six polished axes
+
 
 def maximize_full_mesh(cons, objective, axes, ranges, points, rounds, widen, polish):
     """`_maximize` as it was before it walked the mesh in slabs: every
-    constraint over the whole mesh at once."""
+    constraint over the whole mesh at once, and a polish that probes one
+    scalar at a time."""
 
     def evaluate(ax):
         mesh = np.meshgrid(*ax, indexing="ij", sparse=True)
@@ -537,8 +593,8 @@ def maximize_full_mesh(cons, objective, axes, ranges, points, rounds, widen, pol
         return all(float(fn(*pt)) <= bound for _, fn, bound in cons)
 
     for k in polish:
-        best[k] = _bisect_up(lambda v: feasible(best[:k] + [v] + best[k + 1:]),
-                             best[k], ranges[k][1])
+        best[k] = bisect_up_reference(lambda v: feasible(best[:k] + [v] + best[k + 1:]),
+                                      best[k], ranges[k][1])
 
     active = tuple(name for name, fn, bound in cons
                    if math.isfinite(bound)

@@ -23,6 +23,15 @@ class TestTrajectory:
         with pytest.raises(SimError):
             Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros((3, 1)))
 
+    def test_states_must_fit_the_time_grid(self):
+        t = np.array([0.0, 0.1, 0.2])
+        for states in (np.zeros((4, 1)), np.zeros((1, 3)), np.zeros((2, 3)),
+                       np.zeros(4), np.zeros((3, 1, 1))):
+            with pytest.raises(SimError, match="do not fit"):
+                Trajectory(t, states)
+        one = Trajectory(t, np.array([1.0, 2.0, 3.0]))  # 1-D: one state per time
+        assert one.states.shape == (3, 1) and one.dim == 1
+
     def test_non_finite_states_rejected(self):
         s = np.zeros((3, 1))
         s[2, 0] = np.nan
