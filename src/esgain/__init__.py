@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 
 from .averaging import (AveragingResult, ResidualReport, average,
                         autonomy_residual, transform_points)
-from .contraction import (BoundsLedger, ContractionEstimate, ErrorBudget,
-                          NonContractingError, SingularPerturbationInputs,
-                          build_ledger, contraction_rate, lie_along,
+from .contraction import (BoundsLedger, ErrorBudget, NonContractingError,
+                          SingularPerturbationInputs, build_ledger, lie_along,
                           plant_coupling_bound, robustness_tube,
                           singular_perturbation_bound)
 from .fourieralg import (GradedField, HarmonicOverflowError, SeparableTerm,
@@ -25,6 +24,6 @@ from .schemes import (DitherSpec, SchemeInstance, ideal_flow,
                       scheme_rhs)
 from .sim import (ErrorMetrics, PerfMap, SimulationOverflowError, Trajectory,
                   compare, convergence_time, integrate, performance_map)
-from .symexpr import (Domain, Domain1D, Domain2D, EvalOverflowError, Field,
+from .symexpr import (Domain, Domain1D, EvalOverflowError, Field,
                       ParseError, compile_expr, differentiate, eval_expr,
                       parse_expr, scan_supnorm, to_string)

@@ -1,18 +1,15 @@
-"""Error-bound calculators: sup-norm ledgers, contraction rates, robustness
-tubes, two-timescale coupling bounds, and the assembled error budget."""
+"""Error-bound calculators: sup-norm ledgers, robustness tubes,
+two-timescale coupling bounds, and the assembled error budget."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .symexpr import (
     Domain,
     Expr,
     add,
     differentiate,
-    eval_array,
     eval_expr,
     mul,
     neg,
@@ -89,8 +86,6 @@ def build_ledger(h: Expr, dom: Domain, x_star: float | None = None) -> BoundsLed
 
 
 def _scan_ledger(h: Expr, dom: Domain, x_star: float | None) -> BoundsLedger:
-    if dom.dim != 1:
-        raise BoundsError("ledgers are built for 1-D objectives")
     norms = []
     d = h
     for _ in range(4):
@@ -105,53 +100,6 @@ def _scan_ledger(h: Expr, dom: Domain, x_star: float | None) -> BoundsLedger:
     composite = lie_along(h, lie_along(h, differentiate(h)))
     composites = {"L2h_hprime": scan_supnorm(composite, dom)}
     return BoundsLedger(dom, tuple(norms), float(kappa), float(x_star), composites)
-
-
-@dataclass(frozen=True)
-class ContractionEstimate:
-    beta: float
-    chi: float
-    kappa_robust: float
-    metric: tuple
-
-    @property
-    def contracting(self) -> bool:
-        return self.beta > 0.0
-
-
-_CONTRACTION_SAMPLES = 201  # samples per axis of the Jacobian grid
-
-
-def contraction_rate(fields, dom: Domain, metric=None) -> ContractionEstimate:
-    """Estimate the contraction rate of an autonomous field on a domain under
-    a constant diagonal metric: beta = -max_x lambda_max(sym(Theta J Theta^-1))."""
-    fields = tuple(fields)
-    dim = len(fields)
-    if dom.dim != dim:
-        raise BoundsError("domain dim must match field dim")
-    if metric is None:
-        metric = tuple(1.0 for _ in range(dim))
-    metric = tuple(float(m) for m in metric)
-    if any(m <= 0 for m in metric):
-        raise BoundsError("metric entries must be positive")
-    jac = [[differentiate(fields[c], d) for d in range(dim)] for c in range(dim)]
-    grids = [np.linspace(lo, hi, _CONTRACTION_SAMPLES) for lo, hi in dom.intervals]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    axes = [m.ravel() for m in mesh]
-    ns = axes[0].size
-    jvals = np.empty((ns, dim, dim))
-    for c in range(dim):
-        for d in range(dim):
-            jvals[:, c, d] = eval_array(jac[c][d], axes)
-    if not np.all(np.isfinite(jvals)):
-        raise BoundsError("non-finite Jacobian sample")
-    m = np.asarray(metric)
-    a = jvals * (m[None, :, None] / m[None, None, :])
-    sym = 0.5 * (a + np.transpose(a, (0, 2, 1)))
-    lam_max = np.linalg.eigvalsh(sym)[:, -1]
-    beta = float(-np.max(lam_max))
-    chi = max(metric) / min(metric)
-    return ContractionEstimate(beta, chi, beta / chi, metric)
 
 
 def robustness_tube(kappa_robust: float, r_bound: float) -> float:

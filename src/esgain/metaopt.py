@@ -74,11 +74,15 @@ def _error_terms(ledger: BoundsLedger, tables):
     delta2 = eta |h|; the closed form bounds only the a^2 part of delta1.
     Strategies 1, 2 and 4 read the first neglected engine terms from their
     RemainderTables: delta1 = 2 g_remainder / (a eta kappa)
-    and delta2 = eta |h| + u_remainder."""
+    and delta2 = eta |h| + u_remainder.
+
+    Squares are written as products: `x ** 2` on a lone float is libm `pow`
+    and can differ in the last bit from numpy's array square, `x * x`, so a
+    point alone would not always get the bits of its grid cell."""
     h0, kap = ledger.norm(0), ledger.kappa
     if tables is None:
         h3, l2 = ledger.norm(3), ledger.composites["L2h_hprime"]
-        return (lambda a, e: (a ** 2 * h3 + e ** 2 * l2) / (8.0 * kap),
+        return (lambda a, e: (a * a * h3 + e * e * l2) / (8.0 * kap),
                 lambda a, e: e * h0)
     return (lambda a, e: 2.0 * tables.g_remainder(a, e / a) / (a * e * kap),
             lambda a, e: e * h0 + tables.u_remainder(a, e / a))
@@ -552,15 +556,16 @@ def tune_filtered(ledger: BoundsLedger, delta1: float, delta2: float) -> MetaOpt
     h1, h2, h3 = ledger.norm(1), ledger.norm(2), ledger.norm(3)
     kap = ledger.kappa
 
+    # squares as products, for the reason given in _error_terms
     def osc(a, eta, mu, gamma):
-        return eta * gamma * (a ** 2 / 4.0) * h2
+        return eta * gamma * (a * a / 4.0) * h2
 
     def tube(a, eta, mu, gamma):
         rate = a * gamma / 2.0
         forcing = (eta * h2 * h1
-                   + (eta * gamma ** 2 / 2.0) * (a ** 2 / 4.0) * h2 * h1
-                   + rate * (mu ** 2 * h1 + eta * mu * h1 * h2
-                             + (a ** 2 / 8.0) * h3))
+                   + (eta * (gamma * gamma) / 2.0) * (a * a / 4.0) * h2 * h1
+                   + rate * (mu * mu * h1 + eta * mu * h1 * h2
+                             + (a * a / 8.0) * h3))
         return forcing / rate / kap
 
     cons = [("oscillation", osc, delta1), ("estimate_tube", tube, delta2)]
@@ -609,17 +614,16 @@ def consistency_report(sol: MetaOptSolution, result: AveragingResult,
                        domain=None) -> ConsistencyReport:
     """Sanity checks for a tuned solution: is the fine-tuning factor near one
     and are the first neglected averaged terms small against the dominant
-    descent term over the search domain?"""
+    descent term over the search domain? The scan samples 401 points of the
+    one state axis, so a result with more states is refused."""
     p_val = sol.gains.get("p", sol.gains["eta"] / sol.gains["a"])
     near = _P_BAND[0] <= p_val <= _P_BAND[1]
+    if result.dim != 1:
+        raise MetaOptError(f"the consistency scan needs a one-state result, not {result.dim} states")
     ivs = sol.provenance.get("domain") if domain is None else domain.intervals
     if ivs is None:
         raise MetaOptError("no domain available for the consistency scan")
-    if result.dim > 2 or len(ivs) < result.dim:
-        raise MetaOptError(f"the consistency scan needs a domain over each of 1 or 2 axes; "
-                           f"the result has {result.dim}, the domain {len(ivs)}")
-    axes = [np.linspace(*ivs[d], 401) for d in range(result.dim)]
-    ys = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, result.dim)
+    ys = np.linspace(*ivs[0], 401)[:, None]
     eps = sol.gains["a"] ** (1.0 / sol.provenance.get("n", 1))
     g = result.g_field
     sups = [float(np.max(np.abs(g.degree_part(i).eval(ys, 0.0, eps))))

@@ -962,27 +962,20 @@ class Field:
 
 @dataclass(frozen=True)
 class Domain:
-    """Axis-aligned closed box, 1 or 2 axes."""
+    """A closed interval of the one state axis that ledgers and scans use,
+    held as `intervals = ((lo, hi),)`, the shape `tune.json` prints."""
     intervals: tuple
 
     def __post_init__(self):
-        if not 1 <= len(self.intervals) <= 2:
-            raise ExprError("Domain supports 1 or 2 axes")
-        for lo, hi in self.intervals:
-            if not (lo < hi):
-                raise ExprError(f"empty interval [{lo}, {hi}]")
-
-    @property
-    def dim(self) -> int:
-        return len(self.intervals)
+        if len(self.intervals) != 1:
+            raise ExprError(f"a domain holds one interval, got {len(self.intervals)}")
+        lo, hi = self.intervals[0]
+        if not (lo < hi):
+            raise ExprError(f"empty interval [{lo}, {hi}]")
 
 
 def Domain1D(lo: float, hi: float) -> Domain:
     return Domain(((float(lo), float(hi)),))
-
-
-def Domain2D(lo1: float, hi1: float, lo2: float, hi2: float) -> Domain:
-    return Domain(((float(lo1), float(hi1)), (float(lo2), float(hi2))))
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -1032,13 +1025,9 @@ def scan_supnorm(e: Expr, dom: Domain) -> float:
     """Approximate sup |e| on a 1-D domain: dense uniform sampling followed by
     local golden-section refinement around the best sample. The result is a
     lower bound on the true sup."""
-    if dom.dim != 1:
-        raise ExprError("scan_supnorm scans 1-D domains")
     return _scan_1d(e, dom.intervals[0], _SCAN_SAMPLES_1D, abs)[1]
 
 
 def scan_argmin(e: Expr, dom: Domain) -> tuple:
     """Location of the minimum of e on a 1-D domain (dense scan + refinement)."""
-    if dom.dim != 1:
-        raise ExprError("scan_argmin scans 1-D domains")
     return (_scan_1d(e, dom.intervals[0], _SCAN_SAMPLES_1D, lambda v: -v)[0],)

@@ -3,16 +3,14 @@ import math
 import pickle
 import random
 
-import numpy as np
 import pytest
 
 from esgain.contraction import (BoundsError, ErrorBudget,
                                 NonContractingError, SingularPerturbationInputs,
-                                build_ledger, contraction_rate, lie_along,
+                                build_ledger, lie_along,
                                 plant_coupling_bound, robustness_tube,
                                 singular_perturbation_bound)
-from esgain.symexpr import (Const, Domain1D, Var, differentiate, eval_expr,
-                            mul, parse_expr)
+from esgain.symexpr import Const, Domain1D, Var, eval_expr, parse_expr
 
 
 class TestBuildLedger:
@@ -78,46 +76,6 @@ class TestBuildLedger:
         for x in (0.3, -0.7, 1.1):
             want = 1.0 * 0.5 * x ** 2 - x * x
             assert eval_expr(out, [x]) == pytest.approx(want, abs=1e-12)
-
-
-class TestContractionRate:
-    def test_scalar_linear_decay(self):
-        f = mul(Const(-1.0), Var(0))
-        est = contraction_rate([f], Domain1D(-1.0, 1.0))
-        assert est.beta == pytest.approx(1.0, abs=1e-9)
-        assert est.chi == 1.0
-        assert est.kappa_robust == pytest.approx(1.0, abs=1e-9)
-        assert est.contracting
-
-    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
-    def test_rate_recovers_decay_constant(self, lam):
-        f = mul(Const(-lam), Var(0))
-        est = contraction_rate([f], Domain1D(-2.0, 2.0))
-        assert est.beta == pytest.approx(lam, abs=1e-9 * max(1.0, lam))
-
-    def test_skew_part_drops_out(self):
-        from esgain.symexpr import Domain2D, add
-        f1 = add(mul(Const(-1.0), Var(0)), mul(Const(2.0), Var(1)))
-        f2 = add(mul(Const(-2.0), Var(0)), mul(Const(-1.0), Var(1)))
-        est = contraction_rate([f1, f2], Domain2D(-1, 1, -1, 1))
-        assert est.beta == pytest.approx(1.0, abs=1e-9)
-
-    def test_ideal_descent_rate_near_optimum(self, worked_h):
-        a, eta = 0.209, 0.01
-        rate = a * eta / 2.0
-        f = mul(Const(-rate), differentiate(worked_h))
-        est = contraction_rate([f], Domain1D(-0.05, 0.05))
-        assert est.beta == pytest.approx(rate * 1.0, rel=0.06)
-
-    def test_metric_conditioning_enters_chi(self):
-        f = mul(Const(-1.0), Var(0))
-        est = contraction_rate([f], Domain1D(-1, 1), metric=[4.0])
-        assert est.chi == 1.0  # single axis: conditioning is trivial
-        from esgain.symexpr import Domain2D
-        f2 = [mul(Const(-1.0), Var(0)), mul(Const(-1.0), Var(1))]
-        est2 = contraction_rate(f2, Domain2D(-1, 1, -1, 1), metric=[4.0, 1.0])
-        assert est2.chi == pytest.approx(4.0)
-        assert est2.kappa_robust == pytest.approx(est2.beta / est2.chi)
 
 
 class TestClosedFormBounds:

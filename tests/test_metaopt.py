@@ -18,8 +18,8 @@ from esgain.metaopt import (InfeasibleError, MetaOptError, MetaOptProblem,
                             solve_monomial, solve_numeric,
                             solve_strategy3_closed_form, tune_filtered,
                             tune_frequency)
-from esgain.schemes import SchemeInstance, reference_averaged, scheme_graded_field
-from esgain.symexpr import Domain1D, eval_array, parse_expr
+from esgain.schemes import SchemeInstance, scheme_graded_field
+from esgain.symexpr import Domain1D, parse_expr
 
 
 def synthetic_ledger(h0=1.0, h1=1.5, h2=1.0, h3=1.8, kappa=1.0, l2=1.0):
@@ -442,6 +442,17 @@ class TestBudgetIsTheModel:
                 assert value == self.MODELED[name](a, d1, d2) <= bound, name
             else:
                 assert name == "a_in_domain" and value <= bound
+
+    def test_strategy3_model_gives_a_lone_point_its_cell_bits(self, worked_ledger):
+        # at this point libm pow(a, 2) and a * a differ in the last bit
+        points = [(5.074747858459217, 0.4899309318846682)]
+        rng = np.random.default_rng(3)
+        points += zip(rng.uniform(1e-4, 10.0, 20000).tolist(),
+                      rng.uniform(1e-4, 10.0, 20000).tolist())
+        a, eta = (np.array(v) for v in zip(*points))
+        for term in metaopt._error_terms(worked_ledger, None):
+            cells = term(a, eta)
+            assert [float(term(x, e)) for x, e in points] == cells.tolist()
 
 
 def bisect_up_reference(feasible, lo, hi_cap):
@@ -955,39 +966,17 @@ class TestConsistencyReport:
                 for i in range(1, res.order + 1)]
         assert consistency_report(sol, res).details["per_degree_sup"] == want
 
-    def test_planar_result_scans_both_axes(self):
-        # the degree-2 sup is the reference averaged field's on the same grid
-        h = parse_expr("0.5*x1^2 + 0.5*x2^2 + 0.3*x1^3", dim=2)
-        s = SchemeInstance("planar", h, a=0.2, eta=0.02)
-        res = average(scheme_graded_field(s, 3), 3, convention="w-zero-mean")
-        sol = MetaOptSolution(gains={"a": s.a, "eta": s.eta}, budget=None, active_constraints=(),
-                              provenance={"domain": [[-1.0, 1.0], [-0.5, 0.5]]})
-        rep = consistency_report(sol, res)
-        xx, yy = np.meshgrid(np.linspace(-1.0, 1.0, 401), np.linspace(-0.5, 0.5, 401))
-        ref = reference_averaged(s).degree_fields[2]
-        sup2 = s.eps ** 2 * max(float(np.max(np.abs(eval_array(e, [xx, yy])))) for e in ref)
-        sups = rep.details["per_degree_sup"]
-        assert sups[1] == pytest.approx(sup2, rel=1e-9)
-        assert sups[0] == 0.0 and rep.details["dominant_degree"] == 2
-        assert rep.p_value == pytest.approx(0.1, rel=1e-12)
-
-    def test_planar_result_needs_a_domain_over_both_axes(self):
-        h = parse_expr("0.5*x1^2 + 0.5*x2^2", dim=2)
-        s = SchemeInstance("planar", h, a=0.2, eta=0.02)
-        res = average(scheme_graded_field(s, 2), 2, convention="w-zero-mean")
-        sol = MetaOptSolution(gains={"a": s.a, "eta": s.eta}, budget=None,
-                              active_constraints=(), provenance={"domain": [[-1.0, 1.0]]})
-        with pytest.raises(MetaOptError, match="domain"):
-            consistency_report(sol, res)
-
-    def test_three_state_result_is_refused_before_any_grid(self, worked_h):
-        # a 401-point grid per axis would hold 401^3 points for filtered1d
-        s = SchemeInstance("filtered1d", worked_h, a=0.2, eta=0.02, mu=0.05, gamma=1.0)
+    @pytest.mark.parametrize("kind, text, dim, extra", [
+        ("planar", "0.5*x1^2 + 0.5*x2^2", 2, {}),
+        ("filtered1d", "0.5*x^2", 1, {"mu": 0.05, "gamma": 1.0})], ids=["planar", "filtered1d"])
+    def test_many_state_result_is_refused_before_any_grid(self, kind, text, dim, extra):
+        s = SchemeInstance(kind, parse_expr(text, dim=dim), a=0.2, eta=0.02, **extra)
         res = average(scheme_graded_field(s, 2), 2, convention="w-zero-mean")
         sol = MetaOptSolution(gains={"a": s.a, "eta": s.eta}, budget=None, active_constraints=(),
-                              provenance={"domain": [[-1.0, 1.0]] * 3})
-        with pytest.raises(MetaOptError, match="1 or 2 axes"):
-            consistency_report(sol, res)
+                              provenance={"domain": [[-1.0, 1.0]] * res.dim})
+        with mock.patch.object(metaopt.np, "linspace", side_effect=AssertionError("grid built")):
+            with pytest.raises(MetaOptError, match=f"one-state result, not {res.dim} states"):
+                consistency_report(sol, res)
 
 
 class TestTablesPerObjective:

@@ -13,7 +13,7 @@ import pytest
 from conftest import WORKED_H_TEXT, random_expr
 from esgain import symexpr
 from esgain.schemes import dithered_field
-from esgain.symexpr import (Const, Domain1D, Domain2D, EvalOverflowError,
+from esgain.symexpr import (Const, Domain, Domain1D, EvalOverflowError,
                             Cos, Exp, Expr, ExprError, Neg, ParseError, Pow, Prod,
                             Sin, Sum, Var, add, codegen,
                             compile_expr, compile_exprs, differentiate, eval_array,
@@ -201,10 +201,10 @@ class TestSupNorm:
         est = scan_supnorm(Const(-2.5), Domain1D(0.0, 1.0))
         assert float(est) == 2.5
 
-    def test_two_dimensional_domain_is_refused(self):
-        e = parse_expr("x1^2 + x2^2", dim=2)
-        with pytest.raises(ExprError, match="1-D"):
-            scan_supnorm(e, Domain2D(-1.0, 1.0, -1.0, 1.0))
+    @pytest.mark.parametrize("intervals", [(), ((-1.0, 1.0), (-1.0, 1.0))])
+    def test_a_domain_holds_exactly_one_interval(self, intervals):
+        with pytest.raises(ExprError, match=f"one interval, got {len(intervals)}"):
+            Domain(intervals)
 
     def test_monotone_under_domain_inclusion(self, worked_h):
         d1 = differentiate(worked_h)
