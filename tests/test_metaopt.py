@@ -920,6 +920,16 @@ class TestFilteredTuner:
         sol = tune_filtered(worked_ledger, math.inf, 0.01)
         assert sol.active_constraints == ("estimate_tube",)
 
+    def test_filtered_model_gives_a_lone_point_its_cell_bits(self, worked_ledger):
+        # the budget reads the models at one float point, the grid search at
+        # arrays; the squares of a, gamma and mu must round the same in both
+        with mock.patch.object(metaopt, "_budget", wraps=metaopt._budget) as spy:
+            tune_filtered(worked_ledger, 0.01, 0.01)
+        points = np.random.default_rng(5).uniform(1e-4, 30.0, (20000, 4))
+        for term in spy.call_args.args[0]:
+            cells = term(*points.T)
+            assert [float(term(*p)) for p in points.tolist()] == cells.tolist()
+
     @pytest.mark.parametrize("text", AUDIT_OBJECTIVES)
     def test_range_edges_name_the_box_corner(self, text):
         # on the audit objectives the box, not a constraint, stops mu and gamma
@@ -965,6 +975,22 @@ class TestConsistencyReport:
         want = [float(np.max(np.abs(res.g_field.degree_part(i).eval(ys, 0.0, sol.gains["a"]))))
                 for i in range(1, res.order + 1)]
         assert consistency_report(sol, res).details["per_degree_sup"] == want
+
+    def test_domain_argument_overrides_the_provenance(self, worked_ledger, worked_h):
+        sol = solve_strategy3_closed_form(worked_ledger, 0.01, 0.01)
+        res = self._averaged(worked_h, sol.gains["a"], sol.gains["eta"], m=3)
+        ys = np.linspace(-0.5, 0.5, 401)[:, None]
+        want = [float(np.max(np.abs(res.g_field.degree_part(i).eval(ys, 0.0, sol.gains["a"]))))
+                for i in range(1, res.order + 1)]
+        rep = consistency_report(sol, res, domain=Domain1D(-0.5, 0.5))
+        assert rep.details["per_degree_sup"] == want
+
+    def test_no_domain_is_refused(self, worked_ledger, worked_h):
+        sol = solve_strategy3_closed_form(worked_ledger, 0.01, 0.01)
+        res = self._averaged(worked_h, sol.gains["a"], sol.gains["eta"], m=3)
+        sol = dataclasses.replace(sol, provenance={})
+        with pytest.raises(MetaOptError, match="no domain available"):
+            consistency_report(sol, res)
 
     @pytest.mark.parametrize("kind, text, dim, extra", [
         ("planar", "0.5*x1^2 + 0.5*x2^2", 2, {}),

@@ -18,8 +18,8 @@ from esgain.symexpr import (Const, Domain, Domain1D, EvalOverflowError,
                             Sin, Sum, Var, add, codegen,
                             compile_expr, compile_exprs, differentiate, eval_array,
                             eval_expr, exp_of, max_var_index, mul,
-                            nth_derivative, parse_expr, powi, scan_supnorm,
-                            sin_of, to_string)
+                            nth_derivative, parse_expr, powi, scan_argmin,
+                            scan_supnorm, sin_of, to_string)
 
 
 class TestParse:
@@ -201,10 +201,28 @@ class TestSupNorm:
         est = scan_supnorm(Const(-2.5), Domain1D(0.0, 1.0))
         assert float(est) == 2.5
 
-    @pytest.mark.parametrize("intervals", [(), ((-1.0, 1.0), (-1.0, 1.0))])
+    @pytest.mark.parametrize("intervals", [(), ((-1.0, 1.0), (-1.0, 1.0)),
+                                           ((-1.0, 1.0),) * 3])
     def test_a_domain_holds_exactly_one_interval(self, intervals):
         with pytest.raises(ExprError, match=f"one interval, got {len(intervals)}"):
             Domain(intervals)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0)])
+    def test_empty_interval_is_refused(self, lo, hi):
+        with pytest.raises(ExprError, match="empty interval"):
+            Domain1D(lo, hi)
+
+    def test_domain1d_holds_one_float_interval(self):
+        # the shape tune.json prints as [[lo, hi]]
+        dom = Domain1D(-1, 2)
+        assert dom.intervals == ((-1.0, 2.0),)
+        assert all(type(v) is float for v in dom.intervals[0])
+
+    def test_argmin_is_a_one_tuple_at_the_minimum(self):
+        x_min = scan_argmin(parse_expr("(x - 0.3)^2 + 1"), Domain1D(-1.0, 1.0))
+        assert len(x_min) == 1
+        # a golden-section search of a flat minimum resolves x to about sqrt(eps)
+        assert x_min[0] == pytest.approx(0.3, abs=1e-6)
 
     def test_monotone_under_domain_inclusion(self, worked_h):
         d1 = differentiate(worked_h)
