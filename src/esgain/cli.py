@@ -41,17 +41,20 @@ EXIT_VERIFY = 5
 
 # caps on the memory a config can ask for, checked before anything is
 # allocated: RK4 steps in one simulate trajectory (integrate stores every
-# state), cells of a gain map (each holds a few dozen doubles) and points per
-# axis of a numeric tuning grid (it evaluates their square)
+# state), cells of a gain map (each holds a few dozen doubles), points per
+# axis of a numeric tuning grid (it evaluates their square) and the highest
+# derivative of h that averaging to a config's order expands (the terms of
+# the averaged field grow steeply with it)
 _MAX_STEPS = 10_000_000
 _MAX_CELLS = 1_000_000
 _MAX_GRID_POINTS = 2_000
+_MAX_DERIVATIVE = 6
 
 # the keys each config object accepts, the union over subcommands; "" is
 # the root, whose keys are the blocks, and "scheme.gains" is nested
 _KEYS = {
     "": ("scheme", "ledger", "tuning", "sim"),
-    "scheme": ("kind", "h", "gains", "m", "n", "taylor_order", "avg_order", "convention"),
+    "scheme": ("kind", "h", "gains", "m", "n", "avg_order", "convention"),
     "scheme.gains": ("a", "eta", "mu", "gamma", "omega"),
     "ledger": ("domain", "h", "x_star"),
     "tuning": ("target", "strategy", "method", "delta", "delta1", "delta2", "a", "eta",
@@ -150,7 +153,17 @@ def _scheme_from_config(cfg: RunConfig) -> SchemeInstance:
         a=gains("a", NUMBER), eta=gains("eta", NUMBER),
         m=blk("m", COUNT, 1), n=blk("n", COUNT, 1),
         mu=gains("mu", NUMBER, None), gamma=gains("gamma", NUMBER, None),
-        omega=gains("omega", NUMBER, None), taylor_order=blk("taylor_order", COUNT, 6))
+        omega=gains("omega", NUMBER, None))
+
+
+def _avg_order(blk: Block, s: SchemeInstance) -> int:
+    """The averaging order `blk` asks for, refused when the graded field of
+    `s` would need a derivative of h past _MAX_DERIVATIVE."""
+    order = blk("avg_order", COUNT, 2)
+    if (order - s.m) // s.n > _MAX_DERIVATIVE:
+        raise ConfigError(f"{blk.path}.avg_order {order} needs a derivative of h past the "
+                          f"{_MAX_DERIVATIVE}th at m = {s.m}, n = {s.n}")
+    return order
 
 
 def _ledger_from_config(cfg: RunConfig):
@@ -231,7 +244,7 @@ def _cmd_tune(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
         payload = dataclasses.asdict(sol)
         if blk("consistency", FLAG, True) and "p" in sol.gains:
             s = SchemeInstance("basic1d", h, a=sol.gains["a"], eta=sol.gains["eta"],
-                               m=sol.provenance["m"], n=sol.provenance["n"], taylor_order=6)
+                               m=sol.provenance["m"], n=sol.provenance["n"])
             res = average(scheme_graded_field(s, 4), 4, convention="w-zero-mean")
             payload["consistency"] = dataclasses.asdict(consistency_report(sol, res))
     _emit_json(payload, cfg, os.path.join(out_dir, "tune.json"), verbose)
@@ -257,17 +270,17 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
         x0 = [x0[0], float(hf([np.asarray(x0[0])])), 0.0]
     if s.kind == "plant1d" and len(x0) == 1:
         x0 = [x0[0], x0[0]]
+    metrics = blk("metrics", FLAG, True) and s.kind == "basic1d"
+    n_avg = _avg_order(blk, s) if metrics else None
     traj = integrate(scheme_field(s), x0, horizon, dt)
     traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
     payload: dict = {"final_state": list(traj.states[-1]),
                      "horizon": horizon, "dt": dt}
-    if blk("metrics", FLAG, True) and s.kind == "basic1d":
-        n_avg = blk("avg_order", COUNT, 2)
+    if metrics:
         res = average(scheme_graded_field(s, n_avg), n_avg, convention="w-zero-mean")
         y_traj = integrate(averaged_field(s, res.g_exprs(s.m + s.n)), [x0[0]], horizon, dt)
         z_traj = integrate(_ideal_field(s), [x0[0]], horizon, dt)
-        metrics = compare(traj, y_traj, z_traj, res, s.eps)
-        payload["metrics"] = dataclasses.asdict(metrics)
+        payload["metrics"] = dataclasses.asdict(compare(traj, y_traj, z_traj, res, s.eps))
     _emit_json(payload, cfg, os.path.join(out_dir, "simulate.json"), verbose)
     return EXIT_OK
 
@@ -298,7 +311,7 @@ def _cmd_perfmap(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
 
 def _cmd_average(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     s = _scheme_from_config(cfg)
-    n_avg = cfg.scheme("avg_order", COUNT, 2)
+    n_avg = _avg_order(cfg.scheme, s)
     convention = cfg.scheme("convention", TEXT, "u-zero-mean")
     res = average(scheme_graded_field(s, n_avg), n_avg, convention=convention)
     per_degree = {}
@@ -319,9 +332,9 @@ def _cmd_average(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
 def _cmd_verify(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     s = _scheme_from_config(cfg)
     checks: dict[str, bool] = {}
-    f = scheme_graded_field(s, 4 if s.kind != "filtered1d" else 2)
-    n_avg = 4 if s.kind in ("basic1d", "plant1d") else 2
-    res = average(f, min(n_avg, f.max_order), convention="w-zero-mean")
+    order = 4 if s.kind in ("basic1d", "plant1d") else 2
+    f = scheme_graded_field(s, order)
+    res = average(f, order, convention="w-zero-mean")
     ref = reference_averaged(s) if s.kind != "plant1d" else None
     args = [np.linspace(-0.9, 0.9, 25)] * s.dim
     if ref is not None:

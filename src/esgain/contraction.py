@@ -11,6 +11,7 @@ from .symexpr import (
     add,
     differentiate,
     eval_expr,
+    max_var_index,
     mul,
     neg,
     nth_derivative,
@@ -86,6 +87,9 @@ def build_ledger(h: Expr, dom: Domain, x_star: float | None = None) -> BoundsLed
 
 
 def _scan_ledger(h: Expr, dom: Domain, x_star: float | None) -> BoundsLedger:
+    if max_var_index(h) > 0:
+        raise BoundsError(f"a ledger scans h over one variable, but h uses "
+                          f"x{max_var_index(h) + 1}")
     norms = []
     d = h
     for _ in range(4):

@@ -201,8 +201,7 @@ class RemainderTables:
         g_cols = []
         u_cols = []
         for p in nodes:
-            s = SchemeInstance("basic1d", h, a=1.0, eta=p, m=1, n=1,
-                               taylor_order=self.G_DEGREE)
+            s = SchemeInstance("basic1d", h, a=1.0, eta=p, m=1, n=1)
             res = average(scheme_graded_field(s, self.G_DEGREE), self.G_DEGREE,
                           convention="w-zero-mean")
             g_part = res.g_field.degree_part(self.G_DEGREE)

@@ -28,10 +28,6 @@ class SchemeError(Exception):
     pass
 
 
-class InsufficientExpansionError(SchemeError):
-    """Requested averaging order needs Taylor terms beyond taylor_order."""
-
-
 @dataclass(frozen=True)
 class DitherChannel:
     waveform: str  # "sin" or "cos"
@@ -94,7 +90,6 @@ class SchemeInstance:
     gamma: float | None = None
     omega: float | None = None
     dither: DitherSpec | None = None
-    taylor_order: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -201,36 +196,23 @@ def plant_slow_rhs(s: SchemeInstance) -> Field:
 # ---------------------------------------------------------------------------
 # eps-graded fields for the averaging engine
 
-def _required_taylor(s: SchemeInstance, avg_order: int) -> int:
-    t = s.taylor_order if s.taylor_order is not None else avg_order + 1
-    if t < 1:
-        raise SchemeError("taylor_order must be >= 1")
-    return t
-
-
 def scheme_graded_field(s: SchemeInstance, avg_order: int) -> GradedField:
     """Time-rescaled, Taylor-expanded eps-graded field for the engine.
 
-    The knob map h(x + a * dither) is expanded about the averaged state to
-    the instance's taylor_order; gains are substituted as p * eps^m and
-    eps^n so every term carries an explicit eps degree.
+    The knob map h(x + a * dither) is expanded about the averaged state
+    through every term of eps degree at most avg_order, so the field holds
+    exactly what averaging to that order reads: the k-th derivative of h
+    sits at degree m + k n (basic1d, plant1d) or 1 + k (planar,
+    filtered1d). Gains are substituted as p * eps^m and eps^n so every term
+    carries an explicit eps degree.
     """
-    taylor = _required_taylor(s, avg_order)
     if s.kind in ("basic1d", "plant1d"):
         # plant1d's slow part in dither-scaled time is exactly the basic map scheme
         m, n, p = s.m, s.n, s.p
-        if m + (taylor + 1) * n <= avg_order:
-            raise InsufficientExpansionError(
-                f"taylor_order {taylor} cannot reach degree {avg_order}")
         u = s.dither.channels[0].trig()
-        terms = []
-        dk = s.h
-        for k in range(taylor + 1):
-            deg = m + k * n
-            if deg <= avg_order:
-                space = mul(Const(-p / math.factorial(k)), dk)
-                terms.append(SeparableTerm((space,), trig_power(u, k + 1), deg))
-            dk = differentiate(dk)
+        terms = [SeparableTerm((mul(Const(-p / math.factorial(k)), nth_derivative(s.h, k)),),
+                               trig_power(u, k + 1), m + k * n)
+                 for k in range((avg_order - m) // n + 1)]
         return GradedField.build(1, avg_order, terms)
     if s.kind == "planar":
         if (s.m, s.n) != (1, 1):
@@ -239,21 +221,14 @@ def scheme_graded_field(s: SchemeInstance, avg_order: int) -> GradedField:
         d1 = s.dither.channels[0].trig()
         d2 = s.dither.channels[1].trig()
         terms = []
-        for k in range(taylor + 1):
-            deg = 1 + k
-            if deg > avg_order:
-                break
+        for k in range(avg_order):
             for j in range(k + 1):
                 coeff = -p / (math.factorial(j) * math.factorial(k - j))
-                dh = s.h
-                for _ in range(j):
-                    dh = differentiate(dh, 0)
-                for _ in range(k - j):
-                    dh = differentiate(dh, 1)
+                dh = nth_derivative(nth_derivative(s.h, j, 0), k - j, 1)
                 space = mul(Const(coeff), dh)
                 base = trig_power(d1, j) * trig_power(d2, k - j)
-                terms.append(unit_term(2, 0, space, base * d1, deg))
-                terms.append(unit_term(2, 1, space, base * d2, deg))
+                terms.append(unit_term(2, 0, space, base * d1, 1 + k))
+                terms.append(unit_term(2, 1, space, base * d2, 1 + k))
         return GradedField.build(2, avg_order, terms)
     # filtered1d: all four gains graded as order-eps with eps = a
     if (s.m, s.n) != (1, 1):
@@ -268,15 +243,10 @@ def scheme_graded_field(s: SchemeInstance, avg_order: int) -> GradedField:
         unit_term(3, 2, mul(Const(-r_gamma), Var(1)), u, 1),
         unit_term(3, 2, mul(Const(-r_gamma / 2.0), Var(2)), one, 2),
     ]
-    dk = s.h
-    for k in range(taylor + 1):
-        deg = 1 + k
-        if deg > avg_order:
-            break
-        sk = trig_power(u, k)
-        terms.append(unit_term(3, 1, mul(Const(r_mu / math.factorial(k)), dk), sk, deg))
-        terms.append(unit_term(3, 2, mul(Const(r_gamma / math.factorial(k)), dk), sk * u, deg))
-        dk = differentiate(dk)
+    for k in range(avg_order):
+        dk, sk = nth_derivative(s.h, k), trig_power(u, k)
+        terms.append(unit_term(3, 1, mul(Const(r_mu / math.factorial(k)), dk), sk, 1 + k))
+        terms.append(unit_term(3, 2, mul(Const(r_gamma / math.factorial(k)), dk), sk * u, 1 + k))
     return GradedField.build(3, avg_order, terms)
 
 

@@ -15,9 +15,8 @@ from esgain.symexpr import (Var, compile_expr, eval_expr, is_zero, parse_expr, s
                             to_string)
 
 
-def basic_scheme(worked_h, a=1.0, eta=1.0, order=6):
-    return SchemeInstance("basic1d", worked_h, a=a, eta=eta, m=1, n=1,
-                          taylor_order=order)
+def basic_scheme(worked_h, a=1.0, eta=1.0):
+    return SchemeInstance("basic1d", worked_h, a=a, eta=eta, m=1, n=1)
 
 
 class TestAverage:
@@ -50,7 +49,7 @@ class TestAverage:
     def test_planar_quadrature_cross_terms(self):
         from esgain.symexpr import parse_expr
         h = parse_expr("sin(x1) + 0.5*x2^2", dim=2)
-        s = SchemeInstance("planar", h, a=0.2, eta=0.25, taylor_order=4)
+        s = SchemeInstance("planar", h, a=0.2, eta=0.25)
         res = average(scheme_graded_field(s, 2), 2, convention="w-zero-mean")
         ref = reference_averaged(s)
         pts = np.linspace(-0.8, 0.8, 9)
@@ -182,7 +181,7 @@ class TestResidual:
         # dim 2: the stacked Jacobian solve mixes both components
         from esgain.symexpr import parse_expr
         h = parse_expr("sin(x1) + 0.5*x2^2", dim=2)
-        s = SchemeInstance("planar", h, a=0.2, eta=0.25, taylor_order=4)
+        s = SchemeInstance("planar", h, a=0.2, eta=0.25)
         f = scheme_graded_field(s, 4)
         res = average(f, 3, convention="w-zero-mean")
         rep = autonomy_residual(f, res, [0.2, 0.1, 0.05], samples=40)
@@ -201,7 +200,7 @@ class TestResidual:
     def test_sample_lattice_unchanged_up_to_two_states(self, worked_h):
         # a count and the explicit golden-ratio lattice it stands for agree
         s = SchemeInstance("planar", parse_expr("sin(x1) + 0.5*x2^2", dim=2), a=0.2,
-                           eta=0.25, taylor_order=3)
+                           eta=0.25)
         f = scheme_graded_field(s, 3)
         res = average(f, 2, convention="w-zero-mean")
         k = np.arange(12, dtype=float)
@@ -256,16 +255,16 @@ def unmemoized(self, ws, vs, c):
 
 
 def engine_case(kind, order):
-    """A scheme field of `kind` with its Taylor expansion to `order`."""
+    """A scheme field of `kind`, expanded through eps degree `order`."""
     if kind == "planar":
         s = SchemeInstance("planar", parse_expr("sin(x1) + 0.5*x2^2", dim=2), a=0.2,
-                           eta=0.25, taylor_order=order)
+                           eta=0.25)
     elif kind == "filtered1d":
         s = SchemeInstance("filtered1d", parse_expr("-cos(x) + 0.16666666666666666*x^3"),
-                           a=0.3, eta=0.21, mu=0.09, gamma=3.8, taylor_order=order)
+                           a=0.3, eta=0.21, mu=0.09, gamma=3.8)
     else:
         s = SchemeInstance("basic1d", parse_expr("-cos(x) + 0.16666666666666666*x^3"),
-                           a=0.3, eta=0.21, taylor_order=order)
+                           a=0.3, eta=0.21)
     return scheme_graded_field(s, order)
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import esgain
+from esgain import cli
 from esgain.cli import main
 from esgain.symexpr import parse_expr, differentiate, eval_expr
 
@@ -146,6 +147,52 @@ class TestAverage:
         listing = (out / "average.txt").read_text()
         assert "degree 2, component 0" in listing
 
+    @pytest.mark.parametrize("scheme", [
+        {"kind": "planar", "h": "0.5*x1^2 + 0.5*x2^2", "avg_order": 8},
+        {"kind": "filtered1d", "avg_order": 8,
+         "gains": {"a": 0.3, "eta": 0.02, "mu": 0.05, "gamma": 1.0}},
+        {"kind": "basic1d", "m": 3, "avg_order": 10},
+    ], ids=["planar_8", "filtered1d_8", "basic1d_m3_10"])
+    def test_order_past_the_derivative_cap_exits_two_before_expanding(
+            self, tmp_path, monkeypatch, scheme):
+        def refuse(*args):
+            raise AssertionError("the graded field was built")
+        monkeypatch.setattr("esgain.cli.scheme_graded_field", refuse)
+        cfg = write_config(tmp_path / "avg.json", edited("average", scheme=scheme))
+        out = tmp_path / "out"
+        code, lines = run_main(["average", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert "scheme.avg_order" in err["message"]
+        assert not (out / "average.json").exists()
+
+    def test_order_at_the_derivative_cap_averages(self, tmp_path):
+        # m = 3, order 9 reads h^(6), the last derivative the cap allows
+        cfg = write_config(tmp_path / "avg.json",
+                           edited("average", scheme={"m": 3, "avg_order": 9}))
+        out = tmp_path / "out"
+        assert main(["average", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "average.json").read_text())
+        assert payload["order"] == 9
+        assert sorted(payload["averaged"], key=int) == [str(d) for d in range(1, 10)]
+
+    def test_cap_refuses_the_orders_past_the_sixth_derivative(self):
+        # a basic1d or plant1d field holds h^(k) at degree m + k n, so the
+        # orders that need h^(7) or beyond are exactly those >= m + 7 n
+        for m in range(1, 5):
+            for n in range(1, 4):
+                s = esgain.SchemeInstance("basic1d", parse_expr("x^2"), a=0.5, eta=0.25,
+                                          m=m, n=n)
+                for order in range(1, 40):
+                    blk = cli.Block("scheme", {"avg_order": order})
+                    if order >= m + 7 * n:
+                        with pytest.raises(cli.ConfigError):
+                            cli._avg_order(blk, s)
+                    else:
+                        assert cli._avg_order(blk, s) == order
+
 
 class TestSimulate:
     def test_basic_run_writes_trajectory_and_metrics(self, tmp_path):
@@ -161,6 +208,22 @@ class TestSimulate:
         assert float(payload["metrics"]["sup_full_vs_averaged"]) >= 0.0
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,state0"
+
+    def test_averaging_order_past_the_cap_exits_two_before_integrating(
+            self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the trajectory was integrated")
+        monkeypatch.setattr("esgain.cli.integrate", refuse)
+        cfg = write_config(tmp_path / "sim.json",
+                           edited("simulate", sim={"avg_order": 8}))
+        out = tmp_path / "out"
+        code, lines = run_main(["simulate", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert "sim.avg_order" in err["message"]
+        assert not (out / "trajectory.csv").exists()
 
     def test_overflow_exits_four(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "boom.json", {
@@ -347,6 +410,8 @@ class TestConfigHandling:
         ("tune", edited("tune", ledger={"domain": [-1.0, "abc"]})),
         # an unknown block used to be ignored
         ("average", edited("average", averaging={"order": 2})),
+        # the Taylor depth follows from the averaging order and is not a key
+        ("average", edited("average", scheme={"taylor_order": 6})),
         # tuning.method alone picks the strategy-3 model; the grading keys are gone
         ("tune", edited("tune", tuning={"method": "numeric", "m": 3})),
         ("tune", edited("tune", tuning={"method": "numeric", "n": 1})),
@@ -364,7 +429,7 @@ class TestConfigHandling:
             "avg_order_too_high", "unknown_convention", "strategy_not_a_number",
             "x_star_not_a_number", "avg_order_not_a_number", "grid_points_zero",
             "frequency_gain_not_a_number", "domain_end_not_a_number", "unknown_block",
-            "tuning_m", "tuning_n",
+            "taylor_order", "tuning_m", "tuning_n",
             "missing_objective", "missing_tuning_block", "map_points_past_numpy",
             "map_cells_over_cap", "grid_points_past_numpy", "grid_points_over_cap"])
     def test_probed_config_exits_two(self, tmp_path, command, cfg):

@@ -34,6 +34,14 @@ class TestBuildLedger:
         with pytest.raises(NonContractingError):
             build_ledger(Const(3.0), Domain1D(-1.0, 1.0))
 
+    def test_objective_of_two_variables_refused_before_a_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the objective was scanned")
+        monkeypatch.setattr("esgain.contraction.scan_supnorm", refuse)
+        monkeypatch.setattr("esgain.contraction.scan_argmin", refuse)
+        with pytest.raises(BoundsError, match="x2"):
+            build_ledger(parse_expr("x1^2+x2^2", dim=2), Domain1D(-1.0, 1.0))
+
     def test_shrinking_domain_never_raises_norms(self, worked_h):
         big = build_ledger(worked_h, Domain1D(-1.0, 1.0))
         small = build_ledger(worked_h, Domain1D(-0.4, 0.4))

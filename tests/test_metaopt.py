@@ -850,7 +850,7 @@ class TestRemainderTablesFit:
         mesh_y, mesh_t = np.meshgrid(ys, ts, indexing="ij")
         g_cols, u_cols = [], []
         for p in nodes:
-            s = SchemeInstance("basic1d", h, a=1.0, eta=float(p), m=1, n=1, taylor_order=4)
+            s = SchemeInstance("basic1d", h, a=1.0, eta=float(p), m=1, n=1)
             res = average(scheme_graded_field(s, 4), 4, convention="w-zero-mean")
             g_cols.append(res.g_field.degree_part(4).eval(ys[:, None], 0.0, 1.0)[:, 0])
             u_cols.append(res.u[1].eval(mesh_y.reshape(-1, 1), mesh_t.ravel(), 1.0)[:, 0])

@@ -107,25 +107,35 @@ class TestGradedField:
                 assert d1 == pytest.approx(-p * math.sin(t) * h([y]), abs=1e-13)
                 assert d2 == pytest.approx(-p * math.sin(t) ** 2 * h1([y]), abs=1e-13)
 
-    def test_taylor_fidelity_bound(self, worked_h):
+    @pytest.mark.parametrize("kind", ["basic1d", "filtered1d"])
+    def test_taylor_fidelity_bound(self, worked_h, kind):
         # summed graded field differs from the exact rhs by at most the
-        # Lagrange remainder eta * ||h^(T+1)|| a^(T+1) / (T+1)!
-        a, eta, T = 0.3, 0.1, 4
+        # Lagrange remainder ||h^(T+1)|| a^(T+1) / (T+1)! of h(y + a sin t),
+        # times the gain it enters with: eta (basic1d), or mu and gamma
+        # (filtered1d's estimate and gradient states)
+        a, eta, mu, gamma, T = 0.3, 0.1, 0.2, 0.7, 4
         # the k-th Taylor term of h(y + a sin t) sits at eps-degree k + 1,
-        # so the field must be built through degree T + 1 to hold all of them
-        s = SchemeInstance("basic1d", worked_h, a=a, eta=eta, taylor_order=T + 1)
+        # so the field is built through degree T + 1 to hold all of them
+        if kind == "basic1d":
+            s, scale = SchemeInstance(kind, worked_h, a=a, eta=eta), eta
+        else:
+            s = SchemeInstance(kind, worked_h, a=a, eta=eta, mu=mu, gamma=gamma)
+            scale = max(mu, gamma)
         f = scheme_graded_field(s, T + 1)
         rhs = scheme_rhs(s)
         dom = Domain1D(-1.0, 1.0)
         rem = scan_supnorm(nth_derivative(worked_h, T + 1), dom)
-        bound = eta * rem * a ** (T + 1) / math.factorial(T + 1)
+        bound = scale * rem * a ** (T + 1) / math.factorial(T + 1)
+        rng = np.random.default_rng(3)
         worst = 0.0
         for y in np.linspace(-0.7, 0.7, 9):
+            # the filter states enter the field linearly, exactly in both forms
+            state = [y, *rng.uniform(-1.0, 1.0, s.dim - 1)]
             for t in np.linspace(0.0, 2.0 * math.pi, 13):
-                approx = f.eval([y], t, s.eps)[0]
-                exact = rhs(t, np.array([y]))[0]
-                worst = max(worst, abs(approx - exact))
-        assert worst <= bound * (1.0 + 1e-12)
+                approx = f.eval(state, t, s.eps)
+                exact = rhs(t, np.array(state))
+                worst = max(worst, np.max(np.abs(approx - exact)))
+        assert 0.0 < worst <= bound * (1.0 + 1e-12)
 
     def test_heavy_grading_puts_descent_at_degree_four(self, worked_h):
         # with eta = p eps^3, a = eps the first nonzero averaged degree is 4
@@ -137,11 +147,6 @@ class TestGradedField:
                        for e in res.g_exprs(deg) for y in ys)
         g4 = compile_expr(res.g_exprs(4)[0])
         assert max(abs(g4([y])) for y in ys) > 1e-3
-
-    def test_insufficient_taylor_order_rejected(self, worked_h):
-        s = SchemeInstance("basic1d", worked_h, a=0.2, eta=0.01, taylor_order=2)
-        with pytest.raises(SchemeError):
-            scheme_graded_field(s, 4)
 
 
 class TestReferenceAveraged:
