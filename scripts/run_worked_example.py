@@ -35,7 +35,7 @@ def main() -> None:
     sol1 = solve_numeric(prob)
     s1 = SchemeInstance("basic1d", h, a=sol1.gains["a"], eta=sol1.gains["eta"])
     res1 = average(scheme_graded_field(s1, 4), 4, convention="w-zero-mean")
-    rep1 = consistency_report(sol1, res1, domain=ledger.domain)
+    rep1 = consistency_report(sol1, res1)
     print("numeric pass (equal grading):")
     print(f"  a = {sol1.gains['a']:.4f}, eta = {sol1.gains['eta']:.4f}, "
           f"p = {rep1.p_value:.4f}")

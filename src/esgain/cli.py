@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .averaging import AveragingError, average, autonomy_residual
-from .contraction import BoundsError, build_ledger
+from .contraction import BoundsError, BoundsLedger, build_ledger
 from .fourieralg import FieldError
 from .metaopt import (InfeasibleError, MetaOptError, MetaOptProblem, consistency_report,
                       solve_numeric, solve_strategy3_closed_form,
@@ -156,21 +156,21 @@ def _scheme_from_config(cfg: RunConfig) -> SchemeInstance:
         omega=gains("omega", NUMBER, None))
 
 
-def _avg_order(blk: Block, s: SchemeInstance) -> int:
+def _avg_order(blk: Block, s: SchemeInstance, default: int = 2) -> int:
     """The averaging order `blk` asks for, refused when the graded field of
     `s` would need a derivative of h past _MAX_DERIVATIVE."""
-    order = blk("avg_order", COUNT, 2)
+    order = blk("avg_order", COUNT, default)
     if (order - s.m) // s.n > _MAX_DERIVATIVE:
         raise ConfigError(f"{blk.path}.avg_order {order} needs a derivative of h past the "
                           f"{_MAX_DERIVATIVE}th at m = {s.m}, n = {s.n}")
     return order
 
 
-def _ledger_from_config(cfg: RunConfig):
+def _ledger_from_config(cfg: RunConfig) -> BoundsLedger:
     blk = cfg.ledger
     lo, hi = blk("domain", PAIR)
     h = parse_expr(blk("h", TEXT, "") or cfg.scheme("h", TEXT), dim=1)
-    return h, build_ledger(h, Domain1D(lo, hi), x_star=blk("x_star", NUMBER, None))
+    return build_ledger(h, Domain1D(lo, hi), x_star=blk("x_star", NUMBER, None))
 
 
 def _json_default(obj):
@@ -220,7 +220,7 @@ def _cmd_tune(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     blk = cfg.tuning
     target = blk("target", _one_of("gains", "frequency", "filtered"), "gains")
     method = blk("method", _one_of("closed-form", "numeric"), "closed-form")
-    h, ledger = _ledger_from_config(cfg)
+    ledger = _ledger_from_config(cfg)
     if target == "frequency":
         sol = tune_frequency(ledger, blk("a", NUMBER), blk("eta", NUMBER))
         payload = {"omega": sol.omega, "diagnostics": sol.diagnostics}
@@ -240,10 +240,10 @@ def _cmd_tune(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
                 ledger=ledger, strategy=strategy, delta=blk("delta", NUMBER, None),
                 delta1=blk("delta1", NUMBER, None), delta2=blk("delta2", NUMBER, None),
                 grid_points=grid_points)
-            sol = solve_numeric(prob, h=h)
+            sol = solve_numeric(prob)
         payload = dataclasses.asdict(sol)
         if blk("consistency", FLAG, True) and "p" in sol.gains:
-            s = SchemeInstance("basic1d", h, a=sol.gains["a"], eta=sol.gains["eta"],
+            s = SchemeInstance("basic1d", ledger.h, a=sol.gains["a"], eta=sol.gains["eta"],
                                m=sol.provenance["m"], n=sol.provenance["n"])
             res = average(scheme_graded_field(s, 4), 4, convention="w-zero-mean")
             payload["consistency"] = dataclasses.asdict(consistency_report(sol, res))
@@ -271,7 +271,10 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     if s.kind == "plant1d" and len(x0) == 1:
         x0 = [x0[0], x0[0]]
     metrics = blk("metrics", FLAG, True) and s.kind == "basic1d"
-    n_avg = _avg_order(blk, s) if metrics else None
+    if metrics:  # they compare the trajectory with the degree-(m + n) averaged system
+        n_avg = _avg_order(blk, s, s.m + s.n)
+        if n_avg < s.m + s.n:
+            raise ConfigError(f"sim.avg_order {n_avg} is below m + n = {s.m + s.n}")
     traj = integrate(scheme_field(s), x0, horizon, dt)
     traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
     payload: dict = {"final_state": list(traj.states[-1]),
@@ -333,9 +336,9 @@ def _cmd_verify(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
     s = _scheme_from_config(cfg)
     checks: dict[str, bool] = {}
     order = 4 if s.kind in ("basic1d", "plant1d") else 2
+    ref = reference_averaged(s) if s.kind != "plant1d" else None
     f = scheme_graded_field(s, order)
     res = average(f, order, convention="w-zero-mean")
-    ref = reference_averaged(s) if s.kind != "plant1d" else None
     args = [np.linspace(-0.9, 0.9, 25)] * s.dim
     if ref is not None:
         ok = True

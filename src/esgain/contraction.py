@@ -3,7 +3,8 @@ two-timescale coupling bounds, and the assembled error budget."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .symexpr import (
     Domain,
@@ -33,39 +34,22 @@ def lie_along(h: Expr, v: Expr) -> Expr:
     return add(mul(differentiate(v), h), neg(mul(differentiate(h), v)))
 
 
-class _ReadOnlyDict(dict):
-    """A dict that refuses every write; it copies and pickles as a dict."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a ledger's composites are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
 @dataclass(frozen=True)
 class BoundsLedger:
-    """Sup-norm estimates of an objective and its derivatives on a domain,
-    plus the local curvature kappa at the target optimum. Like the other
-    fields, `composites` cannot be written to, so a ledger that
-    `build_ledger` hands to several callers stays as it was built."""
+    """Sup-norm estimates of an objective h and its derivatives on a domain,
+    plus the local curvature kappa at the target optimum. The ledger carries
+    h, so a solver that reads its norms reads the objective they belong to."""
+    h: Expr
     domain: Domain
     norms: tuple          # norms[i] ~ sup |h^(i)| on domain, i = 0..N
     kappa: float
     x_star: float
-    composites: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "composites", _ReadOnlyDict(self.composites))
+    l2_hprime: float      # sup |L_h^2 h'| on domain
 
     def norm(self, i: int) -> float:
         return self.norms[i]
 
 
-_LEDGERS: dict = {}  # (h, domain, x_star) -> BoundsLedger, least recently used first
 _LEDGERS_KEPT = 4  # objectives whose ledgers build_ledger keeps
 
 
@@ -78,15 +62,12 @@ def build_ledger(h: Expr, dom: Domain, x_star: float | None = None) -> BoundsLed
     objective under several strategies, such as `esgain tune` jobs run one
     after another in a process, scans it once."""
     # repr tells -0.0 from 0.0, which == does not, and the ledger prints both
-    key = (h, repr(dom), repr(x_star))
-    ledger = _LEDGERS.pop(key, None) or _scan_ledger(h, dom, x_star)
-    _LEDGERS[key] = ledger
-    while len(_LEDGERS) > _LEDGERS_KEPT:
-        del _LEDGERS[next(iter(_LEDGERS))]
-    return ledger
+    return _scan_ledger(h, dom, x_star, (repr(dom), repr(x_star)))
 
 
-def _scan_ledger(h: Expr, dom: Domain, x_star: float | None) -> BoundsLedger:
+@lru_cache(maxsize=_LEDGERS_KEPT)
+def _scan_ledger(h: Expr, dom: Domain, x_star: float | None, reprs: tuple) -> BoundsLedger:
+    """The ledger of h on dom; `reprs` only keys the cache."""
     if max_var_index(h) > 0:
         raise BoundsError(f"a ledger scans h over one variable, but h uses "
                           f"x{max_var_index(h) + 1}")
@@ -101,9 +82,8 @@ def _scan_ledger(h: Expr, dom: Domain, x_star: float | None) -> BoundsLedger:
     if kappa <= 0.0:
         raise NonContractingError(
             f"h''({x_star}) = {kappa}; the declared optimum is not locally convex")
-    composite = lie_along(h, lie_along(h, differentiate(h)))
-    composites = {"L2h_hprime": scan_supnorm(composite, dom)}
-    return BoundsLedger(dom, tuple(norms), float(kappa), float(x_star), composites)
+    l2_hprime = scan_supnorm(lie_along(h, lie_along(h, differentiate(h))), dom)
+    return BoundsLedger(h, dom, tuple(norms), float(kappa), float(x_star), l2_hprime)
 
 
 def robustness_tube(kappa_robust: float, r_bound: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,7 +82,7 @@ def _error_terms(ledger: BoundsLedger, tables):
     point alone would not always get the bits of its grid cell."""
     h0, kap = ledger.norm(0), ledger.kappa
     if tables is None:
-        h3, l2 = ledger.norm(3), ledger.composites["L2h_hprime"]
+        h3, l2 = ledger.norm(3), ledger.l2_hprime
         return (lambda a, e: (a * a * h3 + e * e * l2) / (8.0 * kap),
                 lambda a, e: e * h0)
     return (lambda a, e: 2.0 * tables.g_remainder(a, e / a) / (a * e * kap),
@@ -180,9 +181,9 @@ class RemainderTables:
     and a scalar p or a 1-D batch of polish probes goes through the same
     formula directly.
 
-    The tables read only `ledger.domain` and `h`. `solve_numeric` shares one
-    instance among the strategies and tolerances of an objective (see
-    `_remainder_tables`); an instance built directly works the same."""
+    `solve_numeric` shares one instance among the strategies and
+    tolerances of an objective (see `_remainder_tables`); an instance built
+    directly works the same."""
 
     G_DEGREE = 4  # first neglected averaged degree beyond the modeled one
     U_DEGREE = 2  # first transform degree beyond the modeled leading term
@@ -192,9 +193,9 @@ class RemainderTables:
     Y_SAMPLES = 101  # samples of the domain in both tables
     T_SAMPLES = 32  # samples of the dither period in the u table
 
-    def __init__(self, ledger: BoundsLedger, h):
+    def __init__(self, domain, h):
         nodes = (1.0, 2.0)
-        lo, hi = ledger.domain.intervals[0]
+        lo, hi = domain.intervals[0]
         ys = np.linspace(lo, hi, self.Y_SAMPLES)
         ts = np.linspace(0.0, 2.0 * math.pi, self.T_SAMPLES, endpoint=False)
         mesh_y, mesh_t = np.meshgrid(ys, ts, indexing="ij")  # rows of the u table
@@ -279,28 +280,18 @@ class RemainderTables:
         return (at + np.cumsum(new) - new)[inverse]
 
 
-_TABLES: dict = {}  # (domain, h) -> RemainderTables, least recently used first
 _TABLES_KEPT = 4  # objectives whose tables solve_numeric keeps
 
 
-def _remainder_tables(ledger: BoundsLedger, h) -> RemainderTables:
-    """The RemainderTables of (ledger.domain, h), built on the first request
-    and kept for the _TABLES_KEPT objectives asked for last, so strategies
-    1, 2 and 4 on one objective share one build. Sharing keeps every bit:
-    the tables read nothing of the ledger but its domain, and their memo
-    gives a p the same sup whatever queries came before. The memo is
-    cleared for each solve, so a kept instance holds no more than one
-    solve's queries."""
-    key = (ledger.domain, h)
-    tables = _TABLES.pop(key, None)
-    if tables is None:
-        tables = RemainderTables(ledger, h)
-    else:
-        tables.clear_memo()
-    _TABLES[key] = tables
-    while len(_TABLES) > _TABLES_KEPT:
-        del _TABLES[next(iter(_TABLES))]
-    return tables
+@lru_cache(maxsize=_TABLES_KEPT)
+def _remainder_tables(domain, h) -> RemainderTables:
+    """The RemainderTables of (domain, h), built on the first request and
+    kept for the _TABLES_KEPT objectives asked for last, so strategies 1, 2
+    and 4 on one objective share one build. Sharing keeps every bit: the
+    memo gives a p the same sup whatever queries came before, and
+    `solve_numeric` clears it for each solve, so a kept instance holds no
+    more than one solve's queries."""
+    return RemainderTables(domain, h)
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +445,21 @@ def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: fl
     return best, active
 
 
-def solve_numeric(prob: MetaOptProblem, h=None) -> MetaOptSolution:
+def solve_numeric(prob: MetaOptProblem) -> MetaOptSolution:
     """Maximize eta*a over a deterministic log grid with local refinement and
     bisection polish; ties broken by the lexicographically smallest grid index.
     Strategy 3 solves the truncated model under equal grading (m = n = 1);
     `solve_strategy3_closed_form` solves the dominant one.
 
-    Strategies 1, 2 and 4 take their RemainderTables from a cache keyed by
-    (ledger.domain, h) that holds the last _TABLES_KEPT objectives, so
-    solving one objective under several strategies or tolerances runs the
-    engine once."""
+    Strategies 1, 2 and 4 take the RemainderTables of the ledger's objective
+    from a cache keyed by (ledger.domain, ledger.h) that holds the last
+    _TABLES_KEPT objectives, so solving one objective under several
+    strategies or tolerances runs the engine once."""
     ledger = prob.ledger
     tables = None
     if prob.strategy in (1, 2, 4):
-        if h is None:
-            raise MetaOptError("strategies 1, 2 and 4 need the objective expression "
-                               "to estimate remainders")
-        tables = _remainder_tables(ledger, h)
+        tables = _remainder_tables(ledger.domain, ledger.h)
+        tables.clear_memo()
     cons = _constraints_for(prob, ledger, tables)
     grid = np.geomspace(*_GAIN_RANGE, prob.grid_points)
     (a_best, e_best), active = _maximize(
@@ -609,17 +598,17 @@ _P_BAND = (1.0 / 3.0, 3.0)  # fine-tuning factors counted as near one
 _NEGLECTED_RATIO_MAX = 0.1  # largest first-neglected / dominant sup counted as small
 
 
-def consistency_report(sol: MetaOptSolution, result: AveragingResult,
-                       domain=None) -> ConsistencyReport:
+def consistency_report(sol: MetaOptSolution, result: AveragingResult) -> ConsistencyReport:
     """Sanity checks for a tuned solution: is the fine-tuning factor near one
     and are the first neglected averaged terms small against the dominant
-    descent term over the search domain? The scan samples 401 points of the
-    one state axis, so a result with more states is refused."""
+    descent term over the domain the solver wrote to its provenance? The
+    scan samples 401 points of the one state axis, so a result with more
+    states is refused."""
     p_val = sol.gains.get("p", sol.gains["eta"] / sol.gains["a"])
     near = _P_BAND[0] <= p_val <= _P_BAND[1]
     if result.dim != 1:
         raise MetaOptError(f"the consistency scan needs a one-state result, not {result.dim} states")
-    ivs = sol.provenance.get("domain") if domain is None else domain.intervals
+    ivs = sol.provenance.get("domain")
     if ivs is None:
         raise MetaOptError("no domain available for the consistency scan")
     ys = np.linspace(*ivs[0], 401)[:, None]

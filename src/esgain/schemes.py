@@ -265,26 +265,23 @@ class ReferenceAveraged:
         return np.asarray([float(compile_expr(c)(list(y))) for c in comps])
 
 
-def _accumulate(deg_fields: dict, degree: int, comps: tuple):
-    if degree in deg_fields:
-        deg_fields[degree] = tuple(add(a, b) for a, b in zip(deg_fields[degree], comps))
-    else:
-        deg_fields[degree] = comps
-
-
 def reference_averaged(s: SchemeInstance) -> ReferenceAveraged:
     if s.kind == "plant1d":
         raise SchemeError("plant1d has no closed-form averaged reference; "
                           "its slow system is basic1d")
     if s.kind == "basic1d":
+        # the displayed terms sit at degrees m + n, m + 3n and 3m + n; other
+        # gradings let further terms share these degrees (m + 5n = 3m + n at
+        # (2, 1)), and the reference leaves those terms out
+        if (s.m, s.n) != (1, 1):
+            raise SchemeError("basic1d reference supports m = n = 1")
         p = s.p
         h1 = differentiate(s.h)
         h3 = nth_derivative(s.h, 3)
         l2 = lie_along(s.h, lie_along(s.h, h1))
-        deg: dict = {}
-        _accumulate(deg, s.m + s.n, (mul(Const(-p / 2.0), h1),))
-        _accumulate(deg, s.m + 3 * s.n, (mul(Const(-p / 16.0), h3),))
-        _accumulate(deg, 3 * s.m + s.n, (mul(Const(-p ** 3 / 16.0), l2),))
+        # degrees m + n = 2, and m + 3n = 3m + n = 4
+        deg = {2: (mul(Const(-p / 2.0), h1),),
+               4: (add(mul(Const(-p / 16.0), h3), mul(Const(-p ** 3 / 16.0), l2)),)}
         physical = (add(mul(Const(-s.a * s.eta / 2.0), h1),
                         mul(Const(-s.a * s.eta ** 3 / 16.0), l2),
                         mul(Const(-s.eta * s.a ** 3 / 16.0), h3)),)

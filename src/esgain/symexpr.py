@@ -407,11 +407,12 @@ _PARSES_KEPT = 64  # (text, dim) pairs whose trees parse_expr keeps
 def parse_expr(text: str, dim: int = 1) -> Expr:
     """Parse `text` over the fixed grammar; raises ParseError with offset.
 
-    The trees of the last _PARSES_KEPT (text, dim) pairs are kept, so
-    parsing a text again hands back the same tree, with the derivatives and
-    printed forms its nodes keep already computed."""
-    if dim not in (1, 2):
-        raise ExprError(f"dim must be 1 or 2, got {dim}")
+    The variables are `x` (the first) and `x1` .. `x{dim}`. The trees of
+    the last _PARSES_KEPT (text, dim) pairs are kept, so parsing a text
+    again hands back the same tree, with the derivatives and printed forms
+    its nodes keep already computed."""
+    if dim < 1:
+        raise ExprError(f"dim must be at least 1, got {dim}")
     tokens = _tokenize(text)
     pos = 0
 
@@ -482,12 +483,12 @@ def parse_expr(text: str, dim: int = 1) -> Expr:
                 inner = parse_e()
                 expect_op(")")
                 return _FUNCS[val](inner)
-            if val in ("x", "x1"):
+            if val == "x":
                 return Var(0)
-            if val == "x2":
-                if dim < 2:
-                    raise ParseError("variable x2 used in a 1-D expression", off)
-                return Var(1)
+            if re.fullmatch(r"x[1-9]\d*", val):
+                if int(val[1:]) > dim:
+                    raise ParseError(f"variable {val} used in a {dim}-D expression", off)
+                return Var(int(val[1:]) - 1)
             raise ParseError(f"unknown identifier {val!r}", off)
         if kind == "op" and val == "(":
             inner = parse_e()

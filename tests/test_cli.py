@@ -147,6 +147,22 @@ class TestAverage:
         listing = (out / "average.txt").read_text()
         assert "degree 2, component 0" in listing
 
+    def test_filtered_components_parse_back_at_dim_three(self, tmp_path):
+        scheme = {"kind": "filtered1d", "avg_order": 3,
+                  "gains": {"a": 0.3, "eta": 0.02, "mu": 0.05, "gamma": 1.0}}
+        cfg = write_config(tmp_path / "avg.json", edited("average", scheme=scheme))
+        out = tmp_path / "out"
+        assert main(["average", "--config", cfg, "--out", str(out)]) == 0
+        averaged = json.loads((out / "average.json").read_text())["averaged"]
+        s = esgain.SchemeInstance("filtered1d", parse_expr(WORKED_H_TEXT), a=0.3, eta=0.02,
+                                  mu=0.05, gamma=1.0)
+        res = esgain.average(esgain.scheme_graded_field(s, 3), 3, convention="u-zero-mean")
+        ys = [list(y) for y in np.random.default_rng(8).uniform(-0.9, 0.9, (20, 3))]
+        for degree, texts in averaged.items():
+            for text, e in zip(texts, res.g_exprs(int(degree)), strict=True):
+                assert [eval_expr(parse_expr(text, dim=3), y) for y in ys] \
+                    == [eval_expr(e, y) for y in ys]
+
     @pytest.mark.parametrize("scheme", [
         {"kind": "planar", "h": "0.5*x1^2 + 0.5*x2^2", "avg_order": 8},
         {"kind": "filtered1d", "avg_order": 8,
@@ -209,13 +225,17 @@ class TestSimulate:
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,state0"
 
-    def test_averaging_order_past_the_cap_exits_two_before_integrating(
-            self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("edit", [
+        {"sim": {"avg_order": 8}},
+        {"sim": {"avg_order": 1}},
+        {"scheme": {"m": 2}, "sim": {"avg_order": 2}},
+    ], ids=["past_the_cap", "below_m_plus_n", "m_two_at_order_two"])
+    def test_averaging_order_refused_exits_two_before_integrating(
+            self, tmp_path, monkeypatch, edit):
         def refuse(*args):
             raise AssertionError("the trajectory was integrated")
         monkeypatch.setattr("esgain.cli.integrate", refuse)
-        cfg = write_config(tmp_path / "sim.json",
-                           edited("simulate", sim={"avg_order": 8}))
+        cfg = write_config(tmp_path / "sim.json", edited("simulate", **edit))
         out = tmp_path / "out"
         code, lines = run_main(["simulate", "--config", cfg, "--out", str(out)])
         assert code == 2
@@ -224,6 +244,13 @@ class TestSimulate:
         assert err["error"] == "config"
         assert "sim.avg_order" in err["message"]
         assert not (out / "trajectory.csv").exists()
+
+    def test_default_order_is_m_plus_n(self, tmp_path):
+        # at m = 2 the metrics need the degree-3 averaged system
+        cfg = write_config(tmp_path / "sim.json", edited("simulate", scheme={"m": 2}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert "metrics" in json.loads((out / "simulate.json").read_text())
 
     def test_overflow_exits_four(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "boom.json", {
@@ -278,6 +305,17 @@ class TestVerify:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
+
+    @pytest.mark.parametrize("grading", [{"m": 3}, {"n": 2}], ids=["m3", "n2"])
+    def test_grading_without_a_reference_exits_two(self, tmp_path, grading):
+        cfg = write_config(tmp_path / "v.json", edited("verify", scheme=grading))
+        out = tmp_path / "out"
+        code, lines = run_main(["verify", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and "m = n = 1" in err["message"]
+        assert not (out / "verify.json").exists()
 
     def test_basic_scheme_passes(self, tmp_path):
         cfg = write_config(tmp_path / "v.json", {
@@ -399,6 +437,9 @@ class TestConfigHandling:
         ("simulate", edited("simulate", scheme={"kind": "quadratic"})),
         ("simulate", edited("simulate", scheme={"kind": "filtered1d", "gains": {
             "a": 0.33, "eta": 0.01, "gamma": 3.8}})),
+        # metrics compare the degree-(m + n) averaged system, past these orders
+        ("simulate", edited("simulate", sim={"avg_order": 1})),
+        ("simulate", edited("simulate", scheme={"m": 2}, sim={"avg_order": 2})),
         ("average", edited("average", scheme={"avg_order": 99})),
         ("average", edited("average", scheme={"convention": "v-zero-mean"})),
         # raw casts of config values
@@ -426,6 +467,7 @@ class TestConfigHandling:
     ], ids=["concave_objective", "reversed_domain", "strategy_five",
             "strategy_one_without_delta", "negative_delta1",
             "degenerate_third_derivative", "unknown_kind", "filtered_without_mu",
+            "sim_avg_order_below_m_plus_n", "sim_m_two_at_order_two",
             "avg_order_too_high", "unknown_convention", "strategy_not_a_number",
             "x_star_not_a_number", "avg_order_not_a_number", "grid_points_zero",
             "frequency_gain_not_a_number", "domain_end_not_a_number", "unknown_block",
@@ -527,7 +569,7 @@ class TestContract:
 
 
 class TestTuneSharedTables:
-    def test_strategy_order_keeps_tune_json_bytes(self, tmp_path, monkeypatch):
+    def test_strategy_order_keeps_tune_json_bytes(self, tmp_path):
         # strategies 1, 2 and 4 share one objective's remainder tables within
         # a process; the artifacts must not depend on which job built them
         tunings = {1: {"strategy": 1, "delta": 0.02},
@@ -537,7 +579,7 @@ class TestTuneSharedTables:
                    for s, t in tunings.items()}
         outputs = {}
         for order in ((1, 2, 4), (4, 2, 1)):
-            monkeypatch.setattr(esgain.metaopt, "_TABLES", {})
+            esgain.metaopt._remainder_tables.cache_clear()
             for s in order:
                 out = tmp_path / f"{''.join(map(str, order))}-s{s}"
                 assert main(["tune", "--config", configs[s], "--out", str(out)]) == 0

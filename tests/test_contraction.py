@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -19,7 +20,7 @@ class TestBuildLedger:
         assert worked_ledger.norm(1) == pytest.approx(math.sin(1) + 0.5, abs=1e-6)
         assert worked_ledger.norm(3) == pytest.approx(1.0 + math.sin(1), abs=1e-6)
         assert worked_ledger.kappa == pytest.approx(1.0, abs=1e-6)
-        assert worked_ledger.composites["L2h_hprime"] > 0
+        assert worked_ledger.l2_hprime > 0
 
     def test_quadratic_bowl(self):
         h = parse_expr("0.5*x^2", dim=1)
@@ -67,13 +68,10 @@ class TestBuildLedger:
     def test_cached_ledger_cannot_be_changed(self, worked_h):
         led = build_ledger(worked_h, Domain1D(-1.0, 1.0))
         assert build_ledger(worked_h, Domain1D(-1.0, 1.0)) is led
-        before = dict(led.composites)
-        for write in (lambda c: c.__setitem__("L2h_hprime", 0.0),
-                      lambda c: c.update(extra=1.0), lambda c: c.pop("L2h_hprime"),
-                      lambda c: c.clear()):
-            with pytest.raises(TypeError, match="read-only"):
-                write(led.composites)
-        assert led.composites == before
+        before = led.l2_hprime
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            led.l2_hprime = 0.0
+        assert led.l2_hprime == before and led.h is worked_h
         assert copy.deepcopy(led) == led and pickle.loads(pickle.dumps(led)) == led
 
     def test_lie_along_composite(self):

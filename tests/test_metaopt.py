@@ -22,9 +22,11 @@ from esgain.schemes import SchemeInstance, scheme_graded_field
 from esgain.symexpr import Domain1D, parse_expr
 
 
-def synthetic_ledger(h0=1.0, h1=1.5, h2=1.0, h3=1.8, kappa=1.0, l2=1.0):
-    return BoundsLedger(Domain1D(-1.0, 1.0), (h0, h1, h2, h3), kappa, 0.0,
-                        {"L2h_hprime": l2})
+def synthetic_ledger(h0=1.0, h1=1.5, h2=1.0, h3=1.8, kappa=1.0, l2=1.0,
+                     h=parse_expr("0.5*x^2")):
+    """A ledger of made-up norms; its objective `h` is only read by the
+    remainder tables of strategies 1, 2 and 4."""
+    return BoundsLedger(h, Domain1D(-1.0, 1.0), (h0, h1, h2, h3), kappa, 0.0, l2)
 
 
 class TestStrategy3ClosedForm:
@@ -116,11 +118,10 @@ class TestSolveNumeric:
         assert sol.gains["eta"] == pytest.approx(0.01, abs=2e-4)
         assert sol.gains["a"] == pytest.approx(0.207, abs=2e-3)
 
-    def test_strategy2_with_infinite_delta1_reduces_to_delta2(self, worked_ledger,
-                                                              worked_h):
+    def test_strategy2_with_infinite_delta1_reduces_to_delta2(self, worked_ledger):
         prob = MetaOptProblem(worked_ledger, strategy=2, delta1=math.inf,
                               delta2=0.01)
-        sol = solve_numeric(prob, h=worked_h)
+        sol = solve_numeric(prob)
         assert sol.active_constraints == ("delta2",)
         # delta2 = eta |h| + transform remainder sits exactly at its bound,
         # so the bare eta |h| part stays strictly below it
@@ -129,12 +130,11 @@ class TestSolveNumeric:
     @pytest.mark.parametrize("kw", [{"strategy": 1, "delta": 1.0},
                                     {"strategy": 2, "delta1": math.inf, "delta2": 0.01},
                                     {"strategy": 4, "delta": 5.0}])
-    def test_dither_amplitude_stays_on_the_ledger_domain(self, worked_ledger, worked_h,
-                                                         kw):
+    def test_dither_amplitude_stays_on_the_ledger_domain(self, worked_ledger, kw):
         # the dither probes x* +- a, and the norms were scanned on [-1, 1]
         x_star = worked_ledger.x_star
         half_width = min(x_star + 1.0, 1.0 - x_star)
-        sol = solve_numeric(MetaOptProblem(worked_ledger, **kw), h=worked_h)
+        sol = solve_numeric(MetaOptProblem(worked_ledger, **kw))
         assert sol.gains["a"] <= half_width
         assert sol.provenance["constraints"]["a_in_domain"] == f"bound {half_width}"
 
@@ -158,11 +158,11 @@ class TestSolveNumeric:
     def test_active_constraint_certificate(self, worked_ledger, worked_h,
                                            strategy, kw):
         prob = MetaOptProblem(worked_ledger, strategy=strategy, **kw)
-        sol = solve_numeric(prob, h=worked_h)
+        sol = solve_numeric(prob)
         assert sol.active_constraints  # at least one constraint binds
         tables = None
         if strategy in (1, 2, 4):
-            tables = RemainderTables(worked_ledger, worked_h)
+            tables = RemainderTables(worked_ledger.domain, worked_h)
         cons = _constraints_for(prob, worked_ledger, tables)
         by_name = {name: (fn, bound) for name, fn, bound in cons}
         a, eta = sol.gains["a"], sol.gains["eta"]
@@ -172,23 +172,21 @@ class TestSolveNumeric:
             assert val == pytest.approx(bound, rel=1e-9)
 
     @pytest.mark.parametrize("strategy,kw", WORKED_CALLS)
-    def test_grid_reports_equal_grading(self, worked_ledger, worked_h, strategy, kw):
+    def test_grid_reports_equal_grading(self, worked_ledger, strategy, kw):
         # every strategy's grid solves the m = n = 1 model, so p = eta / a,
         # and provenance names that grading for the consistency report
-        sol = solve_numeric(MetaOptProblem(worked_ledger, strategy=strategy, **kw),
-                            h=worked_h)
+        sol = solve_numeric(MetaOptProblem(worked_ledger, strategy=strategy, **kw))
         assert (sol.provenance["m"], sol.provenance["n"]) == (1, 1)
         assert sol.gains["p"] == sol.gains["eta"] / sol.gains["a"]
 
-    def test_strategy3_builds_no_remainder_tables(self, worked_ledger, worked_h,
-                                                  monkeypatch):
+    def test_strategy3_builds_no_remainder_tables(self, worked_ledger, monkeypatch):
         def no_tables(*args, **kwargs):
             raise AssertionError("RemainderTables built for strategy 3")
 
         monkeypatch.setattr("esgain.metaopt.RemainderTables", no_tables)
-        monkeypatch.setattr(metaopt, "_TABLES", {})  # no kept instance to reuse
+        metaopt._remainder_tables.cache_clear()  # no kept instance to reuse
         prob = MetaOptProblem(worked_ledger, strategy=3, delta1=0.01, delta2=0.01)
-        assert solve_numeric(prob, h=worked_h).active_constraints
+        assert solve_numeric(prob).active_constraints
         assert solve_strategy3_closed_form(worked_ledger, 0.01, 0.01).active_constraints
 
     def test_grid_search_matches_monomial_closed_form(self, worked_ledger):
@@ -215,9 +213,9 @@ class TestSolveNumeric:
         rng = np.random.default_rng(7)
         for _ in range(10):
             norms = tuple(rng.uniform(0.3, 3.0, size=4))
-            led = BoundsLedger(Domain1D(-1.0, 1.0), norms,
+            led = BoundsLedger(parse_expr("0.5*x^2"), Domain1D(-1.0, 1.0), norms,
                                kappa=rng.uniform(0.2, 2.0), x_star=0.0,
-                               composites={"L2h_hprime": rng.uniform(0.1, 2.0)})
+                               l2_hprime=rng.uniform(0.1, 2.0))
             d1, d2 = rng.uniform(0.002, 0.05, size=2)
             lo = solve_numeric(MetaOptProblem(led, strategy=3,
                                               delta1=d1, delta2=d2))
@@ -379,7 +377,7 @@ class TestSolverOracle:
         elif call == "s3_m3":
             sol = solve_strategy3_closed_form(led, 0.01, 0.01)
         else:
-            sol = solve_numeric(MetaOptProblem(led, **kw), h=h)
+            sol = solve_numeric(MetaOptProblem(led, **kw))
         gains, budget, active = SOLVER_ORACLE[text, call]
         assert sol.active_constraints == active
         assert list(sol.gains) == list(gains)
@@ -420,9 +418,9 @@ class TestBudgetIsTheModel:
             tables = None
         else:
             prob = MetaOptProblem(led, **ORACLE_CALLS[call])
-            sol = solve_numeric(prob, h=h)
+            sol = solve_numeric(prob)
             # the tables the solve read: solve_numeric keeps them per objective
-            tables = None if prob.strategy == 3 else metaopt._remainder_tables(led, h)
+            tables = None if prob.strategy == 3 else metaopt._remainder_tables(led.domain, h)
         a, eta = sol.gains["a"], sol.gains["eta"]
         d1, d2 = sol.budget.delta1, sol.budget.delta2
         dc, osc = metaopt._error_terms(led, tables)
@@ -433,7 +431,7 @@ class TestBudgetIsTheModel:
             tol1, tol2 = self.CLOSED_FORM
             dominant = a ** 2 * led.norm(3) / (8.0 * led.kappa)
             assert dominant <= tol1 and d2 <= tol2
-            neglected = eta ** 2 * led.composites["L2h_hprime"] / (8.0 * led.kappa)
+            neglected = eta ** 2 * led.l2_hprime / (8.0 * led.kappa)
             assert d1 - dominant == pytest.approx(neglected, rel=1e-9)
             return
         for name, fn, bound in _constraints_for(prob, led, tables):
@@ -557,7 +555,7 @@ class TestBisectUp:
 
         monkeypatch.setattr(metaopt, "_bisect_up", counted)
         tol = 0.010934100939936115
-        solve_numeric(MetaOptProblem(led, strategy=2, delta1=tol, delta2=tol), h=h)
+        solve_numeric(MetaOptProblem(led, strategy=2, delta1=tol, delta2=tol))
         assert 6 <= len(calls) <= 70  # six polished axes
 
 
@@ -703,12 +701,12 @@ class TestSlabbedGridSearch:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
-    def test_strategy1_2000_grid_solve_peak_below_8mb(self, worked_ledger, worked_h):
+    def test_strategy1_2000_grid_solve_peak_below_8mb(self, worked_ledger):
         # the 2000 x 2000 mesh at once allocated 252 MB
         prob = MetaOptProblem(worked_ledger, strategy=1, delta=0.05, grid_points=2000)
         tracemalloc.start()
         try:
-            solve_numeric(prob, h=worked_h)
+            solve_numeric(prob)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -742,7 +740,7 @@ class TestRemainderTablesMemory:
 
     @pytest.fixture(scope="class")
     def tables(self, worked_ledger, worked_h):
-        return RemainderTables(worked_ledger, worked_h)
+        return RemainderTables(worked_ledger.domain, worked_h)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(rows=st.lists(st.tuples(COEFF, COEFF), min_size=1, max_size=24),
@@ -810,7 +808,7 @@ class TestRemainderTablesMemory:
         # the all-rows BLAS product the fronts replaced; its FMA rounding
         # differs from plain IEEE arithmetic by at most 2 ulp on these tables
         h = parse_expr(text)
-        tables = RemainderTables(synthetic_ledger(), h)
+        tables = RemainderTables(Domain1D(-1.0, 1.0), h)
         grid = np.geomspace(1e-4, 10.0, 200)
         p = np.unique(grid[None, :] / grid[:, None])
         for front, coeffs, powers in ((tables._g_front, tables._g_coeffs, tables.G_POWERS),
@@ -820,11 +818,11 @@ class TestRemainderTablesMemory:
             got = tables._sup(front, powers, p)
             assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
 
-    def test_strategy1_solve_peak_below_8mb(self, worked_ledger, worked_h):
+    def test_strategy1_solve_peak_below_8mb(self, worked_ledger):
         prob = MetaOptProblem(worked_ledger, strategy=1, delta=0.05, grid_points=200)
         tracemalloc.start()
         try:
-            solve_numeric(prob, h=worked_h)
+            solve_numeric(prob)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -861,7 +859,7 @@ class TestRemainderTablesFit:
     @pytest.mark.parametrize("text", CORPUS)
     def test_two_runs_match_five_node_fit(self, text):
         h = parse_expr(text)
-        tables = RemainderTables(synthetic_ledger(), h)  # the ledger gives the domain
+        tables = RemainderTables(Domain1D(-1.0, 1.0), h)
         g_ref, u_ref = self.five_node_fit(h)
         for coeffs, powers, ref in ((tables._g_coeffs, tables.G_POWERS, g_ref),
                                     (tables._u_coeffs, tables.U_POWERS, u_ref)):
@@ -949,7 +947,7 @@ class TestConsistencyReport:
         sol = solve_numeric(prob)
         a, eta = sol.gains["a"], sol.gains["eta"]
         res = self._averaged(worked_h, a, eta, m=1)
-        rep = consistency_report(sol, res, domain=worked_ledger.domain)
+        rep = consistency_report(sol, res)
         assert rep.p_value == pytest.approx(eta / a, rel=1e-9)
         assert rep.p_value == pytest.approx(0.048, abs=5e-3)
         assert not rep.p_near_unity
@@ -975,15 +973,6 @@ class TestConsistencyReport:
         want = [float(np.max(np.abs(res.g_field.degree_part(i).eval(ys, 0.0, sol.gains["a"]))))
                 for i in range(1, res.order + 1)]
         assert consistency_report(sol, res).details["per_degree_sup"] == want
-
-    def test_domain_argument_overrides_the_provenance(self, worked_ledger, worked_h):
-        sol = solve_strategy3_closed_form(worked_ledger, 0.01, 0.01)
-        res = self._averaged(worked_h, sol.gains["a"], sol.gains["eta"], m=3)
-        ys = np.linspace(-0.5, 0.5, 401)[:, None]
-        want = [float(np.max(np.abs(res.g_field.degree_part(i).eval(ys, 0.0, sol.gains["a"]))))
-                for i in range(1, res.order + 1)]
-        rep = consistency_report(sol, res, domain=Domain1D(-0.5, 0.5))
-        assert rep.details["per_degree_sup"] == want
 
     def test_no_domain_is_refused(self, worked_ledger, worked_h):
         sol = solve_strategy3_closed_form(worked_ledger, 0.01, 0.01)
@@ -1013,34 +1002,56 @@ class TestTablesPerObjective:
              2: {"strategy": 2, "delta1": 0.01, "delta2": 0.01},
              4: {"strategy": 4, "delta": 0.5}}
 
-    def solve(self, ledger, h, strategy):
-        sol = solve_numeric(MetaOptProblem(ledger, **self.CALLS[strategy]), h=h)
+    def solve(self, ledger, strategy):
+        sol = solve_numeric(MetaOptProblem(ledger, **self.CALLS[strategy]))
         return sol.gains, sol.budget, sol.active_constraints
 
-    def test_three_strategies_run_the_engine_twice(self, worked_ledger, worked_h,
-                                                   monkeypatch):
+    @pytest.fixture
+    def engine_runs(self, monkeypatch):
+        """The engine runs since the test began, from an empty cache."""
         runs = []
-        monkeypatch.setattr(metaopt, "_TABLES", {})
+        metaopt._remainder_tables.cache_clear()
         monkeypatch.setattr(metaopt, "average",
                             lambda *args, **kw: runs.append(1) or average(*args, **kw))
-        for strategy in (1, 2, 4):
-            self.solve(worked_ledger, worked_h, strategy)
-        assert len(runs) == 2  # the p = 1 and p = 2 runs of one build
+        return runs
 
-    def test_solving_order_keeps_the_bits(self, worked_ledger, worked_h, monkeypatch):
+    def test_three_strategies_run_the_engine_twice(self, worked_ledger, engine_runs):
+        for strategy in (1, 2, 4):
+            self.solve(worked_ledger, strategy)
+        assert len(engine_runs) == 2  # the p = 1 and p = 2 runs of one build
+
+    def test_solving_order_keeps_the_bits(self, worked_ledger):
         fresh = {}
         for strategy in (1, 2, 4):
-            monkeypatch.setattr(metaopt, "_TABLES", {})
-            fresh[strategy] = self.solve(worked_ledger, worked_h, strategy)
+            metaopt._remainder_tables.cache_clear()
+            fresh[strategy] = self.solve(worked_ledger, strategy)
         for order in ((1, 2, 4), (4, 2, 1)):
-            monkeypatch.setattr(metaopt, "_TABLES", {})
+            metaopt._remainder_tables.cache_clear()
             for strategy in order:
-                assert self.solve(worked_ledger, worked_h, strategy) == fresh[strategy]
+                assert self.solve(worked_ledger, strategy) == fresh[strategy]
 
-    def test_cache_keeps_a_fixed_number_of_objectives(self, worked_ledger, monkeypatch):
-        monkeypatch.setattr(metaopt, "_TABLES", {})
-        hs = [parse_expr(f"0.5*x^2 + {c}*x^3") for c in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
-        for h in hs:
-            solve_numeric(MetaOptProblem(worked_ledger, **self.CALLS[2]), h=h)
-        assert list(metaopt._TABLES) == [(worked_ledger.domain, h)
-                                         for h in hs[-metaopt._TABLES_KEPT:]]
+    def test_cache_keeps_a_fixed_number_of_objectives(self, worked_ledger, engine_runs):
+        # the tables read only the ledger's domain and objective
+        ledgers = [dataclasses.replace(worked_ledger, h=parse_expr(f"0.5*x^2 + {c}*x^3"))
+                   for c in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+        for led in ledgers:
+            self.solve(led, 2)
+        assert len(engine_runs) == 2 * len(ledgers)
+        engine_runs.clear()
+        for led in ledgers[-metaopt._TABLES_KEPT:]:
+            self.solve(led, 2)
+        assert not engine_runs
+        self.solve(ledgers[0], 2)
+        assert len(engine_runs) == 2
+
+    def test_alternating_objectives_keep_fresh_bits(self):
+        # two objectives on one domain share the cache but never its tables
+        ledgers = [build_ledger(parse_expr(text), Domain1D(-1.0, 1.0), x_star=0.0)
+                   for text in AUDIT_OBJECTIVES[1:]]
+        fresh = {}
+        for i, led in enumerate(ledgers):
+            metaopt._remainder_tables.cache_clear()
+            fresh[i] = self.solve(led, 2)
+        metaopt._remainder_tables.cache_clear()
+        for i in (0, 1, 0, 1):
+            assert self.solve(ledgers[i], 2) == fresh[i]

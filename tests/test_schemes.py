@@ -181,6 +181,13 @@ class TestReferenceAveraged:
             v = eval_expr(ref.averaged[0], [0.3, 0.0, j])
             assert v == pytest.approx(-s.eta * j, rel=1e-13, abs=1e-15)
 
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (1, 2)])
+    def test_basic_reference_needs_equal_grading(self, worked_h, m, n):
+        # other gradings put further engine terms at the reference's degrees
+        s = SchemeInstance("basic1d", worked_h, a=0.2, eta=0.01, m=m, n=n)
+        with pytest.raises(SchemeError, match="m = n = 1"):
+            reference_averaged(s)
+
     def test_plant_reference_unsupported(self, worked_h):
         s = SchemeInstance("plant1d", worked_h, a=0.2, eta=0.01, omega=0.5)
         with pytest.raises(SchemeError):

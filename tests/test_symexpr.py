@@ -48,6 +48,18 @@ class TestParse:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ParseError):
             parse_expr("x2", dim=1)
+        with pytest.raises(ParseError, match="x4 used in a 3-D"):
+            parse_expr("x1 + x4", dim=3)
+
+    def test_any_dimension_reads_x1_to_xdim(self):
+        e = parse_expr("x + x2*x3 + x12", dim=12)
+        assert eval_expr(e, [1.0] + [2.0, 3.0] + [0.0] * 8 + [4.0]) == 11.0
+        assert parse_expr("x1", dim=3) == parse_expr("x", dim=3) == Var(0)
+        for text in ("x0", "x01"):
+            with pytest.raises(ParseError, match="unknown identifier"):
+                parse_expr(text, dim=3)
+        with pytest.raises(ExprError, match="at least 1"):
+            parse_expr("x", dim=0)
 
     def test_power_binds_tighter_than_product(self):
         e = parse_expr("2*x^3", dim=1)
