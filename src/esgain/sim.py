@@ -236,10 +236,10 @@ def performance_map(h, a_grid, p_grid, horizon_periods: int = 1000,
 
 
 def _write_rows(path, header: str, fmt: str, columns) -> None:
-    """Write a CSV: the header, then `fmt % row` per row of the columns, a
-    block of rows per write."""
+    """Write a CSV: the header, then `fmt` per row of the columns, a block
+    of rows formatted by one `%` per write."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for i in range(0, len(columns[0]), _CSV_ROWS):
-            rows = zip(*(c[i:i + _CSV_ROWS].tolist() for c in columns))
-            fh.write("".join([fmt % row + "\n" for row in rows]))
+            block = np.column_stack([c[i:i + _CSV_ROWS] for c in columns])
+            fh.write((fmt + "\n") * len(block) % tuple(block.ravel().tolist()))

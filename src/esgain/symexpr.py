@@ -711,13 +711,30 @@ def eval_array(e: Expr, axes) -> np.ndarray:
 
 def _float_valued(ufunc):
     """`ufunc` on a Python float, returning a Python float: the same bits as
-    the ufunc, while the arithmetic that follows stays on Python floats."""
+    the ufunc, while the arithmetic that follows stays on Python floats.
+    Only `exp` takes it: numpy's vectorized `exp` and libm's disagree in the
+    last bit on a few percent of arguments, so the float march must call
+    the ufunc the cells march calls."""
     def f(v):
         return float(ufunc(v))
     return f
 
 
-_FLOAT_NAMESPACE = {name: _float_valued(fn) for name, fn in _NAMESPACE.items()}
+def _libm(fn):
+    """`fn`, `math.sin` or `math.cos`, on a Python float. numpy's float64
+    `sin` and `cos` call libm too (tests/test_symexpr.py checks that they
+    give the same bits), so this gives the ufunc's bits without its
+    per-call cost. libm raises ValueError only at ±inf, where the ufunc
+    gives nan, and so does this."""
+    def f(v):
+        try:
+            return fn(v)
+        except ValueError:
+            return math.nan
+    return f
+
+
+_FLOAT_NAMESPACE = {"sin": _libm(math.sin), "cos": _libm(math.cos), "exp": _float_valued(np.exp)}
 
 
 # the numpy ufuncs a march over cells runs for +, -, * and unary -
@@ -865,9 +882,10 @@ class Field:
     computes both at every stage, so a product of dither values and
     parameters belongs in the dither. Parameter values are bound when a
     function is built: floats, or arrays of one shape with one element per
-    cell. The generated code runs the sources' operations, and the
-    transcendentals are numpy's ufuncs also on floats, so a float state and
-    an array state give the same bits."""
+    cell. The generated code runs the sources' operations in one order.
+    On floats `sin` and `cos` are libm's, which numpy's float64 ufuncs
+    also call, and `exp` is numpy's ufunc, so a float state and an array
+    state give the same bits."""
 
     def __init__(self, comps, body=(), dither=(), **params):
         self.comps = tuple(comps)

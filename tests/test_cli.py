@@ -265,6 +265,22 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "overflow"
 
+    def test_overflow_through_cos_exits_four(self, tmp_path, capsys):
+        # the state reaches inf within an RK4 step and the next stage takes
+        # cos of it: an overflow, not a math domain error
+        cfg = write_config(tmp_path / "boom.json", {
+            "scheme": {"kind": "basic1d", "h": "cos(x) - 0.5*x^4",
+                       "gains": {"a": 0.5, "eta": 2.0}},
+            "sim": {"x0": [3.0]},
+        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "overflow" and "t = 0.219911" in err["message"]
+
 
 class TestOverflow:
     def test_huge_optimum_exits_four(self, tmp_path, capsys):

@@ -116,6 +116,29 @@ class TestIntegrate:
                 integrate(rhs, [0.45], T=30.0, dt=dt)
             assert exc.value.abort_time == t
 
+    @pytest.mark.parametrize("text", ["cos(x) - 0.5*x^4", "sin(x) - 0.5*x^4"])
+    def test_overflow_through_sin_and_cos(self, text):
+        # the state reaches inf inside an RK4 step, so the next stage takes
+        # cos or sin of inf: the float march must give nan there, as the
+        # cells march does, and abort at the first non-finite row of the
+        # same field marched as the first of two cells
+        h = parse_expr(text)
+        dt, n = 2.0 * math.pi / 200, 400
+        lone = scheme_rhs(SchemeInstance("basic1d", h, a=0.5, eta=2.0))
+        pair = Field(lone.comps, lone.body, lone.dither,
+                     **{k: np.array([v, 0.5 * v]) for k, v in lone.params.items()})
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, _ = pair.rk4(dt)(0.0, (np.array([3.0, 0.1]),), n)
+        bad = np.flatnonzero(~np.isfinite(rows[:, 0, 0]))
+        assert bad.size and np.isfinite(rows[:bad[0] + 1, 0, 1]).all()
+        t = 0.0
+        for _ in range(bad[0] + 1):
+            t += dt
+        with pytest.raises(SimulationOverflowError) as exc, \
+                np.errstate(over="ignore", invalid="ignore"):
+            integrate(lone, [3.0], T=n * dt, dt=dt)
+        assert exc.value.abort_time == t
+
     def test_invalid_steps_rejected(self):
         with pytest.raises(SimError):
             integrate(lambda t, x: -x, np.array([1.0]), T=1.0, dt=0.0)

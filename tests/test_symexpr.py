@@ -100,6 +100,40 @@ class TestEval:
             eval_expr(parse_expr("x^3"), (1e200,))
 
 
+class TestFloatTranscendentals:
+    """The float march calls libm's sin and cos and the cells march numpy's
+    ufuncs; the two marches agree bit for bit only while these give the same
+    doubles. A numpy build with its own float64 sin or cos fails here."""
+
+    @staticmethod
+    def adversarial() -> np.ndarray:
+        rng = np.random.default_rng(26)
+        k = np.arange(-100_000, 100_001, dtype=float) * (0.5 * math.pi)  # |x| up to 1.6e5
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** 1023, -2.0 ** 1023])
+        mags = np.logspace(-300, 300, 6001)
+        parts = [k, np.nextafter(k, np.inf), np.nextafter(k, -np.inf), tiny, mags, -mags,
+                 rng.uniform(-4.0, 4.0, 200_000), rng.uniform(-200.0, 200.0, 100_000),
+                 rng.standard_normal(100_000) * 10.0 ** rng.integers(-20, 20, 100_000)]
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    def test_libm_equals_numpy_bit_for_bit(self, name):
+        xs = self.adversarial()
+        want = getattr(np, name)(xs)
+        got = np.array([getattr(math, name)(v) for v in xs.tolist()])
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, f"math.{name} != np.{name} at {xs[differ[:5]].tolist()}"
+
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    def test_float_namespace_gives_nan_where_numpy_does(self, name):
+        # libm raises ValueError at ±inf; the ufunc, and so the float march, gives nan
+        f = symexpr._FLOAT_NAMESPACE[name]
+        with np.errstate(invalid="ignore"):
+            for v in (math.inf, -math.inf, math.nan):
+                assert math.isnan(f(v)) and np.isnan(getattr(np, name)(v))
+        assert f(0.5) == getattr(np, name)(0.5)
+
+
 class TestPowerCodegen:
     """Integer powers compile to multiplication chains (square-and-multiply),
     not to `**`: numpy's power is slow on negative bases."""
