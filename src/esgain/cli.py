@@ -41,13 +41,11 @@ EXIT_VERIFY = 5
 
 # caps on the memory a config can ask for, checked before anything is
 # allocated: RK4 steps in one simulate trajectory (integrate stores every
-# state), cells of a gain map (each holds a few dozen doubles), points per
-# axis of a numeric tuning grid (it evaluates their square) and the highest
-# derivative of h that averaging to a config's order expands (the terms of
-# the averaged field grow steeply with it)
+# state), cells of a gain map (each holds a few dozen doubles) and the
+# highest derivative of h that averaging to a config's order expands (the
+# terms of the averaged field grow steeply with it)
 _MAX_STEPS = 10_000_000
 _MAX_CELLS = 1_000_000
-_MAX_GRID_POINTS = 2_000
 _MAX_DERIVATIVE = 6
 
 # the keys each config object accepts, the union over subcommands; "" is
@@ -57,8 +55,7 @@ _KEYS = {
     "scheme": ("kind", "h", "gains", "m", "n", "avg_order", "convention"),
     "scheme.gains": ("a", "eta", "mu", "gamma", "omega"),
     "ledger": ("domain", "h", "x_star"),
-    "tuning": ("target", "strategy", "method", "delta", "delta1", "delta2", "a", "eta",
-               "grid_points", "consistency"),
+    "tuning": ("target", "strategy", "method", "delta", "delta1", "delta2", "a", "eta"),
     "sim": ("dt", "horizon_periods", "x0", "metrics", "avg_order",
             "a_range", "p_range", "a_points", "p_points", "x_star"),
 }
@@ -233,20 +230,12 @@ def _cmd_tune(cfg: RunConfig, out_dir: str, verbose: bool) -> int:
             sol = solve_strategy3_closed_form(ledger, blk("delta1", NUMBER),
                                               blk("delta2", NUMBER))
         else:
-            grid_points = blk("grid_points", COUNT, 200)
-            if grid_points > _MAX_GRID_POINTS:
-                raise ConfigError(f"tuning.grid_points exceeds {_MAX_GRID_POINTS}")
             prob = MetaOptProblem(
                 ledger=ledger, strategy=strategy, delta=blk("delta", NUMBER, None),
-                delta1=blk("delta1", NUMBER, None), delta2=blk("delta2", NUMBER, None),
-                grid_points=grid_points)
+                delta1=blk("delta1", NUMBER, None), delta2=blk("delta2", NUMBER, None))
             sol = solve_numeric(prob)
         payload = dataclasses.asdict(sol)
-        if blk("consistency", FLAG, True) and "p" in sol.gains:
-            s = SchemeInstance("basic1d", ledger.h, a=sol.gains["a"], eta=sol.gains["eta"],
-                               m=sol.provenance["m"], n=sol.provenance["n"])
-            res = average(scheme_graded_field(s, 4), 4, convention="w-zero-mean")
-            payload["consistency"] = dataclasses.asdict(consistency_report(sol, res))
+        payload["consistency"] = dataclasses.asdict(consistency_report(sol, ledger.h))
     _emit_json(payload, cfg, os.path.join(out_dir, "tune.json"), verbose)
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .averaging import AveragingResult, average
+from .averaging import average
 from .contraction import BoundsLedger, ErrorBudget, plant_coupling_bound
 from .schemes import SchemeInstance, scheme_graded_field
 
@@ -38,7 +38,6 @@ class MetaOptProblem:
     delta: float | None = None     # strategies 1 and 4
     delta1: float | None = None    # strategies 2 and 3
     delta2: float | None = None
-    grid_points: int = 200
 
     def __post_init__(self):
         if self.strategy not in (1, 2, 3, 4):
@@ -49,8 +48,6 @@ class MetaOptProblem:
         else:
             if self.delta1 is None or self.delta2 is None or self.delta1 <= 0 or self.delta2 <= 0:
                 raise MetaOptError("strategies 2 and 3 need positive delta1 and delta2")
-        if self.grid_points < 2:
-            raise MetaOptError(f"grid_points must be at least 2, got {self.grid_points}")
 
 
 @dataclass(frozen=True)
@@ -177,9 +174,9 @@ class RemainderTables:
     of |c0 p^k0 + c1 p^k1|, bit for bit. The fronts are built once, here; a
     query evaluates them with plain elementwise arithmetic, once per distinct
     p since the memo was last cleared (a geometric gain grid repeats eta / a:
-    its 200 x 200 cells hold 2 428 distinct p, its 2000 x 2000 cells 37 379),
-    and a scalar p or a 1-D batch of polish probes goes through the same
-    formula directly.
+    the 200 x 200 cells of solve_numeric's grid hold 2 428 distinct p), and
+    a scalar p or a 1-D batch of polish probes goes through the same formula
+    directly.
 
     `solve_numeric` shares one instance among the strategies and
     tolerances of an objective (see `_remainder_tables`); an instance built
@@ -304,9 +301,14 @@ def _constraints_for(prob: MetaOptProblem, ledger: BoundsLedger, tables):
     if prob.strategy == 3:
         return [("delta1_truncated", dc, prob.delta1), ("delta2", osc, prob.delta2)]
 
-    # the dither probes x* +- a, which must stay where the norms were scanned
+    # the dither probes x* +- a, which must stay where the norms were scanned;
+    # with x* on or past an end of the domain no a > 0 does
     lo, hi = ledger.domain.intervals[0]
-    in_domain = ("a_in_domain", lambda a, e: a, min(ledger.x_star - lo, hi - ledger.x_star))
+    half_width = min(ledger.x_star - lo, hi - ledger.x_star)
+    if half_width <= 0.0:
+        raise InfeasibleError("a_in_domain",
+                              f"x_star {ledger.x_star} is not strictly inside [{lo}, {hi}]")
+    in_domain = ("a_in_domain", lambda a, e: a, half_width)
     if prob.strategy == 2:
         return [("delta1", dc, prob.delta1), ("delta2", osc, prob.delta2), in_domain]
     if prob.strategy == 1:
@@ -366,6 +368,7 @@ def _bisect_up(feasible, lo: float, hi_cap: float) -> float:
 
 _SLAB = 1 << 12  # mesh points _maximize evaluates at once (at least one row)
 _GAIN_RANGE = (1e-4, 10.0)  # the box of a and eta that solve_numeric searches
+_GAIN_GRID_POINTS = 200  # points per axis of solve_numeric's log grid
 
 
 def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: float,
@@ -461,7 +464,7 @@ def solve_numeric(prob: MetaOptProblem) -> MetaOptSolution:
         tables = _remainder_tables(ledger.domain, ledger.h)
         tables.clear_memo()
     cons = _constraints_for(prob, ledger, tables)
-    grid = np.geomspace(*_GAIN_RANGE, prob.grid_points)
+    grid = np.geomspace(*_GAIN_RANGE, _GAIN_GRID_POINTS)
     (a_best, e_best), active = _maximize(
         cons, lambda a, e: a * e, [grid, grid], [_GAIN_RANGE] * 2,
         points=21, rounds=8, widen=1.12, polish=(1, 0) * 3)
@@ -475,7 +478,7 @@ def solve_numeric(prob: MetaOptProblem) -> MetaOptSolution:
             "m": 1, "n": 1,
             "constraints": {name: f"bound {bound}" for name, _, bound in cons},
             "domain": [list(iv) for iv in ledger.domain.intervals],
-            "grid": {"points": prob.grid_points,
+            "grid": {"points": _GAIN_GRID_POINTS,
                      "lo": _GAIN_RANGE[0], "hi": _GAIN_RANGE[1]},
         })
 
@@ -598,29 +601,30 @@ _P_BAND = (1.0 / 3.0, 3.0)  # fine-tuning factors counted as near one
 _NEGLECTED_RATIO_MAX = 0.1  # largest first-neglected / dominant sup counted as small
 
 
-def consistency_report(sol: MetaOptSolution, result: AveragingResult) -> ConsistencyReport:
-    """Sanity checks for a tuned solution: is the fine-tuning factor near one
-    and are the first neglected averaged terms small against the dominant
-    descent term over the domain the solver wrote to its provenance? The
-    scan samples 401 points of the one state axis, so a result with more
-    states is refused."""
-    p_val = sol.gains.get("p", sol.gains["eta"] / sol.gains["a"])
-    near = _P_BAND[0] <= p_val <= _P_BAND[1]
-    if result.dim != 1:
-        raise MetaOptError(f"the consistency scan needs a one-state result, not {result.dim} states")
+def consistency_report(sol: MetaOptSolution, h) -> ConsistencyReport:
+    """Sanity checks for gains tuned on the objective h: is the fine-tuning
+    factor near one, and are the first neglected averaged terms small
+    against the dominant descent term?
+
+    The basic1d scheme at the solution's gains and at the grading (m, n)
+    its provenance names (1 each where it names none) is averaged to order
+    m + n + 2 min(m, n): the basic1d averaged field has terms of degree
+    m + n, m + 3n and 3m + n, so that is its first neglected degree. Each
+    degree's sup is taken at 401 points of the domain the provenance names."""
     ivs = sol.provenance.get("domain")
     if ivs is None:
         raise MetaOptError("no domain available for the consistency scan")
+    p_val = sol.gains["p"]
+    near = _P_BAND[0] <= p_val <= _P_BAND[1]
+    m, n = sol.provenance.get("m", 1), sol.provenance.get("n", 1)
+    order = m + n + 2 * min(m, n)
+    s = SchemeInstance("basic1d", h, sol.gains["a"], sol.gains["eta"], m, n)
+    g = average(scheme_graded_field(s, order), order, convention="w-zero-mean").g_field
     ys = np.linspace(*ivs[0], 401)[:, None]
-    eps = sol.gains["a"] ** (1.0 / sol.provenance.get("n", 1))
-    g = result.g_field
-    sups = [float(np.max(np.abs(g.degree_part(i).eval(ys, 0.0, eps))))
-            for i in range(1, result.order + 1)]
-    nonzero = [(i + 1, s) for i, s in enumerate(sups) if s > 0.0]
-    if len(nonzero) >= 2:
-        ratio = nonzero[1][1] / nonzero[0][1]
-    else:
-        ratio = 0.0
+    sups = [float(np.max(np.abs(g.degree_part(i).eval(ys, 0.0, s.eps))))
+            for i in range(1, order + 1)]
+    nonzero = [(i + 1, v) for i, v in enumerate(sups) if v > 0.0]
+    ratio = nonzero[1][1] / nonzero[0][1] if len(nonzero) >= 2 else 0.0
     return ConsistencyReport(
         p_value=float(p_val), p_near_unity=near,
         neglected_ratio=ratio, neglected_terms_small=ratio <= _NEGLECTED_RATIO_MAX,

@@ -7,6 +7,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import types
 
@@ -117,6 +119,20 @@ class TestTune:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "infeasible"
+
+    def test_x_star_on_the_domain_end_writes_one_line(self, tmp_path):
+        # warnings print straight to a fresh interpreter's stderr, ahead of
+        # the one JSON line, so only a subprocess shows them
+        cfg = write_config(tmp_path / "tune.json", edited(
+            "tune", ledger={"x_star": 1.0}, tuning={"strategy": 1, "delta": 0.05}))
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(esgain.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "esgain.cli", "tune", "--config", cfg,
+             "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert "a_in_domain" in json.loads(lines[0])["message"]
 
     def test_frequency_target(self, tmp_path):
         cfg = tune_config(tmp_path, target="frequency", a=0.209, eta=0.01)
@@ -462,7 +478,6 @@ class TestConfigHandling:
         ("tune", edited("tune", tuning={"strategy": "abc"})),
         ("tune", edited("tune", ledger={"x_star": "abc"})),
         ("average", edited("average", scheme={"avg_order": "x"})),
-        ("tune", edited("tune", tuning={"method": "numeric", "grid_points": 0})),
         ("tune", edited("tune", tuning={"target": "frequency", "a": "abc", "eta": 0.01})),
         ("tune", edited("tune", ledger={"domain": [-1.0, "abc"]})),
         # an unknown block used to be ignored
@@ -472,24 +487,25 @@ class TestConfigHandling:
         # tuning.method alone picks the strategy-3 model; the grading keys are gone
         ("tune", edited("tune", tuning={"method": "numeric", "m": 3})),
         ("tune", edited("tune", tuning={"method": "numeric", "n": 1})),
+        # the grid is fixed, and every gains tune writes its consistency report
+        ("tune", edited("tune", tuning={"method": "numeric", "grid_points": 200})),
+        ("tune", edited("tune", tuning={"consistency": False})),
         # missing fields
         ("simulate", edited("simulate", scheme={"h": None})),
         ("tune", edited("tune", tuning=None)),
         # counts past the caps, refused before anything is allocated
         ("perfmap", edited("perfmap", sim={"a_points": 10 ** 20})),
         ("perfmap", edited("perfmap", sim={"a_points": 1001, "p_points": 1000})),
-        ("tune", edited("tune", tuning={"method": "numeric", "grid_points": 10 ** 20})),
-        ("tune", edited("tune", tuning={"method": "numeric", "grid_points": 2001})),
     ], ids=["concave_objective", "reversed_domain", "strategy_five",
             "strategy_one_without_delta", "negative_delta1",
             "degenerate_third_derivative", "unknown_kind", "filtered_without_mu",
             "sim_avg_order_below_m_plus_n", "sim_m_two_at_order_two",
             "avg_order_too_high", "unknown_convention", "strategy_not_a_number",
-            "x_star_not_a_number", "avg_order_not_a_number", "grid_points_zero",
+            "x_star_not_a_number", "avg_order_not_a_number",
             "frequency_gain_not_a_number", "domain_end_not_a_number", "unknown_block",
-            "taylor_order", "tuning_m", "tuning_n",
+            "taylor_order", "tuning_m", "tuning_n", "grid_points", "consistency",
             "missing_objective", "missing_tuning_block", "map_points_past_numpy",
-            "map_cells_over_cap", "grid_points_past_numpy", "grid_points_over_cap"])
+            "map_cells_over_cap"])
     def test_probed_config_exits_two(self, tmp_path, command, cfg):
         path = write_config(tmp_path / "cfg.json", cfg)
         code, lines = run_main([command, "--config", path, "--out", str(tmp_path / "o")])

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,11 +14,10 @@ from esgain import metaopt
 from esgain.averaging import average
 from esgain.contraction import BoundsLedger, build_ledger, plant_coupling_bound
 from esgain.metaopt import (InfeasibleError, MetaOptError, MetaOptProblem,
-                            MetaOptSolution, RemainderTables, _bisect_up,
-                            _constraints_for, _maximize, consistency_report,
-                            solve_monomial, solve_numeric,
-                            solve_strategy3_closed_form, tune_filtered,
-                            tune_frequency)
+                            RemainderTables, _bisect_up, _constraints_for,
+                            _maximize, consistency_report, solve_monomial,
+                            solve_numeric, solve_strategy3_closed_form,
+                            tune_filtered, tune_frequency)
 from esgain.schemes import SchemeInstance, scheme_graded_field
 from esgain.symexpr import Domain1D, parse_expr
 
@@ -138,6 +138,20 @@ class TestSolveNumeric:
         assert sol.gains["a"] <= half_width
         assert sol.provenance["constraints"]["a_in_domain"] == f"bound {half_width}"
 
+    @pytest.mark.parametrize("x_star", [1.0, 2.0], ids=["on_the_end", "past_the_end"])
+    @pytest.mark.parametrize("kw", [{"strategy": 1, "delta": 0.05},
+                                    {"strategy": 2, "delta1": 0.01, "delta2": 0.01},
+                                    {"strategy": 4, "delta": 0.5}], ids=["s1", "s2", "s4"])
+    def test_x_star_off_the_domain_interior_names_a_in_domain(self, worked_h, x_star, kw):
+        # no a > 0 keeps x* +- a on [-1, 1]; the solver must say so before
+        # any grid divides by the zero or negative half-width
+        led = build_ledger(worked_h, Domain1D(-1.0, 1.0), x_star=x_star)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleError) as exc:
+                solve_numeric(MetaOptProblem(led, **kw))
+        assert exc.value.most_violated == "a_in_domain"
+
     def test_gains_shrink_with_tolerances(self, worked_ledger):
         big = solve_numeric(MetaOptProblem(worked_ledger, strategy=3,
                                            delta1=0.01, delta2=0.01))
@@ -145,14 +159,6 @@ class TestSolveNumeric:
                                              delta1=1e-3, delta2=1e-3))
         assert small.gains["a"] < big.gains["a"]
         assert small.gains["eta"] < big.gains["eta"]
-
-    @pytest.mark.parametrize("kw", [
-        {"grid_points": 0},
-        {"grid_points": 1},
-    ], ids=["grid_points_zero", "grid_points_one"])
-    def test_degenerate_grid_rejected(self, worked_ledger, kw):
-        with pytest.raises(MetaOptError):
-            MetaOptProblem(worked_ledger, strategy=3, delta1=0.01, delta2=0.01, **kw)
 
     @pytest.mark.parametrize("strategy,kw", WORKED_CALLS)
     def test_active_constraint_certificate(self, worked_ledger, worked_h,
@@ -701,17 +707,6 @@ class TestSlabbedGridSearch:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
-    def test_strategy1_2000_grid_solve_peak_below_8mb(self, worked_ledger):
-        # the 2000 x 2000 mesh at once allocated 252 MB
-        prob = MetaOptProblem(worked_ledger, strategy=1, delta=0.05, grid_points=2000)
-        tracemalloc.start()
-        try:
-            solve_numeric(prob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
-
 
 def sup_all_rows(coeffs, powers, p):
     """max over every row of |c0 p^k0 + c1 p^k1| for each entry of p, with
@@ -819,7 +814,7 @@ class TestRemainderTablesMemory:
             assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
 
     def test_strategy1_solve_peak_below_8mb(self, worked_ledger):
-        prob = MetaOptProblem(worked_ledger, strategy=1, delta=0.05, grid_points=200)
+        prob = MetaOptProblem(worked_ledger, strategy=1, delta=0.05)
         tracemalloc.start()
         try:
             solve_numeric(prob)
@@ -938,60 +933,70 @@ class TestFilteredTuner:
 
 
 class TestConsistencyReport:
-    def _averaged(self, worked_h, a, eta, m):
-        s = SchemeInstance("basic1d", worked_h, a=a, eta=eta, m=m, n=1)
-        return average(scheme_graded_field(s, 4), 4, convention="w-zero-mean")
+    SOLVERS = {
+        "s1": lambda led: solve_numeric(MetaOptProblem(led, strategy=1, delta=0.05)),
+        "s2": lambda led: solve_numeric(MetaOptProblem(led, strategy=2, delta1=0.01,
+                                                       delta2=0.01)),
+        "s4": lambda led: solve_numeric(MetaOptProblem(led, strategy=4, delta=0.5)),
+        "s3_numeric": lambda led: solve_numeric(MetaOptProblem(led, strategy=3, delta1=0.01,
+                                                               delta2=0.01)),
+        "s3_closed_form": lambda led: solve_strategy3_closed_form(led, 0.01, 0.01),
+    }
 
     def test_equal_grading_flags_small_p(self, worked_ledger, worked_h):
-        prob = MetaOptProblem(worked_ledger, strategy=3, delta1=0.01, delta2=0.01)
-        sol = solve_numeric(prob)
-        a, eta = sol.gains["a"], sol.gains["eta"]
-        res = self._averaged(worked_h, a, eta, m=1)
-        rep = consistency_report(sol, res)
-        assert rep.p_value == pytest.approx(eta / a, rel=1e-9)
+        sol = self.SOLVERS["s3_numeric"](worked_ledger)
+        rep = consistency_report(sol, worked_h)
+        assert rep.p_value == pytest.approx(sol.gains["eta"] / sol.gains["a"], rel=1e-9)
         assert rep.p_value == pytest.approx(0.048, abs=5e-3)
         assert not rep.p_near_unity
 
     def test_heavy_grading_p_near_unity(self, worked_ledger, worked_h):
-        sol = solve_strategy3_closed_form(worked_ledger, 0.01, 0.01)
-        res = self._averaged(worked_h, sol.gains["a"], sol.gains["eta"], m=3)
-        rep = consistency_report(sol, res)
+        sol = self.SOLVERS["s3_closed_form"](worked_ledger)
+        rep = consistency_report(sol, worked_h)
         assert rep.p_value == pytest.approx(1.104, abs=2e-3)
         assert rep.p_near_unity
 
     def test_neglected_terms_small_for_tuned_gains(self, worked_ledger, worked_h):
-        sol = solve_strategy3_closed_form(worked_ledger, 0.01, 0.01)
-        res = self._averaged(worked_h, sol.gains["a"], sol.gains["eta"], m=3)
-        rep = consistency_report(sol, res)
-        assert rep.neglected_ratio < 0.1
+        sol = self.SOLVERS["s3_closed_form"](worked_ledger)
+        rep = consistency_report(sol, worked_h)
+        assert 0.0 < rep.neglected_ratio < 0.1
         assert rep.neglected_terms_small
 
-    def test_one_dimensional_scan_is_the_401_point_grid(self, worked_ledger, worked_h):
-        sol = solve_strategy3_closed_form(worked_ledger, 0.01, 0.01)
-        res = self._averaged(worked_h, sol.gains["a"], sol.gains["eta"], m=3)
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_scan_is_the_explicit_average_on_401_points(self, worked_ledger, worked_h, name):
+        # the report averages basic1d at the solution's grading to its first
+        # neglected degree, m + n + 2 min(m, n), and scans each degree
+        sol = self.SOLVERS[name](worked_ledger)
+        m, n = sol.provenance["m"], sol.provenance["n"]
+        order = {(1, 1): 4, (3, 1): 6}[m, n]
+        s = SchemeInstance("basic1d", worked_h, a=sol.gains["a"], eta=sol.gains["eta"],
+                           m=m, n=n)
+        res = average(scheme_graded_field(s, order), order, convention="w-zero-mean")
         ys = np.linspace(-1.0, 1.0, 401)[:, None]
-        want = [float(np.max(np.abs(res.g_field.degree_part(i).eval(ys, 0.0, sol.gains["a"]))))
-                for i in range(1, res.order + 1)]
-        assert consistency_report(sol, res).details["per_degree_sup"] == want
+        want = [float(np.max(np.abs(res.g_field.degree_part(i).eval(ys, 0.0, s.eps))))
+                for i in range(1, order + 1)]
+        rep = consistency_report(sol, worked_h)
+        assert rep.details["per_degree_sup"] == want
+        assert rep.details["dominant_degree"] == m + n
+
+    @pytest.mark.parametrize("text", AUDIT_OBJECTIVES)
+    def test_closed_form_report_reaches_its_first_neglected_degree(self, text):
+        # at m = 3, n = 1 the averaged field has terms of degree 4 and 6;
+        # a scan that stops at degree 4 finds nothing to compare
+        h = parse_expr(text)
+        sol = solve_strategy3_closed_form(build_ledger(h, Domain1D(-1.0, 1.0), x_star=0.0),
+                                          0.01, 0.01)
+        rep = consistency_report(sol, h)
+        sups = rep.details["per_degree_sup"]
+        assert rep.details["dominant_degree"] == 4
+        assert any(v > 0.0 for v in sups[4:])
+        assert rep.neglected_ratio > 0.0
 
     def test_no_domain_is_refused(self, worked_ledger, worked_h):
-        sol = solve_strategy3_closed_form(worked_ledger, 0.01, 0.01)
-        res = self._averaged(worked_h, sol.gains["a"], sol.gains["eta"], m=3)
+        sol = self.SOLVERS["s3_closed_form"](worked_ledger)
         sol = dataclasses.replace(sol, provenance={})
         with pytest.raises(MetaOptError, match="no domain available"):
-            consistency_report(sol, res)
-
-    @pytest.mark.parametrize("kind, text, dim, extra", [
-        ("planar", "0.5*x1^2 + 0.5*x2^2", 2, {}),
-        ("filtered1d", "0.5*x^2", 1, {"mu": 0.05, "gamma": 1.0})], ids=["planar", "filtered1d"])
-    def test_many_state_result_is_refused_before_any_grid(self, kind, text, dim, extra):
-        s = SchemeInstance(kind, parse_expr(text, dim=dim), a=0.2, eta=0.02, **extra)
-        res = average(scheme_graded_field(s, 2), 2, convention="w-zero-mean")
-        sol = MetaOptSolution(gains={"a": s.a, "eta": s.eta}, budget=None, active_constraints=(),
-                              provenance={"domain": [[-1.0, 1.0]] * res.dim})
-        with mock.patch.object(metaopt.np, "linspace", side_effect=AssertionError("grid built")):
-            with pytest.raises(MetaOptError, match=f"one-state result, not {res.dim} states"):
-                consistency_report(sol, res)
+            consistency_report(sol, worked_h)
 
 
 class TestTablesPerObjective:
