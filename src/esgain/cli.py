@@ -12,11 +12,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
 import sys
+
+# the built-in sha256, as random.py takes sha512: hashlib would load OpenSSL (3.4 MB)
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -139,7 +147,7 @@ class RunConfig:
 
     @property
     def sha256(self) -> str:
-        return hashlib.sha256(self.raw_text.encode()).hexdigest()
+        return sha256(self.raw_text.encode()).hexdigest()
 
 
 def _scheme_from_config(cfg: RunConfig) -> SchemeInstance:

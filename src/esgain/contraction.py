@@ -55,7 +55,8 @@ _LEDGERS_KEPT = 4  # objectives whose ledgers build_ledger keeps
 
 def build_ledger(h: Expr, dom: Domain, x_star: float | None = None) -> BoundsLedger:
     """Scan sup norms of h .. h''' plus the composite |L_h^2 h'| and read
-    off kappa = h''(x*) at the declared (or scanned) optimum.
+    off kappa = h''(x*) at the declared (or scanned) optimum. A declared x*
+    off dom raises BoundsError: its kappa would not belong to the norms.
 
     The scans are deterministic, so the ledgers of the _LEDGERS_KEPT
     objectives asked for last are kept and handed out again: tuning one
@@ -71,6 +72,9 @@ def _scan_ledger(h: Expr, dom: Domain, x_star: float | None, reprs: tuple) -> Bo
     if max_var_index(h) > 0:
         raise BoundsError(f"a ledger scans h over one variable, but h uses "
                           f"x{max_var_index(h) + 1}")
+    lo, hi = dom.intervals[0]
+    if x_star is not None and not lo <= x_star <= hi:
+        raise BoundsError(f"x_star {x_star} is not in the ledger domain [{lo}, {hi}]")
     norms = []
     d = h
     for _ in range(4):

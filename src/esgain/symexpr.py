@@ -1023,7 +1023,8 @@ def _scan_1d(e: Expr, interval, samples: int, score) -> tuple[float, float]:
     Returns (x, score)."""
     lo, hi = interval
     xs = np.linspace(lo, hi, samples)
-    vals = score(eval_array(e, [xs]))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, not warned
+        vals = score(eval_array(e, [xs]))
     if not np.all(np.isfinite(vals)):
         raise EvalOverflowError("non-finite sample during scan")
     i = int(np.argmax(vals))

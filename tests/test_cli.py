@@ -63,6 +63,12 @@ def run_main(argv):
     return code, err.getvalue().splitlines()
 
 
+def fresh_python(*args):
+    """A completed run of a fresh interpreter with esgain importable."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(esgain.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def write_config(path, data):
     path.write_text(json.dumps(data, indent=1))
     return str(path)
@@ -125,14 +131,33 @@ class TestTune:
         # the one JSON line, so only a subprocess shows them
         cfg = write_config(tmp_path / "tune.json", edited(
             "tune", ledger={"x_star": 1.0}, tuning={"strategy": 1, "delta": 0.05}))
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(esgain.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "esgain.cli", "tune", "--config", cfg,
-             "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True)
+        proc = fresh_python("-m", "esgain.cli", "tune", "--config", cfg,
+                            "--out", str(tmp_path / "o"))
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert "a_in_domain" in json.loads(lines[0])["message"]
+
+    @pytest.mark.parametrize("tuning", [
+        {"strategy": 1, "delta": 0.05},
+        {"strategy": 2},
+        {"strategy": 3},
+        {"strategy": 3, "method": "numeric"},
+        {"strategy": 4, "delta": 0.5},
+        {"target": "filtered"},
+        {"target": "frequency", "a": 0.2, "eta": 0.01},
+    ], ids=["s1", "s2", "s3_closed_form", "s3_numeric", "s4", "filtered", "frequency"])
+    def test_x_star_past_the_domain_end_exits_two(self, tmp_path, tuning):
+        # every tuner reads kappa = h''(x*), which no ledger holds past its domain
+        cfg = write_config(tmp_path / "tune.json",
+                           edited("tune", ledger={"x_star": 2.0}, tuning=tuning))
+        code, lines = run_main(["tune", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert "x_star 2.0" in err["message"] and "[-1.0, 1.0]" in err["message"]
+        assert not (tmp_path / "o" / "tune.json").exists()
 
     def test_frequency_target(self, tmp_path):
         cfg = tune_config(tmp_path, target="frequency", a=0.209, eta=0.01)
@@ -299,18 +324,21 @@ class TestSimulate:
 
 
 class TestOverflow:
-    def test_huge_optimum_exits_four(self, tmp_path, capsys):
-        # the objective overflows at the declared optimum while the ledger
-        # is built; that is a numeric overflow, not a crash
+    def test_huge_optimum_exits_four(self, tmp_path):
+        # the objective overflows near the declared optimum while the ledger
+        # is built; that is a numeric overflow, not a crash. The domain holds
+        # x_star, as a ledger's domain must. A fresh interpreter prints any
+        # numpy warning ahead of the one JSON line
         cfg = write_config(tmp_path / "huge.json", {
             "scheme": {"kind": "basic1d", "h": "0.5*x^2 + 0.1*x^4",
                        "gains": {"a": 0.2, "eta": 0.01}},
-            "ledger": {"domain": [-1.0, 1.0], "x_star": 1e200},
+            "ledger": {"domain": [-1.0, 1e200], "x_star": 1e200},
             "tuning": {"strategy": 3, "delta1": 0.01, "delta2": 0.01},
         })
-        code = main(["tune", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == 4
-        lines = capsys.readouterr().err.splitlines()
+        proc = fresh_python("-m", "esgain.cli", "tune", "--config", cfg,
+                            "--out", str(tmp_path / "o"))
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "overflow"
 
@@ -617,3 +645,36 @@ class TestTuneSharedTables:
                 assert main(["tune", "--config", configs[s], "--out", str(out)]) == 0
                 outputs.setdefault(s, set()).add((out / "tune.json").read_bytes())
         assert all(len(texts) == 1 for texts in outputs.values())
+
+
+class TestConfigDigest:
+    def test_jobs_leave_openssl_unloaded(self, tmp_path):
+        # the digest comes from CPython's built-in sha256 module; hashlib would
+        # load OpenSSL's libcrypto, about 3.4 MB of every job's resident memory
+        for command, cfg in BASE.items():
+            write_config(tmp_path / f"{command}.json", cfg)
+        proc = fresh_python(
+            "-c", "import json, sys\n"
+            "from esgain.cli import main\n"
+            "codes = [main([c, '--config', f'{sys.argv[1]}/{c}.json',\n"
+            "               '--out', f'{sys.argv[1]}/{c}']) for c in sys.argv[2:]]\n"
+            "print(json.dumps([codes, '_hashlib' in sys.modules]))\n",
+            str(tmp_path), *BASE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0] * len(BASE), False]
+        for command in BASE:
+            want = hashlib.sha256((tmp_path / f"{command}.json").read_bytes()).hexdigest()
+            payload = json.loads((tmp_path / command / f"{command}.json").read_text())
+            assert payload["config_sha256"] == want
+
+    def test_without_the_builtin_module_hashlib_gives_the_digest(self, tmp_path):
+        cfg = write_config(tmp_path / "tune.json", BASE["tune"])
+        proc = fresh_python(
+            "-c", "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from esgain import cli\n"
+            "print(cli.RunConfig.load(sys.argv[1]).sha256, '_hashlib' in sys.modules)\n",
+            cfg)
+        assert proc.returncode == 0, proc.stderr
+        want = hashlib.sha256(pathlib.Path(cfg).read_bytes()).hexdigest()
+        assert proc.stdout.split() == [want, "True"]

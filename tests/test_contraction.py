@@ -43,6 +43,17 @@ class TestBuildLedger:
         with pytest.raises(BoundsError, match="x2"):
             build_ledger(parse_expr("x1^2+x2^2", dim=2), Domain1D(-1.0, 1.0))
 
+    @pytest.mark.parametrize("x_star", [2.0, -1.5, math.nextafter(1.0, 2.0), math.nan],
+                             ids=["past_hi", "past_lo", "one_ulp_past_hi", "nan"])
+    def test_x_star_outside_the_domain_refused_before_a_scan(self, worked_h, monkeypatch,
+                                                             x_star):
+        # kappa would be read where the norms were never scanned
+        def refuse(*args):
+            raise AssertionError("the objective was scanned")
+        monkeypatch.setattr("esgain.contraction.scan_supnorm", refuse)
+        with pytest.raises(BoundsError, match=r"x_star .* \[-1.0, 1.0\]"):
+            build_ledger(worked_h, Domain1D(-1.0, 1.0), x_star=x_star)
+
     def test_shrinking_domain_never_raises_norms(self, worked_h):
         big = build_ledger(worked_h, Domain1D(-1.0, 1.0))
         small = build_ledger(worked_h, Domain1D(-0.4, 0.4))
