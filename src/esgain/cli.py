@@ -132,22 +132,22 @@ class RunConfig:
     ledger: Block
     tuning: Block
     sim: Block
-    raw_text: str
+    raw: bytes  # the file as read, line ends and all
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         try:
-            with open(path) as fh:
-                text = fh.read()
-            data = json.loads(text)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            data = json.loads(raw)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config as JSON: {exc}") from exc
         root = Block("", data)
-        return cls(**{name: root.block(name) for name in _KEYS[""]}, raw_text=text)
+        return cls(**{name: root.block(name) for name in _KEYS[""]}, raw=raw)
 
     @property
     def sha256(self) -> str:
-        return sha256(self.raw_text.encode()).hexdigest()
+        return sha256(self.raw).hexdigest()
 
 
 def _scheme_from_config(cfg: RunConfig) -> SchemeInstance:

@@ -1,10 +1,11 @@
 """Gain-selection solvers: closed forms, monomial-constraint solutions, and
-deterministic grid searches under error-budget constraints.
+deterministic searches under error-budget constraints.
 
-All searches are deterministic (log grids + local re-gridding + bisection
-polish); no stochastic optimizers. Remainder magnitudes, where a strategy
-needs them, are sups of the averaging engine's next-order term, taken over
-the dominance front of its tables, with a fixed safety factor.
+Strategies 1, 2 and 4 solve for the largest amplitude at each p = eta / a
+and search log p, strategy 3 has a closed form, the filtered tuner searches
+a log grid. Remainder magnitudes, where a strategy needs them, are sups of
+the averaging engine's next-order term, taken over the dominance front of
+its tables, with a fixed safety factor.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .averaging import average
 from .contraction import BoundsLedger, ErrorBudget, plant_coupling_bound
 from .schemes import SchemeInstance, scheme_graded_field
+from .symexpr import _golden_max
 
 
 class MetaOptError(Exception):
@@ -172,11 +174,8 @@ class RemainderTables:
     rounds above the row that dominates it, and negation is exact; the max
     over the front of c0 p^k0 + c1 p^k1 is therefore the max over all rows
     of |c0 p^k0 + c1 p^k1|, bit for bit. The fronts are built once, here; a
-    query evaluates them with plain elementwise arithmetic, once per distinct
-    p since the memo was last cleared (a geometric gain grid repeats eta / a:
-    the 200 x 200 cells of solve_numeric's grid hold 2 428 distinct p), and
-    a scalar p or a 1-D batch of polish probes goes through the same formula
-    directly.
+    query evaluates them with plain elementwise arithmetic, so a scalar p
+    gets the bits it gets inside any array.
 
     `solve_numeric` shares one instance among the strategies and
     tolerances of an objective (see `_remainder_tables`); an instance built
@@ -206,21 +205,21 @@ class RemainderTables:
             g_cols.append(g_part.eval(ys[:, None], 0.0, 1.0)[:, 0])
             u_cols.append(res.u[self.U_DEGREE - 1].eval(
                 mesh_y.reshape(-1, 1), mesh_t.ravel(), 1.0)[:, 0])
-        self._g_coeffs = np.linalg.solve([[p ** k for k in self.G_POWERS] for p in nodes],
-                                         g_cols).T   # (ny, 2)
-        self._u_coeffs = np.linalg.solve([[p ** k for k in self.U_POWERS] for p in nodes],
-                                         u_cols).T   # (ny*nt, 2)
+        self._g_coeffs = self._fit(nodes, self.G_POWERS, g_cols)  # (ny, 2)
+        self._u_coeffs = self._fit(nodes, self.U_POWERS, u_cols)  # (ny*nt, 2)
         self._g_front = self._front(self._g_coeffs)
         self._u_front = self._front(self._u_coeffs)
-        self._tables = ((self._g_front, self.G_POWERS), (self._u_front, self.U_POWERS))
-        self.clear_memo()
+        self._g, self._u = (self._g_front, self.G_POWERS), (self._u_front, self.U_POWERS)
 
-    def clear_memo(self) -> None:
-        """Forget the p of past queries. Answers keep their bits; only the
-        memory the memo holds is given back."""
-        # the sorted distinct p of past array queries, and the g and u sups there
-        self._memo = [np.empty(0)] * 3
-        self._last_p = self._last_at = None  # the last array query and its memo indices
+    @staticmethod
+    def _fit(nodes, powers, cols) -> np.ndarray:
+        """The (c0, c1) of c0 p^k0 + c1 p^k1 through cols at the two nodes, by
+        Cramer's rule: elementwise IEEE arithmetic, the same bits on every
+        host, where a LAPACK solve's depend on its kernels."""
+        (m00, m01), (m10, m11) = ([p ** k for k in powers] for p in nodes)
+        det = m00 * m11 - m01 * m10
+        return np.stack([(cols[0] * m11 - cols[1] * m01) / det,
+                         (cols[1] * m00 - cols[0] * m10) / det], axis=1)
 
     @staticmethod
     def _front(coeffs: np.ndarray) -> np.ndarray:
@@ -233,48 +232,18 @@ class RemainderTables:
     @staticmethod
     def _sup(front: np.ndarray, powers: tuple, p) -> np.ndarray:
         """max over the front rows of c0 p^k0 + c1 p^k1 for each p >= 0,
-        elementwise: a p gets the same bits alone or in any array."""
+        elementwise: a p gets the same bits alone (as a numpy scalar) or in any array."""
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1)
         vals = front[:, :1] * flat ** powers[0] + front[:, 1:] * flat ** powers[1]
         # + 0.0 makes the sup of an all-zero table +0.0, as |.| would
-        return (np.max(vals, axis=0) + 0.0).reshape(p.shape)
-
-    def _table_sup(self, k: int, p) -> np.ndarray:
-        """The sup of table k (0: g, 1: u) at p.
-
-        The sups for a mesh of p come from a memo of the distinct p that
-        earlier meshes brought, and only new values are evaluated, so a grid
-        walked slab by slab costs one evaluation per distinct p, as the whole
-        grid at once would. A query equal to the last one reuses its lookup,
-        so the g and u remainders of one e / a share it. A scalar or 1-D p,
-        the polish's probes, repeats nothing and skips the memo, where an
-        array would cost twice a direct evaluation."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim <= 1:  # a polish probe or batch of them: nothing repeats
-            return self._sup(*self._tables[k], p)
-        if not np.array_equal(p, self._last_p):
-            self._last_p, self._last_at = p.copy(), self._memo_index(p.ravel()).reshape(p.shape)
-        return self._memo[1 + k][self._last_at]
+        return (vals.max(axis=0) + 0.0).reshape(p.shape)[()]
 
     def g_remainder(self, eps, p) -> np.ndarray:
-        return self.SAFETY * np.asarray(eps, float) ** self.G_DEGREE * self._table_sup(0, p)
+        return self.SAFETY * np.asarray(eps, float) ** self.G_DEGREE * self._sup(*self._g, p)
 
     def u_remainder(self, eps, p) -> np.ndarray:
-        return self.SAFETY * np.asarray(eps, float) ** self.U_DEGREE * self._table_sup(1, p)
-
-    def _memo_index(self, flat: np.ndarray) -> np.ndarray:
-        """Where each entry of flat sits in the memo, once the memo holds it."""
-        distinct, inverse = np.unique(flat, return_inverse=True)
-        known = self._memo[0]
-        at = np.searchsorted(known, distinct)
-        new = at == known.size
-        new[~new] = known[at[~new]] != distinct[~new]
-        if new.any():
-            fresh = distinct[new]
-            self._memo = [np.insert(m, at[new], v) for m, v in zip(
-                self._memo, [fresh] + [self._sup(f, k, fresh) for f, k in self._tables])]
-        return (at + np.cumsum(new) - new)[inverse]
+        return self.SAFETY * np.asarray(eps, float) ** self.U_DEGREE * self._sup(*self._u, p)
 
 
 _TABLES_KEPT = 4  # objectives whose tables solve_numeric keeps
@@ -284,10 +253,8 @@ _TABLES_KEPT = 4  # objectives whose tables solve_numeric keeps
 def _remainder_tables(domain, h) -> RemainderTables:
     """The RemainderTables of (domain, h), built on the first request and
     kept for the _TABLES_KEPT objectives asked for last, so strategies 1, 2
-    and 4 on one objective share one build. Sharing keeps every bit: the
-    memo gives a p the same sup whatever queries came before, and
-    `solve_numeric` clears it for each solve, so a kept instance holds no
-    more than one solve's queries."""
+    and 4 on one objective share one build. Sharing keeps every bit: a query
+    reads only the fronts, which the build fixes."""
     return RemainderTables(domain, h)
 
 
@@ -367,8 +334,6 @@ def _bisect_up(feasible, lo: float, hi_cap: float) -> float:
 
 
 _SLAB = 1 << 12  # mesh points _maximize evaluates at once (at least one row)
-_GAIN_RANGE = (1e-4, 10.0)  # the box of a and eta that solve_numeric searches
-_GAIN_GRID_POINTS = 200  # points per axis of solve_numeric's log grid
 
 
 def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: float,
@@ -417,11 +382,8 @@ def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: fl
         return (best[1] if found else None), least[1]
 
     best, least = search(axes)
-    if best is None:
-        # name the constraint that is hardest to satisfy at the least-bad point
-        ratios = [(fn(*least) / bound if math.isfinite(bound) else 0.0, name)
-                  for name, fn, bound in cons]
-        raise InfeasibleError(max(ratios)[1])
+    if best is None:  # name the constraint hardest to satisfy at the least-bad point
+        _refuse(cons, *least)
 
     width = axes[0][1] / axes[0][0]
     for _ in range(rounds):
@@ -441,46 +403,125 @@ def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: fl
 
     for k in polish:
         best[k] = _bisect_up(lambda vs: feasible(k, vs), best[k], ranges[k][1])
+    return best, _active(cons, best)
 
-    active = tuple(name for name, fn, bound in cons
-                   if math.isfinite(bound)
-                   and abs(float(fn(*best)) - bound) <= 1e-9 * abs(bound))
-    return best, active
+
+def _active(cons, point) -> tuple:
+    """The names of the finite constraints within 1e-9 of their bound at point."""
+    return tuple(name for name, fn, bound in cons
+                 if math.isfinite(bound)
+                 and abs(float(fn(*point)) - bound) <= 1e-9 * abs(bound))
+
+
+_GAIN_RANGE = (1e-4, 10.0)  # the box of a and eta that solve_numeric answers in
+_P_SAMPLES = 401  # samples of log p that solve_numeric scans before it refines
+
+
+def _largest_a(cons, ledger: BoundsLedger, tables, p):
+    """The largest a in the box at which each constraint of strategy 1, 2 or
+    4 holds with eta = p a, for an array of p. At fixed p each reads
+    A a^2 + B a <= C with A, B >= 0 (`_error_terms` at eps = a), so it
+    bounds a by 2 C / (B + sqrt(B^2 + 4 A C)), up to rounding."""
+    g, u = (tables.SAFETY * tables._sup(*table, p) for table in (tables._g, tables._u))
+    dc, lin = 2.0 * g / (p * ledger.kappa), p * ledger.norm(0)  # delta1 / a^2, delta2 - u a^2
+    coeffs = {"delta1": (dc, 0.0), "delta2": (u, lin), "delta_total": (dc + u, lin),
+              "delta_realtime": (dc + u, lin + 1.0), "a_in_domain": (0.0, 1.0)}
+    a = np.minimum(_GAIN_RANGE[1], _GAIN_RANGE[1] / p)
+    with np.errstate(divide="ignore"):  # A = B = 0 bounds nothing
+        for name, _, c in cons:
+            A, B = coeffs[name]
+            if math.isfinite(c):
+                a = np.minimum(a, 2.0 * c / (B + np.sqrt(B * B + 4.0 * A * c)))
+    return a
+
+
+def _largest_holding(holds, x: float) -> float:
+    """The largest float at which holds(x) is true, reached from x by at
+    most 64 ulp steps (a closed form rounds within a few): down until it
+    holds, then up while it holds."""
+    for _ in range(64):
+        if not holds(x):
+            x = math.nextafter(x, 0.0)
+        elif holds(up := math.nextafter(x, math.inf)):
+            x = up
+        else:
+            return x
+    raise MetaOptError(f"no edge of the model within 64 ulps of {x}")
+
+
+def _refuse(cons, *point):
+    """Raise InfeasibleError naming the constraint hardest to satisfy at point."""
+    raise InfeasibleError(max((fn(*point) / bound if math.isfinite(bound) else 0.0, name)
+                              for name, fn, bound in cons)[1])
+
+
+def _truncated_optimum(ledger: BoundsLedger, delta1: float, delta2: float):
+    """max a eta in the box s.t. a^2 |h'''| + eta^2 |L_h^2 h'| <= 8 kappa delta1
+    and eta |h| <= delta2: eta is the least of the ellipse's peak (equal
+    terms), the largest float whose eta |h| rounds within delta2 and the
+    box; a takes the rest, or the box and leaves eta the rest. A zero norm
+    bounds nothing."""
+    h0, h3, l2, kap = map(np.float64, (ledger.norm(0), ledger.norm(3), ledger.l2_hprime,
+                                       ledger.kappa))
+    hi = _GAIN_RANGE[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = _largest_holding(lambda e: e <= hi and e * h0 <= delta2, min(delta2 / h0, hi))
+        eta = min(cap, np.sqrt(4.0 * kap * delta1 / l2))
+        a = np.sqrt((8.0 * kap * delta1 - eta * eta * l2) / h3)
+        if a > hi:
+            a, eta = hi, min(cap, np.sqrt((8.0 * kap * delta1 - hi * hi * h3) / l2))
+    return float(a), float(eta)
 
 
 def solve_numeric(prob: MetaOptProblem) -> MetaOptSolution:
-    """Maximize eta*a over a deterministic log grid with local refinement and
-    bisection polish; ties broken by the lexicographically smallest grid index.
-    Strategy 3 solves the truncated model under equal grading (m = n = 1);
-    `solve_strategy3_closed_form` solves the dominant one.
+    """Maximize eta*a under the strategy's error model, both gains in the
+    box _GAIN_RANGE. Strategy 3 takes `_truncated_optimum` (equal grading,
+    m = n = 1; `solve_strategy3_closed_form` solves the dominant model).
+    Strategies 1, 2 and 4 maximize p a(p)^2 with a(p) from `_largest_a`: a
+    scan of _P_SAMPLES points of log p, then golden-section refinement
+    within one step of the best sample, kept if it is at least that
+    sample's. Last, a moves by ulps (at fixed eta for strategy 3, fixed p
+    otherwise) to the largest float at which every constraint holds as its
+    function evaluates it. If the box holds no feasible gains,
+    InfeasibleError names the constraint hardest to satisfy at a = eta = lo.
 
     Strategies 1, 2 and 4 take the RemainderTables of the ledger's objective
     from a cache keyed by (ledger.domain, ledger.h) that holds the last
     _TABLES_KEPT objectives, so solving one objective under several
     strategies or tolerances runs the engine once."""
-    ledger = prob.ledger
-    tables = None
-    if prob.strategy in (1, 2, 4):
-        tables = _remainder_tables(ledger.domain, ledger.h)
-        tables.clear_memo()
+    ledger, (lo, hi) = prob.ledger, _GAIN_RANGE
+    tables = _remainder_tables(ledger.domain, ledger.h) if prob.strategy != 3 else None
     cons = _constraints_for(prob, ledger, tables)
-    grid = np.geomspace(*_GAIN_RANGE, _GAIN_GRID_POINTS)
-    (a_best, e_best), active = _maximize(
-        cons, lambda a, e: a * e, [grid, grid], [_GAIN_RANGE] * 2,
-        points=21, rounds=8, widen=1.12, polish=(1, 0) * 3)
+    if prob.strategy == 3:
+        a, eta = _truncated_optimum(ledger, prob.delta1, prob.delta2)
+        if a < lo or eta < lo:
+            _refuse(cons, lo, lo)
+        eta_at, method = (lambda a: eta), "strategy3-truncated-optimum"
+    else:
+        def value(x):  # a eta at p = e^x, -inf where a gain is below the box
+            p = np.exp(x)
+            a = _largest_a(cons, ledger, tables, p)
+            return np.where((a >= lo) & (p * a >= lo), p * a * a, -np.inf)
 
+        xs = np.linspace(math.log(lo / hi), math.log(hi / lo), _P_SAMPLES)
+        vals, step = value(xs), xs[1] - xs[0]
+        i = int(np.argmax(vals))
+        if vals[i] == -np.inf:  # no sampled p leaves both gains in the box
+            _refuse(cons, lo, lo)
+        x, v = _golden_max(value, max(xs[0], xs[i] - step), min(xs[-1], xs[i] + step))
+        p = float(np.exp(x if v >= vals[i] else xs[i]))
+        a = float(_largest_a(cons, ledger, tables, p))
+        eta_at, method = (lambda a: p * a), f"strategy{prob.strategy}-log-p-search"
+    a = _largest_holding(lambda a: a <= hi and eta_at(a) <= hi and all(
+        fn(a, eta_at(a)) <= bound for _, fn, bound in cons), a)
+    eta = eta_at(a)
     return MetaOptSolution(
-        gains={"a": a_best, "eta": e_best, "p": e_best / a_best},  # eta = p eps, a = eps
-        budget=_budget(_error_terms(ledger, tables), a_best, e_best),
-        active_constraints=active,
-        provenance={
-            "method": f"strategy{prob.strategy}-grid",
-            "m": 1, "n": 1,
-            "constraints": {name: f"bound {bound}" for name, _, bound in cons},
-            "domain": [list(iv) for iv in ledger.domain.intervals],
-            "grid": {"points": _GAIN_GRID_POINTS,
-                     "lo": _GAIN_RANGE[0], "hi": _GAIN_RANGE[1]},
-        })
+        gains={"a": a, "eta": eta, "p": eta / a},  # eta = p eps, a = eps
+        budget=_budget(_error_terms(ledger, tables), a, eta),
+        active_constraints=_active(cons, (a, eta)),
+        provenance={"method": method, "m": 1, "n": 1,
+                    "constraints": {name: f"bound {bound}" for name, _, bound in cons},
+                    "domain": [list(iv) for iv in ledger.domain.intervals]})
 
 
 # ---------------------------------------------------------------------------

@@ -667,6 +667,24 @@ class TestConfigDigest:
             payload = json.loads((tmp_path / command / f"{command}.json").read_text())
             assert payload["config_sha256"] == want
 
+    @pytest.mark.parametrize("head", [b"", b"\xef\xbb\xbf"], ids=["crlf", "utf8_bom_crlf"])
+    def test_digest_is_the_file_bytes(self, tmp_path, head):
+        # a config read as text was hashed after newline translation, so a
+        # CRLF file got its LF twin's digest; a UTF-8 byte-order mark, which
+        # text-mode JSON refused (exit 2), is now skipped by the parse and
+        # hashed with the rest of the file
+        text = json.dumps(BASE["tune"], indent=1).replace("\n", "\r\n")
+        cfg = tmp_path / "tune.json"
+        cfg.write_bytes(head + text.encode())
+        out = tmp_path / "out"
+        assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "tune.json").read_text())
+        assert payload["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+        lf = tmp_path / "lf.json"
+        lf.write_text(json.dumps(BASE["tune"], indent=1))
+        assert main(["tune", "--config", str(lf), "--out", str(tmp_path / "lf")]) == 0
+        assert payload["gains"] == json.loads((tmp_path / "lf" / "tune.json").read_text())["gains"]
+
     def test_without_the_builtin_module_hashlib_gives_the_digest(self, tmp_path):
         cfg = write_config(tmp_path / "tune.json", BASE["tune"])
         proc = fresh_python(
