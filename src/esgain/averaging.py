@@ -195,6 +195,13 @@ _LATTICE = (0.6180339887498949, 0.7548776662466927, 0.5698402909980532)
 _PRIMES = (2, 3, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
+def _cofactor(m, i: int, j: int):
+    """(i, j) cofactor of a matrix of sample arrays, elementwise: no LAPACK."""
+    minor = [r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i]
+    det = sum(minor[0][c] * _cofactor(minor, 0, c) for c in range(len(minor))) if minor else 1.0
+    return (-1.0) ** (i + j) * det
+
+
 def autonomy_residual(f: GradedField, result: AveragingResult, eps_list,
                       samples, cond_threshold: float = 1e6) -> ResidualReport:
     """Evaluate r = (dU/dy)^-1 (f(U(y,t),t) - dU/dt) - sum eps^i g_i(y) over
@@ -204,8 +211,13 @@ def autonomy_residual(f: GradedField, result: AveragingResult, eps_list,
 
     `samples` is either an iterable of (state, time) pairs or an integer
     count, in which case a deterministic low-discrepancy cloud over
-    [-0.9, 0.9]^dim x [0, 2 pi) is used.
+    [-0.9, 0.9]^dim x [0, 2 pi) is used. Cramer's rule solves each Jacobian
+    system; a 1-norm condition number (inf if singular) past `cond_threshold`
+    is refused. The exponent is nan below two distinct eps with sup > 0.
     """
+    eps_list = [float(e) for e in eps_list]
+    if not all(math.isfinite(e) and e > 0.0 for e in eps_list):
+        raise AveragingError(f"eps values must be finite and positive, got {eps_list}")
     dim = result.dim
     if isinstance(samples, int):
         k = np.arange(samples, dtype=float)
@@ -226,25 +238,30 @@ def autonomy_residual(f: GradedField, result: AveragingResult, eps_list,
     g = result.g_field
     sups = []
     for eps in eps_list:
-        jac = np.stack([col.eval(ys, ts, eps) for col in jac_cols], axis=2) + np.eye(dim)
-        bad = np.flatnonzero(np.linalg.cond(jac) > cond_threshold)
-        if bad.size:
+        cols = [col.eval(ys, ts, eps) for col in jac_cols]
+        jac = [[cols[j][:, i] + float(i == j) for j in range(dim)] for i in range(dim)]
+        adj = [[_cofactor(jac, i, j) for i in range(dim)] for j in range(dim)]
+        det = sum(jac[0][j] * adj[j][0] for j in range(dim))
+        norm1 = [np.maximum.reduce([sum(abs(r[j]) for r in a) for j in range(dim)])
+                 for a in (jac, adj)]  # the largest column sums of |a_ij|
+        cond = np.divide(norm1[0] * norm1[1], np.abs(det), where=det != 0.0,
+                         out=np.full(det.shape, math.inf))
+        if (bad := np.flatnonzero(cond > cond_threshold)).size:
             i = bad[0]
             raise ResidualPreconditionError(
                 f"transform Jacobian ill-conditioned at y={ys[i].tolist()}, "
                 f"t={float(ts[i])}, eps={eps}")
         rhs = f.eval(ys + u.eval(ys, ts, eps), ts, eps) - du_dt.eval(ys, ts, eps)
-        r = np.linalg.solve(jac, rhs[..., None])[..., 0] - g.eval(ys, ts, eps)
+        x = [sum(adj[j][i] * rhs[:, i] for i in range(dim)) / det for j in range(dim)]
+        r = np.stack(x, axis=1) - g.eval(ys, ts, eps)
         sups.append(float(np.max(np.abs(r))))
-    eps_arr = np.asarray(list(eps_list), dtype=float)
-    sup_arr = np.asarray(sups)
-    if np.all(sup_arr == 0.0):
+    good = np.array(sups) > 0.0
+    log_eps, log_sup = np.log(np.array(eps_list)[good]), np.log(np.array(sups)[good])
+    if not np.any(sups):
         exponent = math.inf  # exactly autonomous (e.g. the zero field)
-    else:
-        good = sup_arr > 0.0
-        if good.sum() < 2:
-            exponent = math.nan
-        else:
-            exponent = float(np.polyfit(np.log(eps_arr[good]), np.log(sup_arr[good]), 1)[0])
-    return ResidualReport(tuple(float(e) for e in eps_list), tuple(sups),
-                          exponent, len(ts))
+    elif len(set(log_eps.tolist())) < 2:  # not np.unique, which imports numpy.ma
+        exponent = math.nan
+    else:  # the least-squares slope
+        dx = log_eps - log_eps.mean()
+        exponent = float((dx * (log_sup - log_sup.mean())).sum() / (dx * dx).sum())
+    return ResidualReport(tuple(eps_list), tuple(sups), exponent, len(ts))

@@ -213,11 +213,11 @@ def performance_map(h, a_grid, p_grid, horizon_periods: int = 1000,
                 states, t = march(t, (x,), m)
                 for (x,) in states:     # the period's sum in step order, in place on cells;
                     acc += x            # x ends as the last state
-                dev = np.abs(np.reshape(states, (m, live.size)) - x_star)
-                tail = dev[max(0, tail_start - k * n - done):].max(axis=0, initial=0.0)
+                block = np.reshape(states, (m, live.size))
+                tail = _max_deviation(block[max(0, tail_start - k * n - done):], x_star)
                 tail_max[live] = np.maximum(tail_max[live], tail)
                 done += m
-                kept = (dev <= escape).all(axis=0)
+                kept = _max_deviation(block, x_star) <= escape
                 if not kept.all():
                     live = live[kept]
                     if live.size:
@@ -233,6 +233,13 @@ def performance_map(h, a_grid, p_grid, horizon_periods: int = 1000,
     speed = np.where(settled, 1.0 / ((np.maximum(first, 0) + 1.0) * (2.0 * math.pi)), 0.0)
     return PerfMap(a_grid, p_grid, speed.reshape(shape),
                    np.where(alive, tail_max, math.inf).reshape(shape), alive.reshape(shape))
+
+
+def _max_deviation(block: np.ndarray, x_star: float) -> np.ndarray:
+    """max |x - x_star| down each column, 0.0 on no rows, with no temporary
+    of the block's size: monotone rounding and NaN keep abs's bits."""
+    return np.maximum(block.max(axis=0, initial=x_star) - x_star,
+                      x_star - block.min(axis=0, initial=x_star))
 
 
 def _write_rows(path, header: str, fmt: str, columns) -> None:

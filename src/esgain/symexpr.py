@@ -1020,25 +1020,29 @@ def _scan_1d(e: Expr, interval, samples: int, score) -> tuple[float, float]:
     """Best point of score(e(x)) on an interval: dense uniform sampling, then
     golden-section refinement within one grid step of the best sample. The
     refined point is kept if its score is at least the best sample's.
+    Samples go _SCAN_CHUNK at a time, with the bits of one array of them.
     Returns (x, score)."""
     lo, hi = interval
     xs = np.linspace(lo, hi, samples)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, not warned
-        vals = score(eval_array(e, [xs]))
-    if not np.all(np.isfinite(vals)):
-        raise EvalOverflowError("non-finite sample during scan")
-    i = int(np.argmax(vals))
+    i, best = 0, -math.inf
+    for start in range(0, samples, _SCAN_CHUNK):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below, not warned
+            vals = score(eval_array(e, [xs[start:start + _SCAN_CHUNK]]))
+        if not np.all(np.isfinite(vals)):
+            raise EvalOverflowError("non-finite sample during scan")
+        k = int(np.argmax(vals))
+        if vals[k] > best:  # the first of equal bests, as one argmax picks
+            i, best = start + k, float(vals[k])
     spacing = (hi - lo) / (samples - 1)
     fn = compile_expr(e)
     x_ref, v_ref = _golden_max(lambda x: score(float(fn([x]))),
                                max(lo, xs[i] - spacing), min(hi, xs[i] + spacing))
-    if v_ref >= vals[i]:
-        return float(x_ref), float(v_ref)
-    return float(xs[i]), float(vals[i])
+    return (float(x_ref), float(v_ref)) if v_ref >= best else (float(xs[i]), best)
 
 
 _SCAN_SAMPLES_1D = 20001  # samples of a 1-D scan
 _GOLDEN_ITERS = 80  # golden-section steps of a scan's refinement
+_SCAN_CHUNK = 1 << 11  # samples a scan evaluates at once
 
 
 def scan_supnorm(e: Expr, dom: Domain) -> float:

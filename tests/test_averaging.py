@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import warnings
 import weakref
 
 import numpy as np
@@ -11,8 +12,8 @@ from esgain.averaging import (CONVENTIONS, AveragingError, ResidualPreconditionE
                               average, autonomy_residual, transform_points)
 from esgain.fourieralg import GradedField, SeparableTerm, TrigPoly, unit_term
 from esgain.schemes import SchemeInstance, reference_averaged, scheme_graded_field
-from esgain.symexpr import (Var, compile_expr, eval_expr, is_zero, parse_expr, sin_of,
-                            to_string)
+from esgain.symexpr import (Const, Var, compile_expr, eval_expr, is_zero, mul, parse_expr,
+                            sin_of, to_string)
 
 
 def basic_scheme(worked_h, a=1.0, eta=1.0):
@@ -217,6 +218,69 @@ class TestResidual:
         # every Jacobian has condition number >= 1; sample 0 is (y, t) = (-0.9, 0)
         with pytest.raises(ResidualPreconditionError, match=r"y=\[-0\.9\], t=0\.0, eps=0\.2"):
             autonomy_residual(f, res, [0.2, 0.1], samples=5, cond_threshold=0.5)
+
+    def test_dim1_sups_keep_their_bits(self, worked_h):
+        # a 1x1 system's adjugate over its determinant is rhs / J, the bits
+        # a LAPACK solve gives
+        f = scheme_graded_field(basic_scheme(worked_h, a=0.2, eta=0.8), 5)
+        res = average(f, 4, convention="w-zero-mean")
+        rep = autonomy_residual(f, res, (0.2, 0.1, 0.05), samples=40)
+        assert rep.sup_residuals == (0.048396886338257866, 0.0012068988627661715,
+                                     3.4754105391416636e-05)
+
+    @pytest.mark.parametrize("eps", [[0.1, -0.1], [0.1, 0.0], [0.1, math.nan],
+                                     [math.inf, 0.1]])
+    def test_non_positive_or_non_finite_eps_refused(self, worked_h, eps, monkeypatch):
+        f = scheme_graded_field(basic_scheme(worked_h, a=0.2, eta=0.8), 3)
+        res = average(f, 2)
+
+        def evaluated(*args):
+            raise AssertionError("evaluated before the eps were checked")
+        monkeypatch.setattr(GradedField, "eval", evaluated)
+        with pytest.raises(AveragingError, match="finite and positive"):
+            autonomy_residual(f, res, eps, samples=10)
+
+    def test_one_distinct_eps_gives_nan_without_warning(self, worked_h):
+        f = scheme_graded_field(basic_scheme(worked_h, a=0.2, eta=0.8), 3)
+        res = average(f, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = autonomy_residual(f, res, [0.1, 0.1], samples=10)
+        assert rep.sup_residuals[0] == rep.sup_residuals[1] > 0.0
+        assert math.isnan(rep.exponent)
+
+    @pytest.mark.parametrize("kind", ["basic1d", "planar", "filtered1d"])
+    def test_calls_no_lapack(self, worked_h, kind, monkeypatch):
+        # dims 1, 2 and 3: Cramer's rule and a closed-form slope, no LAPACK
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+        for name in dir(np.linalg):
+            if callable(getattr(np.linalg, name)) and not name.startswith("_") \
+                    and not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, lapack)
+        monkeypatch.setattr(np, "polyfit", lapack)
+        if kind == "basic1d":
+            s, order = basic_scheme(worked_h, a=0.2, eta=0.8), 2
+        elif kind == "planar":
+            s, order = SchemeInstance("planar", parse_expr("sin(x1) + 0.5*x2^2", dim=2),
+                                      a=0.2, eta=0.25), 3
+        else:
+            s, order = SchemeInstance("filtered1d", worked_h, a=0.2, eta=0.02, mu=0.05,
+                                      gamma=1.0), 2
+        f = scheme_graded_field(s, order + 1)
+        res = average(f, order, convention="w-zero-mean")
+        rep = autonomy_residual(f, res, [0.2, 0.1, 0.05], samples=10)
+        assert res.dim == {"basic1d": 1, "planar": 2, "filtered1d": 3}[kind]
+        assert abs(rep.exponent - (order + 1)) <= 0.5
+
+    def test_singular_jacobian_is_refused(self):
+        # x' = eps (-x / 2) cos t averages to g = 0 with u_1 = -(y / 2) sin t, so
+        # dU/dy = 1 - (eps / 2) sin t vanishes at eps = 2, t = pi / 2
+        f = GradedField.build(1, 1, [SeparableTerm((mul(Const(-0.5), Var(0)),),
+                                                   TrigPoly.cosine(1), 1)])
+        res = average(f, 1, convention="w-zero-mean")
+        with pytest.raises(ResidualPreconditionError, match="eps=2.0"):
+            autonomy_residual(f, res, [2.0], samples=[([0.5], 0.5 * math.pi)])
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import dataclasses
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
+from esgain import contraction
 from esgain.contraction import (BoundsError, ErrorBudget,
                                 NonContractingError, SingularPerturbationInputs,
                                 build_ledger, lie_along,
@@ -30,6 +32,19 @@ class TestBuildLedger:
         assert led.norm(2) == pytest.approx(1.0, abs=1e-9)
         assert led.norm(3) == pytest.approx(0.0, abs=1e-12)
         assert led.kappa == pytest.approx(1.0, abs=1e-9)
+
+    def test_ledger_scans_in_bounded_memory(self):
+        # each scan evaluates its 20 001 samples a chunk at a time; the whole
+        # array at once puts the peak of this objective's ledger at 2.2 MB
+        h = parse_expr("-1.0697*cos(x) - 0.1525*x^3 + 0.044*x^4 + 0.0512*(exp(x) - 1 - x)")
+        contraction._scan_ledger.cache_clear()
+        tracemalloc.start()
+        try:
+            build_ledger(h, Domain1D(-1.0, 1.0), x_star=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * 2 ** 20
 
     def test_constant_objective_rejected(self):
         with pytest.raises(NonContractingError):

@@ -411,20 +411,20 @@ def oracle_rk4(f, x0, n_steps, dt):
     return np.array(out)
 
 
-def oracle_cell(a, eta, periods, steps_per_period=200, x0=1.0):
+def oracle_cell(a, eta, periods, steps_per_period=200, x0=1.0, x_star=0.0):
     """(speed, error, feasible) of one gain-map cell, from the hand RK4."""
     dt = 2.0 * math.pi / steps_per_period
     with np.errstate(over="ignore", invalid="ignore"):
         xs = oracle_rk4(oracle_rhs("basic1d", a, eta), [x0], periods * steps_per_period, dt)
-    dev = np.abs(xs[1:, 0])
-    if not np.all(dev <= 1e6 * max(1.0, abs(x0))):
+    dev = np.abs(xs[1:, 0] - x_star)
+    if not np.all(dev <= 1e6 * max(1.0, abs(x0 - x_star))):
         return 0.0, math.inf, False
     speed = 0.0
     for k in range(periods):
         acc = 0.0
         for v in xs[1 + k * steps_per_period:1 + (k + 1) * steps_per_period, 0]:
             acc += v
-        if abs(acc / steps_per_period) <= 0.5 * abs(x0):
+        if abs(acc / steps_per_period - x_star) <= 0.5 * abs(x0 - x_star):
             speed = 1.0 / ((k + 1.0) * (2.0 * math.pi))
             break
     return speed, float(np.max(dev[int(0.8 * dev.size):])), True
@@ -547,6 +547,27 @@ class TestStepperOracle:
                                   horizon_periods=periods)
             assert (one.speed[0, 0], one.error[0, 0], one.feasible[0, 0]) == want
 
+    def test_off_origin_target_equals_hand_rk4(self):
+        # with x* = 0.1 a block's largest |x - x*| comes from its greatest
+        # state in the cell at (a, p) = (0.3, 1), whose tail stays above x*,
+        # and from its least in the cell at (0.9, 1), whose tail swings across
+        # x*; the tail starts 9.6 periods in, inside a block, and the cells
+        # at a = 1.6 escape
+        periods, x_star = 12, 0.1
+        a_grid, p_grid = np.array([0.3, 0.9, 1.6]), np.array([1.0, 30.0])
+        eta = np.repeat(a_grid, p_grid.size) ** 3 * np.tile(p_grid, a_grid.size)
+        grid = performance_map(ORACLE_H, a_grid, p_grid, horizon_periods=periods,
+                               x_star=x_star)
+        assert not grid.feasible.all() and grid.feasible.any()
+        tails = [oracle_rk4(oracle_rhs("basic1d", a_grid[i], eta[2 * i]), [1.0],
+                            periods * 200, 2.0 * math.pi / 200)[1920:, 0] for i in (0, 1)]
+        assert x_star < tails[0].min()
+        assert tails[1].min() < x_star < tails[1].max()
+        assert x_star - tails[1].min() > tails[1].max() - x_star
+        for cell in range(eta.size):
+            i, j = divmod(cell, p_grid.size)
+            want = oracle_cell(a_grid[i], eta[cell], periods, x_star=x_star)
+            assert (grid.speed[i, j], grid.error[i, j], grid.feasible[i, j]) == want
 
 class TestCellsMarchBuffers:
     """A march over cells writes every operation into buffers allocated once

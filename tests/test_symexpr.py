@@ -276,6 +276,42 @@ class TestSupNorm:
         big = float(scan_supnorm(d1, Domain1D(-1.0, 1.0)))
         assert small <= big + 1e-9
 
+    @staticmethod
+    def one_array_scan(e, dom, score):
+        """(x, score) of a scan that evaluates all its samples in one array."""
+        lo, hi = dom.intervals[0]
+        xs = np.linspace(lo, hi, symexpr._SCAN_SAMPLES_1D)
+        vals = score(eval_array(e, [xs]))
+        i = int(np.argmax(vals))
+        spacing = (hi - lo) / (xs.size - 1)
+        fn = compile_expr(e)
+        x_ref, v_ref = symexpr._golden_max(lambda x: score(float(fn([x]))),
+                                           max(lo, xs[i] - spacing), min(hi, xs[i] + spacing))
+        return (float(x_ref), float(v_ref)) if v_ref >= vals[i] else (float(xs[i]), float(vals[i]))
+
+    def test_chunked_scans_equal_one_array(self):
+        # the five scans of a ledger of a benchmark objective, h to its third
+        # derivative and |L_h^2 h'|, chunk by chunk give the bits of one array
+        from esgain.contraction import lie_along
+        h = parse_expr("-1.0697*cos(x) - 0.1525*x^3 + 0.044*x^4 + 0.0512*(exp(x) - 1 - x)")
+        d1 = differentiate(h)
+        dom = Domain1D(-1.0, 1.0)
+        xs = np.linspace(-1.0, 1.0, symexpr._SCAN_SAMPLES_1D)
+        step = symexpr._SCAN_CHUNK
+        assert step < xs.size
+        for e in (h, d1, differentiate(d1), nth_derivative(h, 3), lie_along(h, lie_along(h, d1))):
+            chunks = [eval_array(e, [xs[i:i + step]]) for i in range(0, xs.size, step)]
+            assert np.array_equal(np.concatenate(chunks), eval_array(e, [xs]))
+            assert scan_supnorm(e, dom) == self.one_array_scan(e, dom, abs)[1]
+            assert scan_argmin(e, dom) == (self.one_array_scan(e, dom, lambda v: -v)[0],)
+
+    def test_equal_best_samples_in_two_chunks_keep_the_first(self):
+        # -x^2 is least at both ends, in the first chunk and the last; one
+        # argmax picks the first sample, and so does the chunked scan
+        e = parse_expr("-x^2")
+        assert scan_argmin(e, Domain1D(-1.0, 1.0)) == (-1.0,)
+        assert self.one_array_scan(e, Domain1D(-1.0, 1.0), lambda v: -v)[0] == -1.0
+
 
 def plain_power(b, k):
     """b^k by square-and-multiply, the chain the code generator writes."""
