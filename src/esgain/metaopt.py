@@ -2,10 +2,11 @@
 deterministic searches under error-budget constraints.
 
 Strategies 1, 2 and 4 solve for the largest amplitude at each p = eta / a
-and search log p, strategy 3 has a closed form, the filtered tuner searches
-a log grid. Remainder magnitudes, where a strategy needs them, are sups of
-the averaging engine's next-order term, taken over the dominance front of
-its tables, with a fixed safety factor.
+and search log p, strategy 3 has a closed form, the filtered tuner solves
+for eta and searches log (a gamma) along an edge of its box. Remainder
+magnitudes, where a strategy needs them, are sups of the averaging
+engine's next-order term, taken over the dominance front of its tables,
+with a fixed safety factor.
 """
 
 from __future__ import annotations
@@ -283,129 +284,6 @@ def _constraints_for(prob: MetaOptProblem, ledger: BoundsLedger, tables):
     return [("delta_realtime", lambda a, e: a + dc(a, e) + osc(a, e), prob.delta), in_domain]
 
 
-_DEPTH = 6  # halving levels whose midpoints one feasibility call answers
-_LEVELS = 200  # most halving levels a bisection walks
-
-
-def _bisect_up(feasible, lo: float, hi_cap: float) -> float:
-    """Largest value in [lo, hi_cap] with feasible(value) true; lo > 0,
-    feasible(lo) must hold and feasibility is monotone decreasing.
-
-    The walk is sequential: steps from lo that double while they stay
-    feasible, then halvings of the last bracket until its ends are adjacent
-    floats or _LEVELS levels have passed. `feasible` takes a 1-D array and
-    answers each entry, so the walk asks in batches: one call for every
-    doubling step up to hi_cap plus hi_cap itself, then one call for every
-    midpoint the next _DEPTH halving levels can reach (2^_DEPTH - 1 of
-    them). It takes the path one probe at a time would take, through the
-    same midpoints, and returns its bits, as long as each entry gets the
-    answer it would get alone."""
-    ups = []  # lo + step + 2 step + ..., the values the doubling walk visits
-    hi, step = lo, lo * 0.5
-    while hi + step <= hi_cap:
-        hi += step
-        ups.append(hi)
-        step *= 2.0
-    ok = feasible(np.array(ups + [hi_cap]))
-    n = int(np.argmin(np.append(ok[:-1], False)))  # the first infeasible step, or len(ups)
-    if n == len(ups) and ok[-1]:
-        return hi_cap
-    lo_b, hi_b = ([lo] + ups + [hi_cap])[n:n + 2]
-    for start in range(0, _LEVELS, _DEPTH):
-        # split [lo_b, hi_b] at its midpoint, then each half at its own,
-        # and so on for the next levels; the probes are the inner points
-        pts = np.array([lo_b, hi_b])
-        for _ in range(min(_DEPTH, _LEVELS - start)):
-            split = np.empty(2 * pts.size - 1)
-            split[0::2], split[1::2] = pts, 0.5 * (pts[:-1] + pts[1:])
-            pts = split
-        ok = feasible(pts[1:-1])
-        i, j = 0, pts.size - 1  # the bracket [pts[i], pts[j]], one level at a time
-        while j - i > 1:
-            mid = (i + j) // 2
-            if pts[mid] == pts[i] or pts[mid] == pts[j]:
-                return float(pts[i])  # adjacent floats: every further halving leaves them
-            if ok[mid - 1]:
-                i = mid
-            else:
-                j = mid
-        lo_b, hi_b = float(pts[i]), float(pts[j])
-    return lo_b
-
-
-_SLAB = 1 << 12  # mesh points _maximize evaluates at once (at least one row)
-
-
-def _maximize(cons, objective, axes, ranges, points: int, rounds: int, widen: float,
-              polish) -> tuple[list, tuple]:
-    """Maximize objective(*x) subject to fn(*x) <= bound for every
-    (name, fn, bound) in `cons`, over the box `ranges` (one (lo, hi) per axis).
-
-    The constraints are evaluated on a sparse mesh of the log-grid `axes`, one
-    slab of the first axis at a time: a slab holds as many rows as fit in
-    _SLAB mesh points, and at least one, so memory is bounded by the slab,
-    not the grid. Every constraint is elementwise, so a point gets the same
-    bits in any slab. The first (lexicographically smallest-index) maximizer
-    is kept: a later slab replaces it only with a strictly larger objective.
-    Then `rounds` local log grids of `points` per axis, each inside `ranges`,
-    follow it; their half-width, a ratio that starts at the first axis's
-    spacing, shrinks to sqrt(width) * widen after each. Last, each axis in
-    `polish` is bisected in turn toward the active boundary. Returns the point
-    and the names of the constraints active there. If no grid point is
-    feasible, InfeasibleError names the constraint hardest to satisfy at the
-    first point whose worst constraint ratio is least."""
-
-    def search(ax):
-        """The first feasible maximizer on the mesh of `ax` (None if no point
-        is feasible) and the first point of least worst ratio."""
-        rows = max(1, _SLAB // math.prod(a.size for a in ax[1:]))
-        best = least = None  # (value, point), replaced only by a strictly better value
-        found = False
-        for start in range(0, ax[0].size, rows):
-            slab = [ax[0][start:start + rows], *ax[1:]]
-            mesh = np.meshgrid(*slab, indexing="ij", sparse=True)
-            feas = np.ones(tuple(a.size for a in slab), dtype=bool)
-            worst = np.zeros(feas.shape)
-            for _, fn, bound in cons:
-                v = fn(*mesh)
-                feas &= v <= bound
-                if math.isfinite(bound):
-                    worst = np.maximum(worst, v / bound)
-            found |= bool(feas.any())
-            obj = np.where(feas, objective(*mesh), -np.inf)
-            idx = np.unravel_index(int(np.argmax(obj)), obj.shape)
-            if best is None or obj[idx] > best[0]:
-                best = (obj[idx], [float(a[i]) for a, i in zip(slab, idx)])
-            idx = np.unravel_index(int(np.argmin(worst)), worst.shape)
-            if least is None or worst[idx] < least[0]:
-                least = (worst[idx], [a[i] for a, i in zip(slab, idx)])
-        return (best[1] if found else None), least[1]
-
-    best, least = search(axes)
-    if best is None:  # name the constraint hardest to satisfy at the least-bad point
-        _refuse(cons, *least)
-
-    width = axes[0][1] / axes[0][0]
-    for _ in range(rounds):
-        local = [np.geomspace(max(b / width, lo), min(b * width, hi), points)
-                 for b, (lo, hi) in zip(best, ranges)]
-        best = search(local)[0] or best
-        width = width ** 0.5 * widen
-
-    def feasible(k, vs):
-        """Whether each of the points `best` with axis k set to an entry of
-        vs meets every constraint, entry by entry."""
-        pt = best[:k] + [vs] + best[k + 1:]
-        ok = np.ones(vs.shape, dtype=bool)
-        for _, fn, bound in cons:
-            ok &= fn(*pt) <= bound
-        return ok
-
-    for k in polish:
-        best[k] = _bisect_up(lambda vs: feasible(k, vs), best[k], ranges[k][1])
-    return best, _active(cons, best)
-
-
 def _active(cons, point) -> tuple:
     """The names of the finite constraints within 1e-9 of their bound at point."""
     return tuple(name for name, fn, bound in cons
@@ -414,7 +292,21 @@ def _active(cons, point) -> tuple:
 
 
 _GAIN_RANGE = (1e-4, 10.0)  # the box of a and eta that solve_numeric answers in
-_P_SAMPLES = 401  # samples of log p that solve_numeric scans before it refines
+_LOG_SAMPLES = 401  # samples of the log axis that a solver scans before it refines
+
+
+def _log_search(value, lo: float, hi: float):
+    """The x in [log lo, log hi] that maximizes value(x): a scan of
+    _LOG_SAMPLES points, evaluated as one array, then golden-section
+    refinement within one step of the best sample, kept if its value is at
+    least that sample's. None if every sample is -inf."""
+    xs = np.linspace(math.log(lo), math.log(hi), _LOG_SAMPLES)
+    vals, step = value(xs), xs[1] - xs[0]
+    i = int(np.argmax(vals))
+    if vals[i] == -np.inf:
+        return None
+    x, v = _golden_max(value, max(xs[0], xs[i] - step), min(xs[-1], xs[i] + step))
+    return x if v >= vals[i] else xs[i]
 
 
 def _largest_a(cons, ledger: BoundsLedger, tables, p):
@@ -477,12 +369,10 @@ def solve_numeric(prob: MetaOptProblem) -> MetaOptSolution:
     """Maximize eta*a under the strategy's error model, both gains in the
     box _GAIN_RANGE. Strategy 3 takes `_truncated_optimum` (equal grading,
     m = n = 1; `solve_strategy3_closed_form` solves the dominant model).
-    Strategies 1, 2 and 4 maximize p a(p)^2 with a(p) from `_largest_a`: a
-    scan of _P_SAMPLES points of log p, then golden-section refinement
-    within one step of the best sample, kept if it is at least that
-    sample's. Last, a moves by ulps (at fixed eta for strategy 3, fixed p
-    otherwise) to the largest float at which every constraint holds as its
-    function evaluates it. If the box holds no feasible gains,
+    Strategies 1, 2 and 4 maximize p a(p)^2 with a(p) from `_largest_a`
+    over log p (`_log_search`). Last, a moves by ulps (at fixed eta for
+    strategy 3, fixed p otherwise) to the largest float at which every
+    constraint holds as its function evaluates it. If the box holds no feasible gains,
     InfeasibleError names the constraint hardest to satisfy at a = eta = lo.
 
     Strategies 1, 2 and 4 take the RemainderTables of the ledger's objective
@@ -503,13 +393,10 @@ def solve_numeric(prob: MetaOptProblem) -> MetaOptSolution:
             a = _largest_a(cons, ledger, tables, p)
             return np.where((a >= lo) & (p * a >= lo), p * a * a, -np.inf)
 
-        xs = np.linspace(math.log(lo / hi), math.log(hi / lo), _P_SAMPLES)
-        vals, step = value(xs), xs[1] - xs[0]
-        i = int(np.argmax(vals))
-        if vals[i] == -np.inf:  # no sampled p leaves both gains in the box
+        x = _log_search(value, lo / hi, hi / lo)
+        if x is None:  # no sampled p leaves both gains in the box
             _refuse(cons, lo, lo)
-        x, v = _golden_max(value, max(xs[0], xs[i] - step), min(xs[-1], xs[i] + step))
-        p = float(np.exp(x if v >= vals[i] else xs[i]))
+        p = float(np.exp(x))
         a = float(_largest_a(cons, ledger, tables, p))
         eta_at, method = (lambda a: p * a), f"strategy{prob.strategy}-log-p-search"
     a = _largest_holding(lambda a: a <= hi and eta_at(a) <= hi and all(
@@ -568,18 +455,41 @@ def tune_frequency(ledger: BoundsLedger, a: float, eta: float) -> FrequencyTunin
 # filtered-scheme tuner
 
 _FILTERED_RANGES = ((1e-3, 2.0), (1e-5, 1.0), (1e-4, 1.0), (1e-2, 30.0))  # a, eta, mu, gamma
-_FILTERED_GRID_POINTS = 24
+
+
+def _largest_eta(cons, a, mu, gamma):
+    """The largest eta in the filtered tuner's box at which each constraint
+    holds at (a, mu, gamma), up to rounding: each is affine in eta, so it
+    caps eta at (bound - f(0)) / (f(1) - f(0))."""
+    eta = _FILTERED_RANGES[1][1]
+    with np.errstate(divide="ignore"):  # a constraint that does not grow with eta caps nothing
+        for _, fn, bound in cons:
+            zero = fn(a, 0.0, mu, gamma)
+            eta = np.minimum(eta, (bound - zero) / (fn(a, 1.0, mu, gamma) - zero))
+    return eta
 
 
 def tune_filtered(ledger: BoundsLedger, delta1: float, delta2: float) -> MetaOptSolution:
     """Maximize eta for the low/high-pass filtered scheme subject to:
 
-    (i)  oscillation: the dominant |x - x_av| amplitude eta*gamma*|htilde|
-         with the quasi-steady estimator offset |htilde| = (a^2/4)|h''|,
-         kept below delta1;
-    (ii) gradient-estimate tube: the steady residual of the estimate
+    (i)  gradient-estimate tube: the steady residual of the estimate
          dynamics (contraction rate a*gamma/2) under its forcing terms,
-         divided by kappa, kept below delta2.
+         divided by kappa, kept below delta1;
+    (ii) oscillation: the dominant |x - x_av| amplitude eta*gamma*|htilde|
+         with the quasi-steady estimator offset |htilde| = (a^2/4)|h''|,
+         kept below delta2.
+
+    mu stays at its floor: the oscillation does not read it, and both tube
+    terms that do grow with it. Write s = a gamma. At fixed s the tube's
+    eta coefficient, (2/s + s/4 + mu) |h'||h''| / kappa, is fixed, while
+    its eta-free term (mu^2 |h'| + (a^2/8) |h'''|) / kappa and the
+    oscillation's coefficient s a |h''| / 4 grow with a. So the largest eta
+    (`_largest_eta`) takes the least a, and the answer lies where gamma is
+    at its cap or a at its floor. A scan of log s along that edge and a
+    golden-section refinement (`_log_search`) pick s, and eta then moves by
+    ulps to the largest float at which both constraints hold as their
+    functions evaluate them. If no s leaves eta in the box, InfeasibleError
+    names the constraint hardest to satisfy at the box's low corner.
 
     The constraint assembly is recorded in the solution provenance; it is a
     documented reconstruction, validated by simulation rather than claimed
@@ -600,25 +510,39 @@ def tune_filtered(ledger: BoundsLedger, delta1: float, delta2: float) -> MetaOpt
                              + (a * a / 8.0) * h3))
         return forcing / rate / kap
 
-    cons = [("oscillation", osc, delta1), ("estimate_tube", tube, delta2)]
-    axes = [np.geomspace(lo, hi, _FILTERED_GRID_POINTS) for lo, hi in _FILTERED_RANGES]
-    (a_v, eta_v, mu_v, gamma_v), active = _maximize(
-        cons, lambda a, eta, mu, gamma: eta, axes, _FILTERED_RANGES,
-        points=9, rounds=6, widen=1.1, polish=(1,))
-    gains = {"a": a_v, "eta": eta_v, "mu": mu_v, "gamma": gamma_v}
+    cons = [("estimate_tube", tube, delta1), ("oscillation", osc, delta2)]
+    (a_lo, a_hi), (eta_lo, eta_hi), (mu, _), (g_lo, g_hi) = _FILTERED_RANGES
+
+    def edge(x):  # (a, gamma) with a gamma = e^x, gamma at its cap or a at its floor
+        s = np.exp(x)
+        return np.clip(s / g_hi, a_lo, a_hi), np.clip(s / a_lo, g_lo, g_hi)
+
+    def value(x):  # the largest eta at x on the edge, -inf below the box
+        a, gamma = edge(x)
+        eta = _largest_eta(cons, a, mu, gamma)
+        return np.where(eta >= eta_lo, eta, -np.inf)
+
+    x = _log_search(value, a_lo * g_lo, a_hi * g_hi)
+    if x is None:
+        _refuse(cons, a_lo, eta_lo, mu, g_lo)
+    a, gamma = map(float, edge(x))
+    eta = _largest_holding(lambda e: e <= eta_hi and all(
+        fn(a, e, mu, gamma) <= bound for _, fn, bound in cons),
+        float(_largest_eta(cons, a, mu, gamma)))
+    gains = {"a": a, "eta": eta, "mu": mu, "gamma": gamma}
     edges = [f"{name}_{end}" for (name, v), box in zip(gains.items(), _FILTERED_RANGES)
              for end, bound in zip(("lo", "hi"), box) if v == bound]  # set by the box
     return MetaOptSolution(
         gains=gains,
-        budget=_budget((osc, tube), a_v, eta_v, mu_v, gamma_v),
-        active_constraints=active,
+        budget=_budget((tube, osc), a, eta, mu, gamma),
+        active_constraints=_active(cons, (a, eta, mu, gamma)),
         provenance={
-            "method": "filtered-grid",
+            "method": "filtered-log-s-search",
             "constraints": {
-                "oscillation": "eta*gamma*(a^2/4)*|h''| <= delta1",
                 "estimate_tube": "[eta|h''||h'| + (eta g^2/2)(a^2/4)|h''||h'| "
                                  "+ (a g/2)(mu^2|h'| + eta mu |h'||h''| "
-                                 "+ (a^2/8)|h'''|)] / (a g / 2) / kappa <= delta2",
+                                 "+ (a^2/8)|h'''|)] / (a g / 2) / kappa <= delta1",
+                "oscillation": "eta*gamma*(a^2/4)*|h''| <= delta2",
             },
             "norms": {"h1": h1, "h2": h2, "h3": h3, "kappa": kap},
             "domain": [list(iv) for iv in ledger.domain.intervals],
