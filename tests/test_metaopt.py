@@ -532,6 +532,49 @@ class TestSolverOptimality:
         assert sizes == [metaopt._LOG_SAMPLES] + [1] * (symexpr._GOLDEN_ITERS + 4)
 
 
+class TestLogSearch:
+    """`_log_search`, the scan and golden-section refinement that
+    solve_numeric and tune_filtered share, on hand-made value functions of
+    x = log of the searched variable."""
+
+    LO, HI = 1e-3, 1e2
+
+    def samples(self):
+        return np.linspace(math.log(self.LO), math.log(self.HI), metaopt._LOG_SAMPLES)
+
+    @pytest.mark.parametrize("frac", [0.1, 0.37, 0.5, 0.9])
+    def test_interior_peak_is_refined_past_the_samples(self, frac):
+        x0 = math.log(self.LO) + frac * math.log(self.HI / self.LO)
+        x = metaopt._log_search(lambda x: -(x - x0) ** 2, self.LO, self.HI)
+        step = self.samples()[1] - self.samples()[0]
+        assert abs(x - x0) < 1e-6 * step
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
+    def test_monotone_value_returns_the_end_sample(self, sign):
+        x = metaopt._log_search(lambda x: sign * x, self.LO, self.HI)
+        assert x == math.log(self.HI if sign > 0 else self.LO)
+
+    def test_every_sample_below_the_box_returns_none(self):
+        assert metaopt._log_search(lambda x: np.full(np.shape(x), -np.inf),
+                                   self.LO, self.HI) is None
+
+    def test_refinement_worse_than_the_best_sample_keeps_the_sample(self):
+        # a spike on one sample, flat elsewhere: the golden section finds
+        # only the flat value, so the sample itself must come back
+        spike = self.samples()[123]
+        x = metaopt._log_search(lambda x: np.where(x == spike, 1.0, 0.0), self.LO, self.HI)
+        assert x == spike
+
+    def test_answer_stays_where_the_value_is_finite(self):
+        # the value rises toward a peak past the right end of its finite
+        # window, so the answer sits at that end, never beyond it
+        w0, w1 = -2.0, 1.234
+        value = lambda x: np.where((x >= w0) & (x <= w1), -(x - 3.0) ** 2, -np.inf)
+        x = metaopt._log_search(value, self.LO, self.HI)
+        best_sample = self.samples()[self.samples() <= w1][-1]
+        assert best_sample <= x <= w1 and np.isfinite(value(x))
+
+
 def observed_errors(h, ledger, a, eta, measured=200, steps_per_period=200):
     """(DC error of the period means, oscillation about them, periods run)
     of the basic1d loop at (a, eta) on the float march from x0 = 0.5, over
@@ -785,6 +828,46 @@ class TestFilteredTuner:
         for term in spy.call_args.args[0]:
             cells = term(*points.T)
             assert [float(term(*p)) for p in points.tolist()] == cells.tolist()
+
+    @pytest.mark.parametrize("text", AUDIT_OBJECTIVES)
+    def test_eta_is_the_largest_float_that_holds(self, audit_ledgers, text):
+        h, led = audit_ledgers[text]
+        with mock.patch.object(metaopt, "_budget", wraps=metaopt._budget) as spy:
+            sol = tune_filtered(led, 0.01, 0.01)
+        tube, osc = spy.call_args.args[0]
+        g = sol.gains
+
+        def holds(eta):
+            return (tube(g["a"], eta, g["mu"], g["gamma"]) <= 0.01
+                    and osc(g["a"], eta, g["mu"], g["gamma"]) <= 0.01)
+
+        assert holds(g["eta"]) and not holds(math.nextafter(g["eta"], math.inf))
+
+    @pytest.mark.parametrize("text", AUDIT_OBJECTIVES)
+    def test_eta_never_falls_as_a_tolerance_loosens(self, audit_ledgers, text):
+        h, led = audit_ledgers[text]
+        etas = {tols: tune_filtered(led, *tols).gains["eta"]
+                for tols in [(0.01, 0.01), (0.02, 0.01), (0.01, 0.02), (0.01, 1e-5)]}
+        assert etas[(0.02, 0.01)] >= etas[(0.01, 0.01)]
+        assert etas[(0.01, 0.02)] >= etas[(0.01, 0.01)] >= etas[(0.01, 1e-5)]
+
+    def test_largest_eta_is_the_least_of_the_box_and_each_cap(self):
+        # c0 = 0.5 + 10 a eta caps eta at 0.05 / a, c1 = 20 a^2 eta at
+        # 0.1 / a^2, and the box at _FILTERED_RANGES' top, 1.0
+        cons = [("c0", lambda a, e, mu, g: 0.5 + 10.0 * a * e, 1.0),
+                ("c1", lambda a, e, mu, g: 20.0 * a * a * e, 2.0)]
+        a = np.array([0.01, 0.1, 0.25, 0.5, 1.0, 4.0])
+        eta = metaopt._largest_eta(cons, a, 1e-4, 30.0)
+        np.testing.assert_allclose(eta, [1.0, 0.5, 0.2, 0.1, 0.05, 0.00625], rtol=1e-15)
+        assert [float(metaopt._largest_eta(cons, v, 1e-4, 30.0)) for v in a] == eta.tolist()
+
+    def test_largest_eta_ignores_caps_that_cap_nothing(self):
+        # a term that does not grow with eta, and an infinite bound, leave
+        # the box's top as the largest eta
+        cons = [("flat", lambda a, e, mu, g: 0.0 * e + a, 2.0),
+                ("unbounded", lambda a, e, mu, g: e * a, math.inf)]
+        eta = metaopt._largest_eta(cons, np.array([0.5, 1.0]), 1e-4, 30.0)
+        assert eta.tolist() == [metaopt._FILTERED_RANGES[1][1]] * 2
 
     @pytest.mark.parametrize("text", AUDIT_OBJECTIVES)
     def test_range_edges_name_the_box_corner(self, text):
